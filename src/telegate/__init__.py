@@ -63,7 +63,6 @@ from .tomography import (
 )
 from .metrics import (
     ChshSpec,
-    bootstrap_error,
     chsh,
     chsh_best,
     fidelity_pure,

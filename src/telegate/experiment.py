@@ -23,11 +23,13 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ._version import __version__
-from .gate import GateChannel, gate_channel
+from .gate import gate_channel
 from .metrics import (
     CHSH_VARIANT_FOR_BELL,
     ChshSpec,
     chsh,
+    chsh_correlators,
+    chsh_distributions,
     chsh_from_correlators,
     fidelity_pure,
     log_negativity,
@@ -37,11 +39,13 @@ from .protocols import (
     CORRECTION_MATRICES,
     TELEPORT_PAIR_TARGET,
     TILDE_LABELS,
+    _as_channel,
     swap,
     teleport,
     tilde_bell,
 )
 from .sources import (
+    BELL_AMPLITUDES,
     PairSpec,
     SINGLE_QUBIT_AMPLITUDES,
     make_input,
@@ -49,9 +53,11 @@ from .sources import (
     single_qubit_state,
     tomographic_input_set,
 )
-from .states import DensityMatrix, analyzer_eigenvectors
+from .states import DensityMatrix
 from .tomography import (
+    FitError,
     MeasurementSetting,
+    ProcessMatrix,
     identity_process,
     mle_fit,
     process_fidelity,
@@ -61,6 +67,13 @@ from .tomography import (
 )
 
 PROTOCOLS = ("teleport", "swap", "gate-only")
+
+#: Detector keys ("<mode><outcome>") each protocol's count tables use.
+EFFICIENCY_KEYS = {
+    "teleport": ("a+", "a-"),
+    "swap": ("a+", "a-", "d+", "d-"),
+    "gate-only": ("bH", "bV", "cH", "cV"),
+}
 
 
 class ConfigError(ValueError):
@@ -96,9 +109,6 @@ class CountTable:
         for r in self.rows:
             out[r.setting].append(r)
         return dict(out)
-
-    def total_raw(self) -> int:
-        return sum(r.raw for r in self.rows)
 
     def resample(self, rng: np.random.Generator) -> "CountTable":
         """Poisson-resample the raw counts and re-apply the correction."""
@@ -164,19 +174,30 @@ class ExperimentConfig:
             raise ConfigError(f"protocol: must be one of {PROTOCOLS}, got {self.protocol!r}")
         for name in ("overlap", "pair_mixedness", "input_mixedness"):
             val = getattr(self, name)
-            if not isinstance(val, (int, float)) or not 0.0 <= float(val) <= 1.0:
+            if not _is_real(val) or not 0.0 <= val <= 1.0:
                 raise ConfigError(f"{name}: must lie in [0, 1], got {val!r}")
-        if not isinstance(self.counts_per_setting, int) or self.counts_per_setting <= 0:
+        if not _is_int(self.counts_per_setting) or self.counts_per_setting <= 0:
             raise ConfigError(f"counts_per_setting: must be a positive integer, got {self.counts_per_setting!r}")
+        if not isinstance(self.efficiencies, Mapping):
+            raise ConfigError("efficiencies: expected a mapping of detector -> efficiency")
+        keys = EFFICIENCY_KEYS[self.protocol]
         for key, eta in self.efficiencies.items():
-            if not isinstance(eta, (int, float)) or not 0.0 < float(eta) <= 1.0:
+            if key not in keys:
+                raise ConfigError(f"efficiencies.{key}: unknown detector for {self.protocol}; options: {keys}")
+            if not _is_real(eta) or not 0.0 < eta <= 1.0:
                 raise ConfigError(f"efficiencies.{key}: must lie in (0, 1], got {eta!r}")
-        if not isinstance(self.seed, int):
-            raise ConfigError(f"seed: must be an integer, got {self.seed!r}")
-        if self.bootstrap_resamples < 100:
-            raise ConfigError(f"bootstrap_resamples: must be at least 100, got {self.bootstrap_resamples}")
-        if len(self.gate_input) != 2 or any(c not in SINGLE_QUBIT_AMPLITUDES for c in self.gate_input):
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError(f"seed: must be a non-negative integer, got {self.seed!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out: must be a path, got {self.out!r}")
+        if self.pair_target is not None and (
+                not isinstance(self.pair_target, str) or self.pair_target not in BELL_AMPLITUDES):
+            raise ConfigError(f"pair_target: must be one of {sorted(BELL_AMPLITUDES)}, got {self.pair_target!r}")
+        if (not isinstance(self.gate_input, str) or len(self.gate_input) != 2
+                or any(c not in SINGLE_QUBIT_AMPLITUDES for c in self.gate_input)):
             raise ConfigError(f"gate_input: must be two of {sorted(SINGLE_QUBIT_AMPLITUDES)}, got {self.gate_input!r}")
+        if not _is_int(self.bootstrap_resamples) or self.bootstrap_resamples < 100:
+            raise ConfigError(f"bootstrap_resamples: must be an integer of at least 100, got {self.bootstrap_resamples!r}")
 
     def resolved_pair_target(self) -> str:
         if self.pair_target is not None:
@@ -198,6 +219,14 @@ class ExperimentConfig:
         }
 
 
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _is_real(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 _CONFIG_FIELDS = {
     "protocol", "overlap", "pair_mixedness", "input_mixedness", "counts_per_setting",
     "efficiencies", "seed", "out", "pair_target", "gate_input", "bootstrap_resamples",
@@ -209,20 +238,13 @@ def config_from_mapping(data: Mapping) -> ExperimentConfig:
         raise ConfigError(f"config root: expected a mapping, got {type(data).__name__}")
     unknown = set(data) - _CONFIG_FIELDS
     if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        raise ConfigError(f"unknown config fields: {sorted(unknown, key=str)}")
     if "protocol" not in data:
         raise ConfigError("protocol: field is required")
-    eff = data.get("efficiencies", {})
-    if eff is None:
-        eff = {}
-    if not isinstance(eff, Mapping):
-        raise ConfigError("efficiencies: expected a mapping of detector -> efficiency")
     kwargs = dict(data)
-    kwargs["efficiencies"] = dict(eff)
-    try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    if kwargs.get("efficiencies") is None:
+        kwargs["efficiencies"] = {}
+    return ExperimentConfig(**kwargs)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -240,8 +262,36 @@ def load_config(path: str) -> ExperimentConfig:
 
 # -- exact (count-free) protocol summaries ------------------------------------
 
-def _as_channel(gate) -> GateChannel:
-    return gate if isinstance(gate, GateChannel) else gate_channel(float(gate))
+def _teleport_estimate(conditional: Mapping[str, Mapping[str, tuple[float, DensityMatrix]]]
+                       ) -> tuple[dict[str, float], ProcessMatrix]:
+    """Teleport figures from each probe's conditional states on mode a.
+
+    ``conditional[probe][bell]`` holds an analyzer outcome's weight (its
+    share of the probe's post-selected events) and its uncorrected state.
+    Each state gets its outcome's Pauli-frame correction; a probe's output
+    is the weighted mean of its corrected states, and the four outputs feed
+    process tomography. Returns the fidelities with the probe per outcome
+    (``F_<probe>/<bell>``) and per probe (``F_<probe>``), the process
+    fidelity ``F_p``, and the process matrix.
+    """
+    figures: dict[str, float] = {}
+    outputs = []
+    for name, by_bell in conditional.items():
+        chi = single_qubit_state(name).amplitudes
+        acc = np.zeros((2, 2), dtype=complex)
+        fid = 0.0
+        for bell, (w, state) in by_bell.items():
+            u = CORRECTION_MATRICES[CORRECTION_FOR_BELL[bell]]
+            corrected = u @ state.entries @ u.conj().T
+            f = float(np.real(chi.conj() @ corrected @ chi))
+            figures[f"F_{name}/{bell}"] = f
+            fid += w * f
+            acc += w * corrected
+        figures[f"F_{name}"] = fid
+        outputs.append(DensityMatrix(0.5 * (acc + acc.conj().T), ("a",), validate_psd=False))
+    matrix = process_tomo([single_qubit_state(name) for name in conditional], outputs)
+    figures["F_p"] = process_fidelity(matrix, identity_process())
+    return figures, matrix
 
 
 def teleport_summary(gate, pair_mixedness: float = 0.0, input_mixedness: float = 0.0,
@@ -254,31 +304,23 @@ def teleport_summary(gate, pair_mixedness: float = 0.0, input_mixedness: float =
     """
     channel = _as_channel(gate)
     pair = make_pair(PairSpec(pair_target, pair_mixedness), ("a", "b"))
-    summary: dict = {"per_outcome": {}}
-    avg_states = []
-    probes = []
-    fids = []
+    conditional = {}
+    probabilities = {}
     for spec in tomographic_input_set(input_mixedness):
-        res = teleport(make_input(spec, "c"), pair, channel, correct=True)
-        chi = single_qubit_state(spec.state, "a")
-        total = res.success_probability
-        avg = sum(o.probability * o.state.entries for o in res.outcomes if o.state is not None) / total
-        state = DensityMatrix(0.5 * (avg + avg.conj().T), ("a",), validate_psd=False)
-        fid = fidelity_pure(state, chi)
-        summary[f"F_{spec.state}"] = fid
-        summary["per_outcome"][spec.state] = {
-            o.bell_label: {
-                "probability": o.probability,
-                "fidelity": fidelity_pure(o.state, chi) if o.state is not None else None,
-            }
-            for o in res.outcomes
-        }
-        fids.append(fid)
-        avg_states.append(state)
-        probes.append(single_qubit_state(spec.state))
-    matrix = process_tomo(probes, avg_states)
-    summary["F_avg"] = float(np.mean(fids))
-    summary["F_p"] = process_fidelity(matrix, identity_process())
+        res = teleport(make_input(spec, "c"), pair, channel, correct=False)
+        conditional[spec.state] = {
+            o.bell_label: (o.probability / res.success_probability, o.state)
+            for o in res.outcomes if o.state is not None}
+        probabilities[spec.state] = {o.bell_label: o.probability for o in res.outcomes}
+    figures, matrix = _teleport_estimate(conditional)
+    summary: dict = {f"F_{name}": figures[f"F_{name}"] for name in conditional}
+    summary["per_outcome"] = {
+        name: {bell: {"probability": p, "fidelity": figures.get(f"F_{name}/{bell}")}
+               for bell, p in probs.items()}
+        for name, probs in probabilities.items()
+    }
+    summary["F_avg"] = float(np.mean([summary[f"F_{name}"] for name in conditional]))
+    summary["F_p"] = figures["F_p"]
     summary["process_matrix"] = matrix
     return summary
 
@@ -426,9 +468,31 @@ def _matrix_payload(entries: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(entries)]
 
 
+class Estimate(dict):
+    """An estimator's figures (name -> value) and what it fitted to get them.
+
+    The bootstrap resamples the figures only; ``fitted`` (states, process
+    matrix) comes back from the point estimate, so reports need no refit.
+    """
+
+    def __init__(self, figures: Mapping[str, float], fitted):
+        super().__init__(figures)
+        self.fitted = fitted
+
+
 def _joint_bootstrap(tables: Mapping[str, CountTable], estimator: Callable,
                      n_resamples: int, seed_seq: np.random.SeedSequence):
-    """Resample every table together and re-run a dict-valued estimator."""
+    """Parametric Poisson bootstrap of a dict-valued estimator over count tables.
+
+    Returns the estimator's value on ``tables`` and, per figure, the
+    standard deviation over ``n_resamples`` joint resamples: each raw count
+    c is redrawn as Poisson(c) and the efficiency correction re-applied,
+    every resample from its own child of ``seed_seq``. Resamples whose data
+    the estimator cannot fit (FitError, ValueError) are skipped; more than
+    10% of them aborts.
+    """
+    if n_resamples < 100:
+        raise ValueError(f"need at least 100 resamples, got {n_resamples}")
     values = estimator(tables)
     samples = defaultdict(list)
     failures = 0
@@ -436,7 +500,7 @@ def _joint_bootstrap(tables: Mapping[str, CountTable], estimator: Callable,
         rng = np.random.default_rng(child)
         try:
             out = estimator({k: t.resample(rng) for k, t in tables.items()})
-        except Exception:
+        except (FitError, ValueError):
             failures += 1
             continue
         for k, v in out.items():
@@ -452,38 +516,6 @@ def _tomo_probabilities(state: DensityMatrix, settings: list[MeasurementSetting]
     return {s.id: s.probabilities(state) for s in settings}
 
 
-_CHSH_SPEC = ChshSpec()
-
-
-def _chsh_probabilities(state: DensityMatrix) -> dict:
-    probs = {}
-    for i, ta in enumerate(_CHSH_SPEC.mode_a_angles):
-        vecs_a = analyzer_eigenvectors(ta)
-        for j, td in enumerate(_CHSH_SPEC.mode_d_angles):
-            vecs_d = analyzer_eigenvectors(td)
-            dist = {}
-            for sa, va in zip("+-", vecs_a):
-                for sd, vd in zip("+-", vecs_d):
-                    vec = np.kron(va, vd)
-                    dist[sa + sd] = max(float(np.real(vec.conj() @ state.entries @ vec)), 0.0)
-            probs[f"chsh{i}{j}"] = dist
-    return probs
-
-
-def _chsh_from_counts(table: CountTable, variant: str) -> float:
-    e = np.zeros((2, 2))
-    for setting_id, rows in table.by_setting().items():
-        i, j = int(setting_id[4]), int(setting_id[5])
-        total = sum(r.corrected for r in rows)
-        if total <= 0:
-            raise ValueError(f"setting {setting_id} has zero counts")
-        e[i, j] = sum(
-            r.corrected * (1 if r.outcome[0] == "+" else -1) * (1 if r.outcome[1] == "+" else -1)
-            for r in rows
-        ) / total
-    return chsh_from_correlators(e, variant)
-
-
 def _run_teleport(config: ExperimentConfig, seed_seq: np.random.SeedSequence) -> Report:
     channel = gate_channel(config.overlap)
     pair = make_pair(PairSpec(config.resolved_pair_target(), config.pair_mixedness), ("a", "b"))
@@ -493,76 +525,43 @@ def _run_teleport(config: ExperimentConfig, seed_seq: np.random.SeedSequence) ->
 
     tables: dict[str, CountTable] = {}
     weights: dict[str, dict[str, float]] = {}
-    exact_states: dict[str, dict[str, DensityMatrix]] = {}
     for spec in tomographic_input_set(config.input_mixedness):
         res = teleport(make_input(spec, "c"), pair, channel, correct=False)
-        total = res.success_probability
         weights[spec.state] = {}
-        exact_states[spec.state] = {}
         for o in res.outcomes:
             if o.state is None:
                 continue
-            weights[spec.state][o.bell_label] = o.probability / total
-            exact_states[spec.state][o.bell_label] = o.state
-            probs = _tomo_probabilities(o.state, settings)
+            weights[spec.state][o.bell_label] = o.probability / res.success_probability
             tables[f"{spec.state}/{o.bell_label}"] = simulate_counts(
-                probs, config.counts_per_setting, config.efficiencies,
-                next(table_seeds), modes=("a",))
+                _tomo_probabilities(o.state, settings), config.counts_per_setting,
+                config.efficiencies, next(table_seeds), modes=("a",))
 
-    probes = {name: single_qubit_state(name, "a") for name in ("H", "V", "+", "R")}
-
-    def estimate(tabs: Mapping[str, CountTable]) -> dict[str, float]:
-        out: dict[str, float] = {}
-        averaged: list[DensityMatrix] = []
-        for name in ("H", "V", "+", "R"):
-            acc = np.zeros((2, 2), dtype=complex)
-            fid = 0.0
-            for bell, w in weights[name].items():
-                rho_hat = mle_fit(tabs[f"{name}/{bell}"])
-                u = CORRECTION_MATRICES[CORRECTION_FOR_BELL[bell]]
-                corrected = u @ rho_hat.entries @ u.conj().T
-                f = float(np.real(probes[name].amplitudes.conj() @ corrected @ probes[name].amplitudes))
-                out[f"F_{name}/{bell}"] = f
-                fid += w * f
-                acc += w * corrected
-            out[f"F_{name}"] = fid
-            averaged.append(DensityMatrix(0.5 * (acc + acc.conj().T), ("a",), validate_psd=False))
-        matrix = process_tomo([probes[n] for n in ("H", "V", "+", "R")], averaged)
-        out["F_p"] = process_fidelity(matrix, identity_process())
-        return out
+    def estimate(tabs: Mapping[str, CountTable]) -> Estimate:
+        fitted = {key: mle_fit(tabs[key]) for key in tables}
+        figures, matrix = _teleport_estimate({
+            name: {bell: (w, fitted[f"{name}/{bell}"]) for bell, w in by_bell.items()}
+            for name, by_bell in weights.items()})
+        return Estimate(figures, (fitted, matrix))
 
     values, errors = _joint_bootstrap(tables, estimate, config.bootstrap_resamples, boot_seed)
-
-    # rebuild the reportable states once from the original tables
-    reconstructed: dict[str, dict] = {}
-    averaged: dict[str, DensityMatrix] = {}
-    for name in ("H", "V", "+", "R"):
-        reconstructed[name] = {}
-        acc = np.zeros((2, 2), dtype=complex)
-        for bell, w in weights[name].items():
-            rho_hat = mle_fit(tables[f"{name}/{bell}"])
-            u = CORRECTION_MATRICES[CORRECTION_FOR_BELL[bell]]
-            corrected = u @ rho_hat.entries @ u.conj().T
-            acc += w * corrected
-            reconstructed[name][bell] = {
-                "probability_weight": w,
-                "correction": CORRECTION_FOR_BELL[bell],
-                "fidelity": values[f"F_{name}/{bell}"],
-                "fidelity_err": errors[f"F_{name}/{bell}"],
-                "state": _matrix_payload(rho_hat.entries),
-            }
-        averaged[name] = DensityMatrix(0.5 * (acc + acc.conj().T), ("a",), validate_psd=False)
-    matrix = process_tomo([probes[n] for n in ("H", "V", "+", "R")],
-                          [averaged[n] for n in ("H", "V", "+", "R")])
-
+    fitted, matrix = values.fitted
     results = {
         "inputs": {
             name: {
                 "fidelity": values[f"F_{name}"],
                 "fidelity_err": errors[f"F_{name}"],
-                "outcomes": reconstructed[name],
+                "outcomes": {
+                    bell: {
+                        "probability_weight": w,
+                        "correction": CORRECTION_FOR_BELL[bell],
+                        "fidelity": values[f"F_{name}/{bell}"],
+                        "fidelity_err": errors[f"F_{name}/{bell}"],
+                        "state": _matrix_payload(fitted[f"{name}/{bell}"].entries),
+                    }
+                    for bell, w in by_bell.items()
+                },
             }
-            for name in ("H", "V", "+", "R")
+            for name, by_bell in weights.items()
         },
         "process_matrix": _matrix_payload(matrix.entries),
         "process_fidelity": values["F_p"],
@@ -581,39 +580,35 @@ def _run_swap(config: ExperimentConfig, seed_seq: np.random.SeedSequence) -> Rep
 
     tables: dict[str, CountTable] = {}
     outcome_results: dict[str, dict] = {}
-    boot_values: dict[str, dict] = {}
-    boot_errors: dict[str, dict] = {}
     for o in res.outcomes:
         if o.state is None:
             continue
         label = o.bell_label
-        tomo = simulate_counts(_tomo_probabilities(o.state, settings),
-                               config.counts_per_setting, config.efficiencies,
-                               next(table_seeds), modes=("a", "d"))
-        bell_counts = simulate_counts(_chsh_probabilities(o.state),
-                                      config.counts_per_setting, config.efficiencies,
-                                      next(table_seeds), modes=("a", "d"))
-        tables[f"{label}/tomo"] = tomo
-        tables[f"{label}/chsh"] = bell_counts
+        own = {
+            f"{label}/{kind}": simulate_counts(probs, config.counts_per_setting,
+                                               config.efficiencies, next(table_seeds),
+                                               modes=("a", "d"))
+            for kind, probs in (("tomo", _tomo_probabilities(o.state, settings)),
+                                ("chsh", chsh_distributions(o.state)))
+        }
+        tables.update(own)
         target = tilde_bell(label, ("a", "d"))
         variant = CHSH_VARIANT_FOR_BELL[label]
 
-        def estimate(tabs: Mapping[str, CountTable], target=target, variant=variant,
-                     label=label) -> dict[str, float]:
+        def estimate(tabs: Mapping[str, CountTable]) -> Estimate:
             rho_hat = mle_fit(tabs[f"{label}/tomo"])
-            s_val = _chsh_from_counts(tabs[f"{label}/chsh"], variant)
-            return {
+            e = chsh_correlators({setting: {r.outcome: r.corrected for r in rows}
+                                  for setting, rows in tabs[f"{label}/chsh"].by_setting().items()})
+            s_val = chsh_from_correlators(e, variant)
+            return Estimate({
                 "fidelity": fidelity_pure(rho_hat, target),
                 "log_negativity": log_negativity(rho_hat),
                 "chsh": s_val,
                 "chsh_abs": abs(s_val),
-            }
+            }, rho_hat)
 
-        values, errors = _joint_bootstrap(
-            {f"{label}/tomo": tomo, f"{label}/chsh": bell_counts},
-            estimate, config.bootstrap_resamples, boot_seed.spawn(1)[0])
-        boot_values[label], boot_errors[label] = values, errors
-        rho_hat = mle_fit(tomo)
+        values, errors = _joint_bootstrap(own, estimate, config.bootstrap_resamples,
+                                          boot_seed.spawn(1)[0])
         outcome_results[label] = {
             "product_result": o.product_result,
             "probability": o.probability,
@@ -625,27 +620,29 @@ def _run_swap(config: ExperimentConfig, seed_seq: np.random.SeedSequence) -> Rep
             "chsh": values["chsh"],
             "chsh_err": errors["chsh"],
             "chsh_abs": values["chsh_abs"],
-            "state": _matrix_payload(rho_hat.entries),
+            "state": _matrix_payload(values.fitted.entries),
         }
 
-    labels = [l for l in TILDE_LABELS if l in outcome_results]
+    per_label = [outcome_results[l] for l in TILDE_LABELS if l in outcome_results]
+
+    def mean(key: str) -> float:
+        return float(np.mean([r[key] for r in per_label]))
+
+    def mean_err(key: str) -> float:
+        return float(np.sqrt(np.mean([r[key] ** 2 for r in per_label]) / len(per_label)))
+
     results = {
         "outcomes": outcome_results,
-        "average_fidelity": float(np.mean([boot_values[l]["fidelity"] for l in labels])),
-        "average_fidelity_err": float(np.sqrt(np.mean(
-            [boot_errors[l]["fidelity"] ** 2 for l in labels]) / len(labels))),
-        "average_chsh_abs": float(np.mean([boot_values[l]["chsh_abs"] for l in labels])),
-        "average_chsh_abs_err": float(np.sqrt(np.mean(
-            [boot_errors[l]["chsh"] ** 2 for l in labels]) / len(labels))),
-        "average_log_negativity": float(np.mean(
-            [boot_values[l]["log_negativity"] for l in labels])),
+        "average_fidelity": mean("fidelity"),
+        "average_fidelity_err": mean_err("fidelity_err"),
+        "average_chsh_abs": mean("chsh_abs"),
+        "average_chsh_abs_err": mean_err("chsh_err"),
+        "average_log_negativity": mean("log_negativity"),
     }
     return Report("swap", __version__, config.seed, config.echo(), results, tables)
 
 
 def _run_gate_only(config: ExperimentConfig, seed_seq: np.random.SeedSequence) -> Report:
-    from .metrics import bootstrap_error
-
     channel = gate_channel(config.overlap)
     amps = np.kron(SINGLE_QUBIT_AMPLITUDES[config.gate_input[0]],
                    SINGLE_QUBIT_AMPLITUDES[config.gate_input[1]])
@@ -657,28 +654,26 @@ def _run_gate_only(config: ExperimentConfig, seed_seq: np.random.SeedSequence) -
     dist = {o: float(p) for o, p in zip(outcomes, per_outcome)}
     dist["00"] = 1.0 - p_success  # no-coincidence remainder
 
-    counts_seed = seed_seq.spawn(1)[0]
+    counts_seed, boot_seed = seed_seq.spawn(2)
     table = simulate_counts({"coinc": dist}, config.counts_per_setting,
-                            config.efficiencies, counts_seed, modes=("b", "c"),
-                            normalized=True)
-
+                            config.efficiencies, counts_seed, modes=("b", "c"))
+    tables = {"gate/coinc": table}
     n = config.counts_per_setting
 
-    def success_estimate(t: CountTable) -> float:
-        return sum(r.corrected for r in t.rows if r.outcome != "00") / n
+    def estimate(tabs: Mapping[str, CountTable]) -> dict[str, float]:
+        coincidences = sum(r.corrected for r in tabs["gate/coinc"].rows if r.outcome != "00")
+        return {"success_probability": coincidences / n}
 
-    value, stderr = bootstrap_error(table, success_estimate,
-                                    config.bootstrap_resamples, seed=config.seed)
+    values, errors = _joint_bootstrap(tables, estimate, config.bootstrap_resamples, boot_seed)
     results = {
         "input": config.gate_input,
         "success_probability_exact": p_success,
-        "success_probability": value,
-        "success_probability_err": stderr,
+        "success_probability": values["success_probability"],
+        "success_probability_err": errors["success_probability"],
         "output_distribution_exact": {o: dist[o] for o in outcomes},
         "output_counts": {r.outcome: r.raw for r in table.rows},
     }
-    return Report("gate-only", __version__, config.seed, config.echo(), results,
-                  {"gate/coinc": table})
+    return Report("gate-only", __version__, config.seed, config.echo(), results, tables)
 
 
 def run_experiment(config: ExperimentConfig) -> Report:

@@ -1,26 +1,13 @@
-"""Figures of merit: state fidelity, logarithmic negativity, CHSH values,
-and Poisson-bootstrap error bars for anything estimated from counts.
-"""
+"""Figures of merit: state fidelity, logarithmic negativity, CHSH values."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, TYPE_CHECKING
+from typing import Mapping
 
 import numpy as np
 
-from .states import (
-    DensityMatrix,
-    Observable,
-    PureState,
-    analyzer_observable,
-    expectation,
-    kron,
-    trace_norm,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .experiment import CountTable
+from .states import DensityMatrix, PureState, analyzer_eigenvectors, trace_norm
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
@@ -85,13 +72,40 @@ class ChshSpec:
             raise ValueError(f"variant must be '+' or '-', got {self.variant!r}")
 
 
-def chsh_correlators(rho: DensityMatrix, spec: ChshSpec = ChshSpec()) -> np.ndarray:
-    """E[i, j] for mode-a angle i and mode-d angle j."""
+#: CHSH setting id -> (i, j): the setting measures the first mode at mode-a
+#: angle i and the second at mode-d angle j, i.e. the correlator E[i, j].
+CHSH_SETTINGS = {"chsh00": (0, 0), "chsh01": (0, 1), "chsh10": (1, 0), "chsh11": (1, 1)}
+
+
+def chsh_distributions(rho: DensityMatrix, spec: ChshSpec = ChshSpec()) -> dict[str, dict[str, float]]:
+    """+/- outcome probabilities of a two-qubit state at every CHSH setting."""
+    out = {}
+    for setting_id, (i, j) in CHSH_SETTINGS.items():
+        vecs_a = analyzer_eigenvectors(spec.mode_a_angles[i])
+        vecs_d = analyzer_eigenvectors(spec.mode_d_angles[j])
+        dist = {}
+        for sa, va in zip("+-", vecs_a):
+            for sd, vd in zip("+-", vecs_d):
+                vec = np.kron(va, vd)
+                dist[sa + sd] = max(float(np.real(vec.conj() @ rho.entries @ vec)), 0.0)
+        out[setting_id] = dist
+    return out
+
+
+def chsh_correlators(dists: Mapping[str, Mapping[str, float]]) -> np.ndarray:
+    """E[i, j] from the +/- outcome weights of every CHSH setting.
+
+    The weights may be probabilities or (corrected) counts; each setting is
+    normalized by its own total.
+    """
     e = np.empty((2, 2))
-    for i, ta in enumerate(spec.mode_a_angles):
-        for j, td in enumerate(spec.mode_d_angles):
-            obs = kron(analyzer_observable(ta, "a"), analyzer_observable(td, "d"))
-            e[i, j] = expectation(rho, Observable(obs.entries, rho.labels))
+    for setting_id, (i, j) in CHSH_SETTINGS.items():
+        dist = dists[setting_id]
+        total = sum(dist.values())
+        if total <= 0:
+            raise ValueError(f"setting {setting_id} has zero counts")
+        e[i, j] = sum(w * (1 if o[0] == "+" else -1) * (1 if o[1] == "+" else -1)
+                      for o, w in dist.items()) / total
     return e
 
 
@@ -102,39 +116,12 @@ def chsh_from_correlators(e: np.ndarray, variant: str) -> float:
 
 def chsh(rho: DensityMatrix, spec: ChshSpec = ChshSpec()) -> float:
     """Signed CHSH value; callers compare |S| against 2 (classical bound)."""
-    return chsh_from_correlators(chsh_correlators(rho, spec), spec.variant)
+    return chsh_from_correlators(chsh_correlators(chsh_distributions(rho, spec)), spec.variant)
 
 
 def chsh_best(rho: DensityMatrix, spec: ChshSpec = ChshSpec()) -> tuple[str, float]:
     """(variant, signed S) of the variant with the larger |S|."""
-    e = chsh_correlators(rho, spec)
+    e = chsh_correlators(chsh_distributions(rho, spec))
     plus = chsh_from_correlators(e, "+")
     minus = chsh_from_correlators(e, "-")
     return ("+", plus) if abs(plus) >= abs(minus) else ("-", minus)
-
-
-def bootstrap_error(counts: "CountTable", estimator: Callable, n_resamples: int = 200,
-                    seed: int = 0) -> tuple[float, float]:
-    """Parametric Poisson bootstrap of any count-table estimator.
-
-    Each raw count c is resampled as Poisson(c), the efficiency correction
-    is re-applied, and the estimator re-run; the spread of the resampled
-    values is the error bar. Resamples that fail are skipped, but more than
-    10% failures aborts. Deterministic for a given seed.
-    """
-    if n_resamples < 100:
-        raise ValueError("need at least 100 resamples")
-    value = float(estimator(counts))
-    seeds = np.random.SeedSequence(seed).spawn(n_resamples)
-    samples = []
-    failures = 0
-    for child in seeds:
-        rng = np.random.default_rng(child)
-        try:
-            samples.append(float(estimator(counts.resample(rng))))
-        except Exception:
-            failures += 1
-    if failures > 0.1 * n_resamples:
-        raise RuntimeError(f"{failures}/{n_resamples} bootstrap resamples failed")
-    stderr = float(np.std(samples, ddof=1)) if len(samples) > 1 else 0.0
-    return value, stderr

@@ -26,7 +26,7 @@ from itertools import product
 import numpy as np
 
 from .gate import GateChannel, ZeroSuccessError, gate_channel
-from .sources import bell_state, make_pair, PairSpec
+from .sources import SINGLE_QUBIT_AMPLITUDES, bell_state, make_pair, PairSpec
 from .states import (
     DensityMatrix,
     PureState,
@@ -58,11 +58,6 @@ CORRECTION_MATRICES = {
 #: Pair target whose Pauli-frame corrections are exact: the phi+ pair with
 #: the analyzer-side qubit rotated into the diagonal basis.
 TELEPORT_PAIR_TARGET = "phi+~"
-
-_PM = {
-    "+": np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
-    "-": np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0),
-}
 
 
 def tilde_bell(label: str, labels=("q0", "q1")) -> PureState:
@@ -120,7 +115,7 @@ def bsa(rho: DensityMatrix, modes: tuple[str, str], gate=1.0) -> list[BsaOutcome
         raise ZeroSuccessError(f"total success probability {success} below threshold")
     outcomes = []
     for sb, sc in product("+-", repeat=2):
-        vec = np.kron(_PM[sb], _PM[sc])
+        vec = np.kron(SINGLE_QUBIT_AMPLITUDES[sb], SINGLE_QUBIT_AMPLITUDES[sc])
         weight, reduced = condition_on_outcome(arr, rho.labels, vec, (b, c))
         state = None
         if reduced is not None and weight > 1e-15:

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
+from .sources import SINGLE_QUBIT_AMPLITUDES
 from .states import ATOL, DensityMatrix, PAULI, PureState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -34,9 +35,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 #: Analyzer eigenvectors per basis, (+1 outcome, -1 outcome).
 BASIS_VECTORS = {
-    "Z": (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)),
-    "X": (np.array([1.0, 1.0], dtype=complex) / np.sqrt(2), np.array([1.0, -1.0], dtype=complex) / np.sqrt(2)),
-    "Y": (np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2), np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2)),
+    basis: tuple(np.asarray(SINGLE_QUBIT_AMPLITUDES[s], dtype=complex) for s in states)
+    for basis, states in (("Z", "HV"), ("X", "+-"), ("Y", "RL"))
 }
 
 _TINY = 1e-12

@@ -1,11 +1,16 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
-from telegate import cli
+from telegate import cli, experiment
 from telegate.experiment import (
     ConfigError,
+    CountTable,
     ExperimentConfig,
     PAPER_SWAP_TARGETS,
     PAPER_TELEPORT_TARGETS,
@@ -85,6 +90,25 @@ class TestConfig:
             config_from_mapping({"protocol": "swap", "counts_per_setting": 0})
         with pytest.raises(ConfigError, match="efficiencies.a\\+"):
             config_from_mapping({"protocol": "swap", "efficiencies": {"a+": 0.0}})
+        bad = [
+            ("pair_target", "nope"), ("pair_target", 3), ("seed", -1), ("seed", True),
+            ("bootstrap_resamples", 150.5), ("bootstrap_resamples", True),
+            ("counts_per_setting", True), ("overlap", True), ("pair_mixedness", False),
+            ("gate_input", 12), ("out", 5),
+        ]
+        for name, value in bad:
+            with pytest.raises(ConfigError, match=name):
+                config_from_mapping({"protocol": "swap", name: value})
+
+    def test_efficiency_keys_per_protocol(self):
+        for protocol, key in (("teleport", "d+"), ("swap", "x9"), ("swap", "bH"),
+                              ("gate-only", "a+")):
+            with pytest.raises(ConfigError, match=f"efficiencies.{key}"):
+                config_from_mapping({"protocol": protocol, "efficiencies": {key: 0.9}})
+        for protocol, keys in experiment.EFFICIENCY_KEYS.items():
+            cfg = config_from_mapping({"protocol": protocol,
+                                       "efficiencies": dict.fromkeys(keys, 0.9)})
+            assert set(cfg.efficiencies) == set(keys)
 
     def test_yaml_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.yaml"
@@ -147,6 +171,25 @@ class TestRunExperiment:
         a, b = run_experiment(cfg), run_experiment(cfg)
         assert a.to_json() == b.to_json()
         assert a.counts_csv() == b.counts_csv()
+
+    def test_gate_only_bootstrap_stream_is_not_the_counts_stream(self, monkeypatch):
+        seen = []
+        simulate, resample = experiment.simulate_counts, CountTable.resample
+
+        def traced_simulate(probabilities, n, efficiencies, seed, *args, **kwargs):
+            seen.append(("counts", np.random.default_rng(seed).bit_generator.state))
+            return simulate(probabilities, n, efficiencies, seed, *args, **kwargs)
+
+        def traced_resample(table, rng):
+            seen.append(("resample", rng.bit_generator.state))
+            return resample(table, rng)
+
+        monkeypatch.setattr(experiment, "simulate_counts", traced_simulate)
+        monkeypatch.setattr(CountTable, "resample", traced_resample)
+        run_experiment(ExperimentConfig(protocol="gate-only", counts_per_setting=500, seed=1))
+        (kind, counts_state), (first_kind, first_state) = seen[:2]
+        assert (kind, first_kind) == ("counts", "resample")
+        assert first_state != counts_state
 
     def test_report_files(self, tmp_path):
         out = tmp_path / "run"
@@ -248,6 +291,16 @@ class TestCli:
         assert cli.main(["run", str(cfg)]) == 2
         assert cli.main(["run", str(tmp_path / "missing.yaml")]) == 2
 
+    def test_invalid_field_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        for line in ("pair_target: nope", "pair_target: 3", "seed: -1", "seed: true",
+                     "bootstrap_resamples: 150.5", "efficiencies: {x9: 0.9}"):
+            cfg.write_text(f"protocol: gate-only\n{line}\n")
+            assert cli.main(["run", str(cfg)]) == 2, line
+            assert line.split(":")[0] in capsys.readouterr().err
+        cfg.write_text("protocol: gate-only\ncounts_per_setting: 100\n")
+        assert cli.main(["run", str(cfg), "--seed", "-1"]) == 2
+
     def test_numerical_error_exit_code(self, tmp_path, monkeypatch, capsys):
         from telegate.tomography import FitError
         from telegate.states import DensityMatrix
@@ -277,3 +330,67 @@ class TestCli:
         cfg = tmp_path / "cal.yaml"
         cfg.write_text("grid: {}\n")
         assert cli.main(["calibrate", str(cfg)]) == 2
+
+
+# -- config fuzzing through the CLI --------------------------------------------
+
+#: Per field: values that must pass validation, and values that must not.
+#: Valid draws stay cheap (gate-only, few counts, minimum resamples).
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=4), st.lists(st.integers(), max_size=2))
+_FIELDS = {
+    "overlap": (st.floats(0.0, 1.0), st.one_of(st.floats(1.0001, 1e9), st.floats(max_value=-1e-9),
+                                                  st.integers(min_value=2), st.just(10**400),
+                                                  st.just(float("nan")), st.booleans(), st.text(max_size=3))),
+    "pair_mixedness": (st.floats(0.0, 1.0), st.one_of(st.floats(min_value=1.5), st.integers(max_value=-1), _JUNK)),
+    "input_mixedness": (st.floats(0.0, 1.0), st.one_of(st.floats(max_value=-0.5), _JUNK)),
+    "counts_per_setting": (st.integers(1, 10_000), st.one_of(st.integers(max_value=0), st.floats(1, 1e4), _JUNK)),
+    "efficiencies": (st.dictionaries(st.sampled_from(experiment.EFFICIENCY_KEYS["gate-only"]),
+                                     st.floats(0.01, 1.0), max_size=4),
+                     st.one_of(st.dictionaries(st.sampled_from(["x9", "a+", "d-", "b0"]),
+                                               st.floats(0.1, 1.0), min_size=1, max_size=2),
+                               st.dictionaries(st.just("bH"), st.one_of(st.floats(max_value=0.0),
+                                               st.floats(1.01, 10.0), st.booleans()), min_size=1),
+                               st.integers(), st.text(max_size=3), st.lists(st.floats(), max_size=2))),
+    "seed": (st.integers(0, 2**64), st.one_of(st.integers(max_value=-1), st.floats(0, 10), _JUNK)),
+    "out": (st.none(), st.one_of(st.integers(), st.lists(st.text(max_size=2), max_size=2))),
+    "pair_target": (st.sampled_from(["phi+", "psi-", "phi+~", "psi+~"]),
+                    st.one_of(st.sampled_from(["nope", "phi", "PHI+", ""]), st.integers(), st.booleans())),
+    "gate_input": (st.sampled_from(["VV", "HV", "+-", "RL"]),
+                   st.one_of(st.sampled_from(["V", "VVV", "XY", "vv", ""]), st.integers(), st.booleans())),
+    "bootstrap_resamples": (st.just(100), st.one_of(st.integers(max_value=99), st.floats(100, 200),
+                                                    st.booleans(), st.text(max_size=3))),
+}
+
+
+@st.composite
+def _configs(draw):
+    """(config mapping, whether every drawn field is valid)."""
+    valid = draw(st.booleans())
+    config = {"protocol": "gate-only"}
+    if not valid:
+        bad = draw(st.sets(st.sampled_from(["protocol", "unknown_key"] + sorted(_FIELDS)), min_size=1))
+        if "protocol" in bad:
+            config["protocol"] = draw(st.one_of(st.sampled_from(["warp", "Teleport", ""]), _JUNK))
+        if "unknown_key" in bad:
+            key = draw(st.one_of(st.sampled_from(["overlp", "Seed", "bootstrap"]), st.integers()))
+            config[key] = draw(_JUNK)
+    else:
+        bad = set()
+    for name in draw(st.sets(st.sampled_from(sorted(_FIELDS)))) | (bad & set(_FIELDS)):
+        good_values, bad_values = _FIELDS[name]
+        config[name] = draw(bad_values if name in bad else good_values)
+    return config, valid
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_configs())
+    def test_cli_exit_codes(self, drawn):
+        config, valid = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.yaml")
+            with open(path, "w") as fh:
+                yaml.safe_dump(config, fh, sort_keys=False)
+            code = cli.main(["run", path])
+        assert code in (0, 2, 3)
+        assert code == (0 if valid else 2), config

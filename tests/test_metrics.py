@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from telegate.experiment import CountRow, CountTable
+from telegate.experiment import CountRow, CountTable, Estimate, _joint_bootstrap
 from telegate.metrics import (
     CHSH_SIGN_FOR_BELL,
+    CHSH_SETTINGS,
     CHSH_VARIANT_FOR_BELL,
     ChshSpec,
     TSIRELSON,
-    bootstrap_error,
     chsh,
+    chsh_correlators,
+    chsh_distributions,
     chsh_best,
     fidelity_pure,
     log_negativity,
@@ -16,7 +18,8 @@ from telegate.metrics import (
 )
 from telegate.protocols import TILDE_LABELS, tilde_bell
 from telegate.sources import PairSpec, bell_state, make_pair, single_qubit_state
-from telegate.states import DensityMatrix
+from telegate.states import DensityMatrix, analyzer_observable, expectation, kron, Observable
+from telegate.tomography import FitError
 from conftest import ginibre_dm, random_pure
 
 
@@ -119,6 +122,28 @@ class TestChsh:
             for variant in ("+", "-"):
                 assert abs(chsh(rho, ChshSpec(variant=variant))) <= TSIRELSON + 1e-9
 
+    def test_correlators_match_analyzer_observables(self, rng):
+        spec = ChshSpec()
+        for _ in range(5):
+            rho = ginibre_dm(2, rng)
+            e = chsh_correlators(chsh_distributions(rho, spec))
+            for i, j in CHSH_SETTINGS.values():
+                obs = kron(analyzer_observable(spec.mode_a_angles[i], "a"),
+                           analyzer_observable(spec.mode_d_angles[j], "d"))
+                exact = expectation(rho, Observable(obs.entries, rho.labels))
+                assert e[i, j] == pytest.approx(exact, abs=1e-12)
+
+    def test_correlators_from_counts_are_scale_free(self, rng):
+        dists = chsh_distributions(ginibre_dm(2, rng))
+        counts = {s: {o: 1000.0 * p for o, p in d.items()} for s, d in dists.items()}
+        assert np.allclose(chsh_correlators(counts), chsh_correlators(dists), atol=1e-12)
+
+    def test_zero_count_setting(self):
+        dists = {s: {"++": 5.0, "+-": 0.0, "-+": 0.0, "--": 0.0} for s in CHSH_SETTINGS}
+        dists["chsh10"] = dict.fromkeys(("++", "+-", "-+", "--"), 0.0)
+        with pytest.raises(ValueError, match="chsh10"):
+            chsh_correlators(dists)
+
     def test_bad_variant(self):
         with pytest.raises(ValueError):
             ChshSpec(variant="x")
@@ -129,39 +154,70 @@ def flat_table(count: int, n_rows: int = 4) -> CountTable:
     return CountTable(("m",), rows, {})
 
 
+def bootstrap(table: CountTable, estimator, n_resamples: int, seed: int):
+    """(value, error) of a scalar estimator through the joint bootstrap."""
+    values, errors = _joint_bootstrap({"t": table}, lambda tabs: {"x": estimator(tabs["t"])},
+                                      n_resamples, np.random.SeedSequence(seed))
+    return values["x"], errors["x"]
+
+
 class TestBootstrap:
     def test_total_counts_relative_error(self):
         # Poisson: std of a 1e6 count is 1e3, so the relative error is 1e-3
         table = flat_table(1_000_000, n_rows=1)
-        value, err = bootstrap_error(table, lambda t: sum(r.corrected for r in t.rows),
-                                     n_resamples=300, seed=1)
+        value, err = bootstrap(table, lambda t: sum(r.corrected for r in t.rows),
+                               n_resamples=300, seed=1)
         assert value == 1_000_000.0
         assert err / value == pytest.approx(1e-3, rel=0.25)
 
     def test_constant_estimator(self):
-        _, err = bootstrap_error(flat_table(100), lambda t: 42.0, n_resamples=100, seed=2)
+        _, err = bootstrap(flat_table(100), lambda t: 42.0, n_resamples=100, seed=2)
         assert err == 0.0
 
     def test_deterministic_given_seed(self):
         est = lambda t: sum(r.corrected for r in t.rows)
-        a = bootstrap_error(flat_table(500), est, n_resamples=120, seed=7)
-        b = bootstrap_error(flat_table(500), est, n_resamples=120, seed=7)
+        a = bootstrap(flat_table(500), est, n_resamples=120, seed=7)
+        b = bootstrap(flat_table(500), est, n_resamples=120, seed=7)
         assert a == b
 
     def test_minimum_resamples(self):
         with pytest.raises(ValueError, match="100"):
-            bootstrap_error(flat_table(10), lambda t: 0.0, n_resamples=50, seed=0)
+            bootstrap(flat_table(10), lambda t: 0.0, n_resamples=50, seed=0)
 
     def test_failing_estimator_aborts(self):
-        # estimator succeeds on the original counts and falls over on nearly
+        # estimator succeeds on the original counts and cannot fit nearly
         # every Poisson resample; past 10% skips the bootstrap aborts
         def estimator(t):
             if any(r.raw != 10 for r in t.rows):
-                raise RuntimeError("broken")
+                raise FitError("no convergence", DensityMatrix(np.eye(2) / 2))
             return 1.0
 
         with pytest.raises(RuntimeError, match="resamples failed"):
-            bootstrap_error(flat_table(10), estimator, n_resamples=100, seed=0)
+            bootstrap(flat_table(10), estimator, n_resamples=100, seed=0)
+
+    def test_programming_error_propagates(self):
+        # only data-dependent failures are skipped; a bug in the estimator
+        # surfaces at the first resample that hits it
+        def estimator(t):
+            if any(r.raw != 10 for r in t.rows):
+                raise TypeError("estimator bug")
+            return 1.0
+
+        with pytest.raises(TypeError, match="estimator bug"):
+            bootstrap(flat_table(10), estimator, n_resamples=100, seed=0)
+
+    def test_point_estimate_carries_its_fit(self):
+        table = flat_table(100)
+        calls = []
+
+        def estimator(tabs):
+            calls.append(tabs["t"])
+            return Estimate({"x": 1.0}, fitted=len(calls))
+
+        values, errors = _joint_bootstrap({"t": table}, estimator, 100, np.random.SeedSequence(3))
+        assert calls[0] is table and len(calls) == 101
+        assert values.fitted == 1 and values == {"x": 1.0}
+        assert errors == {"x": 0.0}
 
     def test_efficiency_correction_reapplied(self):
         eff = {"m+": 0.5}
