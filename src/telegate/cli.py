@@ -14,6 +14,8 @@ import numpy as np
 
 from .experiment import (
     ConfigError,
+    _is_int,
+    _is_real,
     calibrate,
     load_config,
     run_experiment,
@@ -24,6 +26,9 @@ from .tomography import FitError
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+#: Points per calibration grid axis, at most; the scan is exhaustive.
+MAX_GRID_POINTS = 1000
 
 DEFAULT_CAL_GRID = {
     "overlap": (0.85, 1.00, 16),
@@ -89,19 +94,21 @@ def _load_calibration_config(path: str):
     grids = {}
     for name, default in DEFAULT_CAL_GRID.items():
         raw = grid_spec.get(name, default)
-        try:
-            start, stop, num = raw
-            grids[name] = np.linspace(float(start), float(stop), int(num))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"grid.{name}: expected [start, stop, points], got {raw!r}") from exc
+        # every axis (overlap, pair and input mixedness) lies in [0, 1]
+        if (not isinstance(raw, (list, tuple)) or len(raw) != 3
+                or not all(_is_real(x) and 0.0 <= x <= 1.0 for x in raw[:2])
+                or not _is_int(raw[2]) or not 1 <= raw[2] <= MAX_GRID_POINTS):
+            raise ConfigError(f"grid.{name}: expected [start, stop, points] with start and stop "
+                              f"in [0, 1] and 1 to {MAX_GRID_POINTS} points, got {raw!r}")
+        grids[name] = np.linspace(float(raw[0]), float(raw[1]), raw[2])
     unknown = set(grid_spec) - set(DEFAULT_CAL_GRID)
     if unknown:
-        raise ConfigError(f"grid: unknown parameters {sorted(unknown)}")
-    try:
-        targets = {str(k): float(v) for k, v in targets.items()}
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"targets: values must be numbers ({exc})") from exc
-    return targets, grids
+        raise ConfigError(f"grid: unknown parameters {sorted(unknown, key=str)}")
+    for key, value in targets.items():
+        # every calibratable figure is a fidelity in [0, 1] or an |S| in [0, 4]
+        if not _is_real(value) or not 0.0 <= value <= 4.0:
+            raise ConfigError(f"targets.{key}: must be a number in [0, 4], got {value!r}")
+    return {str(k): float(v) for k, v in targets.items()}, grids
 
 
 def _cmd_calibrate(args) -> int:

@@ -17,7 +17,7 @@ import csv
 import io
 import json
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -36,10 +36,9 @@ from .metrics import (
 )
 from .protocols import (
     CORRECTION_FOR_BELL,
-    CORRECTION_MATRICES,
     TELEPORT_PAIR_TARGET,
-    TILDE_LABELS,
     _as_channel,
+    pauli_correct,
     swap,
     teleport,
     tilde_bell,
@@ -125,15 +124,14 @@ class CountTable:
 
 
 def simulate_counts(probabilities: Mapping[str, Mapping[str, float]], n_per_setting: int,
-                    efficiencies: Mapping[str, float], seed, modes: Sequence[str],
-                    normalized: bool = True) -> CountTable:
+                    efficiencies: Mapping[str, float], seed, modes: Sequence[str]) -> CountTable:
     """Draw Poisson counts for every setting and outcome.
 
     ``probabilities`` maps setting id to outcome distribution; each
-    distribution must sum to one (set ``normalized=False`` for tables that
-    legitimately carry missing mass, e.g. gate failure). Raw counts are
-    Poisson(N p eta): detection eats efficiency *before* counting, the
-    corrected column restores it.
+    distribution must sum to one (a table with missing mass, e.g. gate
+    failure, lists it as its own outcome). Raw counts are Poisson(N p eta):
+    detection eats efficiency *before* counting, the corrected column
+    restores it.
     """
     if n_per_setting <= 0:
         raise ValueError(f"counts per setting must be positive, got {n_per_setting}")
@@ -142,9 +140,9 @@ def simulate_counts(probabilities: Mapping[str, Mapping[str, float]], n_per_sett
     rows = []
     for setting_id, dist in probabilities.items():
         total = sum(dist.values())
-        if normalized and abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > 1e-9:
             raise ValueError(f"setting {setting_id}: probabilities sum to {total}")
-        if total > 1.0 + 1e-9 or any(p < -1e-12 for p in dist.values()):
+        if any(p < -1e-12 for p in dist.values()):
             raise ValueError(f"setting {setting_id}: invalid distribution")
         for outcome, p in dist.items():
             eta = table.correction_factor(outcome)
@@ -205,18 +203,11 @@ class ExperimentConfig:
         return TELEPORT_PAIR_TARGET if self.protocol == "teleport" else "phi+"
 
     def echo(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "overlap": self.overlap,
-            "pair_mixedness": self.pair_mixedness,
-            "input_mixedness": self.input_mixedness,
-            "counts_per_setting": self.counts_per_setting,
-            "efficiencies": dict(sorted(self.efficiencies.items())),
-            "seed": self.seed,
-            "pair_target": self.resolved_pair_target(),
-            "gate_input": self.gate_input,
-            "bootstrap_resamples": self.bootstrap_resamples,
-        }
+        """Every field but ``out``, with the pair target resolved."""
+        echo = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
+        echo.update(efficiencies=dict(sorted(self.efficiencies.items())),
+                    pair_target=self.resolved_pair_target())
+        return echo
 
 
 def _is_int(val) -> bool:
@@ -227,9 +218,13 @@ def _is_real(val) -> bool:
     return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
-_CONFIG_FIELDS = {
-    "protocol", "overlap", "pair_mixedness", "input_mixedness", "counts_per_setting",
-    "efficiencies", "seed", "out", "pair_target", "gate_input", "bootstrap_resamples",
+_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
+
+#: Fields each protocol never reads; a config that sets one is rejected.
+_UNREAD_FIELDS = {
+    "teleport": ("gate_input",),
+    "swap": ("gate_input", "input_mixedness"),
+    "gate-only": ("pair_target", "pair_mixedness", "input_mixedness"),
 }
 
 
@@ -244,7 +239,11 @@ def config_from_mapping(data: Mapping) -> ExperimentConfig:
     kwargs = dict(data)
     if kwargs.get("efficiencies") is None:
         kwargs["efficiencies"] = {}
-    return ExperimentConfig(**kwargs)
+    config = ExperimentConfig(**kwargs)
+    for name in _UNREAD_FIELDS[config.protocol]:
+        if name in data:
+            raise ConfigError(f"{name}: not read by the {config.protocol} protocol")
+    return config
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -262,17 +261,34 @@ def load_config(path: str) -> ExperimentConfig:
 
 # -- exact (count-free) protocol summaries ------------------------------------
 
+def _teleport_conditionals(channel, pair_target: str, pair_mixedness: float,
+                           input_mixedness: float) -> tuple[dict, dict]:
+    """Per probe, each outcome's (weight, uncorrected state on mode a) and joint probability.
+
+    A weight is the outcome's share of the probe's post-selected events.
+    """
+    pair = make_pair(PairSpec(pair_target, pair_mixedness), ("a", "b"))
+    conditional = {}
+    probabilities = {}
+    for spec in tomographic_input_set(input_mixedness):
+        res = teleport(make_input(spec, "c"), pair, channel, correct=False)
+        conditional[spec.state] = {
+            o.bell_label: (o.probability / res.success_probability, o.state)
+            for o in res.outcomes if o.state is not None}
+        probabilities[spec.state] = {o.bell_label: o.probability for o in res.outcomes}
+    return conditional, probabilities
+
+
 def _teleport_estimate(conditional: Mapping[str, Mapping[str, tuple[float, DensityMatrix]]]
                        ) -> tuple[dict[str, float], ProcessMatrix]:
     """Teleport figures from each probe's conditional states on mode a.
 
-    ``conditional[probe][bell]`` holds an analyzer outcome's weight (its
-    share of the probe's post-selected events) and its uncorrected state.
-    Each state gets its outcome's Pauli-frame correction; a probe's output
-    is the weighted mean of its corrected states, and the four outputs feed
-    process tomography. Returns the fidelities with the probe per outcome
-    (``F_<probe>/<bell>``) and per probe (``F_<probe>``), the process
-    fidelity ``F_p``, and the process matrix.
+    ``conditional[probe][bell]`` holds an analyzer outcome's weight and its
+    uncorrected state. Each state gets its outcome's Pauli-frame correction;
+    a probe's output is the weighted mean of its corrected states, and the
+    four outputs feed process tomography. Returns the fidelities with the
+    probe per outcome (``F_<probe>/<bell>``) and per probe (``F_<probe>``),
+    the process fidelity ``F_p``, and the process matrix.
     """
     figures: dict[str, float] = {}
     outputs = []
@@ -281,8 +297,7 @@ def _teleport_estimate(conditional: Mapping[str, Mapping[str, tuple[float, Densi
         acc = np.zeros((2, 2), dtype=complex)
         fid = 0.0
         for bell, (w, state) in by_bell.items():
-            u = CORRECTION_MATRICES[CORRECTION_FOR_BELL[bell]]
-            corrected = u @ state.entries @ u.conj().T
+            corrected = pauli_correct(bell, state.entries)
             f = float(np.real(chi.conj() @ corrected @ chi))
             figures[f"F_{name}/{bell}"] = f
             fid += w * f
@@ -302,16 +317,8 @@ def teleport_summary(gate, pair_mixedness: float = 0.0, input_mixedness: float =
     over the four analyzer outcomes with their joint probabilities; the
     process matrix treats the nominal pure probes as the channel inputs.
     """
-    channel = _as_channel(gate)
-    pair = make_pair(PairSpec(pair_target, pair_mixedness), ("a", "b"))
-    conditional = {}
-    probabilities = {}
-    for spec in tomographic_input_set(input_mixedness):
-        res = teleport(make_input(spec, "c"), pair, channel, correct=False)
-        conditional[spec.state] = {
-            o.bell_label: (o.probability / res.success_probability, o.state)
-            for o in res.outcomes if o.state is not None}
-        probabilities[spec.state] = {o.bell_label: o.probability for o in res.outcomes}
+    conditional, probabilities = _teleport_conditionals(
+        _as_channel(gate), pair_target, pair_mixedness, input_mixedness)
     figures, matrix = _teleport_estimate(conditional)
     summary: dict = {f"F_{name}": figures[f"F_{name}"] for name in conditional}
     summary["per_outcome"] = {
@@ -325,23 +332,27 @@ def teleport_summary(gate, pair_mixedness: float = 0.0, input_mixedness: float =
     return summary
 
 
+def _swap_figures(label: str, rho: DensityMatrix, s: float) -> dict[str, float]:
+    """Swap figures of an outcome's (a, d) state, given its signed CHSH value."""
+    return {
+        "fidelity": fidelity_pure(rho, tilde_bell(label, ("a", "d"))),
+        "log_negativity": log_negativity(rho),
+        "chsh": s,
+        "chsh_abs": abs(s),
+    }
+
+
 def swap_summary(gate, pair_mixedness: float = 0.0, pair_target: str = "phi+") -> dict:
     """Exact entanglement-swapping figures for the four analyzer outcomes."""
-    channel = _as_channel(gate)
     pair = make_pair(PairSpec(pair_target, pair_mixedness))
-    res = swap(pair, pair, channel)
+    res = swap(pair, pair, _as_channel(gate))
     out: dict = {"outcomes": {}}
     for o in res.outcomes:
         variant = CHSH_VARIANT_FOR_BELL[o.bell_label]
-        target = tilde_bell(o.bell_label, ("a", "d"))
-        s_val = chsh(o.state, ChshSpec(variant=variant))
         out["outcomes"][o.bell_label] = {
             "probability": o.probability,
-            "fidelity": fidelity_pure(o.state, target),
-            "log_negativity": log_negativity(o.state),
             "chsh_variant": variant,
-            "chsh": s_val,
-            "chsh_abs": abs(s_val),
+            **_swap_figures(o.bell_label, o.state, chsh(o.state, ChshSpec(variant=variant))),
             "state": o.state,
         }
     vals = out["outcomes"]
@@ -516,34 +527,43 @@ def _tomo_probabilities(state: DensityMatrix, settings: list[MeasurementSetting]
     return {s.id: s.probabilities(state) for s in settings}
 
 
-def _run_teleport(config: ExperimentConfig, seed_seq: np.random.SeedSequence) -> Report:
-    channel = gate_channel(config.overlap)
-    pair = make_pair(PairSpec(config.resolved_pair_target(), config.pair_mixedness), ("a", "b"))
-    settings = settings_1q()
-    counts_seed, boot_seed = seed_seq.spawn(2)
-    table_seeds = iter(counts_seed.spawn(16))
+def _measure(config: ExperimentConfig, distributions: Mapping[str, tuple],
+             estimate: Callable) -> tuple[dict[str, CountTable], Mapping, dict[str, float]]:
+    """Count every table of a run and bootstrap its estimator once over all of them.
 
-    tables: dict[str, CountTable] = {}
-    weights: dict[str, dict[str, float]] = {}
-    for spec in tomographic_input_set(config.input_mixedness):
-        res = teleport(make_input(spec, "c"), pair, channel, correct=False)
-        weights[spec.state] = {}
-        for o in res.outcomes:
-            if o.state is None:
-                continue
-            weights[spec.state][o.bell_label] = o.probability / res.success_probability
-            tables[f"{spec.state}/{o.bell_label}"] = simulate_counts(
-                _tomo_probabilities(o.state, settings), config.counts_per_setting,
-                config.efficiencies, next(table_seeds), modes=("a",))
+    ``distributions`` maps table key to (modes, setting id -> outcome
+    distribution). The run seed splits into a counts stream, whose child k
+    draws table k, and a bootstrap stream for the one joint bootstrap.
+    Returns the tables and the estimator's values and errors.
+    """
+    counts_seed, boot_seed = np.random.SeedSequence(config.seed).spawn(2)
+    tables = {
+        key: simulate_counts(dists, config.counts_per_setting, config.efficiencies, seed,
+                             modes=modes)
+        for (key, (modes, dists)), seed in zip(distributions.items(),
+                                               counts_seed.spawn(len(distributions)))
+    }
+    values, errors = _joint_bootstrap(tables, estimate, config.bootstrap_resamples, boot_seed)
+    return tables, values, errors
+
+
+def _run_teleport(config: ExperimentConfig, channel) -> tuple[dict, dict]:
+    conditional, _ = _teleport_conditionals(channel, config.resolved_pair_target(),
+                                            config.pair_mixedness, config.input_mixedness)
+    settings = settings_1q()
+    distributions = {
+        f"{name}/{bell}": (("a",), _tomo_probabilities(state, settings))
+        for name, by_bell in conditional.items() for bell, (_, state) in by_bell.items()
+    }
 
     def estimate(tabs: Mapping[str, CountTable]) -> Estimate:
-        fitted = {key: mle_fit(tabs[key]) for key in tables}
+        fitted = {key: mle_fit(tabs[key]) for key in distributions}
         figures, matrix = _teleport_estimate({
-            name: {bell: (w, fitted[f"{name}/{bell}"]) for bell, w in by_bell.items()}
-            for name, by_bell in weights.items()})
+            name: {bell: (w, fitted[f"{name}/{bell}"]) for bell, (w, _) in by_bell.items()}
+            for name, by_bell in conditional.items()})
         return Estimate(figures, (fitted, matrix))
 
-    values, errors = _joint_bootstrap(tables, estimate, config.bootstrap_resamples, boot_seed)
+    tables, values, errors = _measure(config, distributions, estimate)
     fitted, matrix = values.fitted
     results = {
         "inputs": {
@@ -558,133 +578,95 @@ def _run_teleport(config: ExperimentConfig, seed_seq: np.random.SeedSequence) ->
                         "fidelity_err": errors[f"F_{name}/{bell}"],
                         "state": _matrix_payload(fitted[f"{name}/{bell}"].entries),
                     }
-                    for bell, w in by_bell.items()
+                    for bell, (w, _) in by_bell.items()
                 },
             }
-            for name, by_bell in weights.items()
+            for name, by_bell in conditional.items()
         },
         "process_matrix": _matrix_payload(matrix.entries),
         "process_fidelity": values["F_p"],
         "process_fidelity_err": errors["F_p"],
     }
-    return Report("teleport", __version__, config.seed, config.echo(), results, tables)
+    return results, tables
 
 
-def _run_swap(config: ExperimentConfig, seed_seq: np.random.SeedSequence) -> Report:
-    channel = gate_channel(config.overlap)
+def _run_swap(config: ExperimentConfig, channel) -> tuple[dict, dict]:
     pair = make_pair(PairSpec(config.resolved_pair_target(), config.pair_mixedness))
-    res = swap(pair, pair, channel)
+    outcomes = [o for o in swap(pair, pair, channel).outcomes if o.state is not None]
     settings = settings_2q()
-    counts_seed, boot_seed = seed_seq.spawn(2)
-    table_seeds = iter(counts_seed.spawn(8))
+    distributions = {}
+    for o in outcomes:
+        distributions[f"{o.bell_label}/tomo"] = (("a", "d"), _tomo_probabilities(o.state, settings))
+        distributions[f"{o.bell_label}/chsh"] = (("a", "d"), chsh_distributions(o.state))
 
-    tables: dict[str, CountTable] = {}
-    outcome_results: dict[str, dict] = {}
-    for o in res.outcomes:
-        if o.state is None:
-            continue
-        label = o.bell_label
-        own = {
-            f"{label}/{kind}": simulate_counts(probs, config.counts_per_setting,
-                                               config.efficiencies, next(table_seeds),
-                                               modes=("a", "d"))
-            for kind, probs in (("tomo", _tomo_probabilities(o.state, settings)),
-                                ("chsh", chsh_distributions(o.state)))
-        }
-        tables.update(own)
-        target = tilde_bell(label, ("a", "d"))
-        variant = CHSH_VARIANT_FOR_BELL[label]
-
-        def estimate(tabs: Mapping[str, CountTable]) -> Estimate:
-            rho_hat = mle_fit(tabs[f"{label}/tomo"])
+    def estimate(tabs: Mapping[str, CountTable]) -> Estimate:
+        figures, fitted = {}, {}
+        for o in outcomes:
+            label = o.bell_label
+            fitted[label] = mle_fit(tabs[f"{label}/tomo"])
             e = chsh_correlators({setting: {r.outcome: r.corrected for r in rows}
                                   for setting, rows in tabs[f"{label}/chsh"].by_setting().items()})
-            s_val = chsh_from_correlators(e, variant)
-            return Estimate({
-                "fidelity": fidelity_pure(rho_hat, target),
-                "log_negativity": log_negativity(rho_hat),
-                "chsh": s_val,
-                "chsh_abs": abs(s_val),
-            }, rho_hat)
+            s_val = chsh_from_correlators(e, CHSH_VARIANT_FOR_BELL[label])
+            for key, val in _swap_figures(label, fitted[label], s_val).items():
+                figures[f"{label}/{key}"] = val
+        for key in ("fidelity", "chsh_abs", "log_negativity"):
+            figures[f"average_{key}"] = float(np.mean([figures[f"{o.bell_label}/{key}"]
+                                                       for o in outcomes]))
+        return Estimate(figures, fitted)
 
-        values, errors = _joint_bootstrap(own, estimate, config.bootstrap_resamples,
-                                          boot_seed.spawn(1)[0])
-        outcome_results[label] = {
+    tables, values, errors = _measure(config, distributions, estimate)
+    results: dict = {"outcomes": {}}
+    for o in outcomes:
+        label = o.bell_label
+        row = results["outcomes"][label] = {
             "product_result": o.product_result,
             "probability": o.probability,
-            "fidelity": values["fidelity"],
-            "fidelity_err": errors["fidelity"],
-            "log_negativity": values["log_negativity"],
-            "log_negativity_err": errors["log_negativity"],
-            "chsh_variant": variant,
-            "chsh": values["chsh"],
-            "chsh_err": errors["chsh"],
-            "chsh_abs": values["chsh_abs"],
-            "state": _matrix_payload(values.fitted.entries),
+            "chsh_variant": CHSH_VARIANT_FOR_BELL[label],
+            "chsh_abs": values[f"{label}/chsh_abs"],
+            "state": _matrix_payload(values.fitted[label].entries),
         }
-
-    per_label = [outcome_results[l] for l in TILDE_LABELS if l in outcome_results]
-
-    def mean(key: str) -> float:
-        return float(np.mean([r[key] for r in per_label]))
-
-    def mean_err(key: str) -> float:
-        return float(np.sqrt(np.mean([r[key] ** 2 for r in per_label]) / len(per_label)))
-
-    results = {
-        "outcomes": outcome_results,
-        "average_fidelity": mean("fidelity"),
-        "average_fidelity_err": mean_err("fidelity_err"),
-        "average_chsh_abs": mean("chsh_abs"),
-        "average_chsh_abs_err": mean_err("chsh_err"),
-        "average_log_negativity": mean("log_negativity"),
-    }
-    return Report("swap", __version__, config.seed, config.echo(), results, tables)
+        for key in ("fidelity", "log_negativity", "chsh"):
+            row[key], row[f"{key}_err"] = values[f"{label}/{key}"], errors[f"{label}/{key}"]
+    for key in ("average_fidelity", "average_chsh_abs"):
+        results[key], results[f"{key}_err"] = values[key], errors[key]
+    results["average_log_negativity"] = values["average_log_negativity"]
+    return results, tables
 
 
-def _run_gate_only(config: ExperimentConfig, seed_seq: np.random.SeedSequence) -> Report:
-    channel = gate_channel(config.overlap)
+def _run_gate_only(config: ExperimentConfig, channel) -> tuple[dict, dict]:
     amps = np.kron(SINGLE_QUBIT_AMPLITUDES[config.gate_input[0]],
                    SINGLE_QUBIT_AMPLITUDES[config.gate_input[1]])
-    per_outcome = np.zeros(4)
-    for k in channel.kraus:
-        per_outcome += np.abs(k @ amps) ** 2
+    per_outcome = sum(np.abs(k @ amps) ** 2 for k in channel.kraus)
     p_success = float(per_outcome.sum())
     outcomes = ("HH", "HV", "VH", "VV")
     dist = {o: float(p) for o, p in zip(outcomes, per_outcome)}
     dist["00"] = 1.0 - p_success  # no-coincidence remainder
-
-    counts_seed, boot_seed = seed_seq.spawn(2)
-    table = simulate_counts({"coinc": dist}, config.counts_per_setting,
-                            config.efficiencies, counts_seed, modes=("b", "c"))
-    tables = {"gate/coinc": table}
     n = config.counts_per_setting
 
     def estimate(tabs: Mapping[str, CountTable]) -> dict[str, float]:
         coincidences = sum(r.corrected for r in tabs["gate/coinc"].rows if r.outcome != "00")
         return {"success_probability": coincidences / n}
 
-    values, errors = _joint_bootstrap(tables, estimate, config.bootstrap_resamples, boot_seed)
+    tables, values, errors = _measure(config, {"gate/coinc": (("b", "c"), {"coinc": dist})},
+                                      estimate)
     results = {
         "input": config.gate_input,
         "success_probability_exact": p_success,
         "success_probability": values["success_probability"],
         "success_probability_err": errors["success_probability"],
         "output_distribution_exact": {o: dist[o] for o in outcomes},
-        "output_counts": {r.outcome: r.raw for r in table.rows},
+        "output_counts": {r.outcome: r.raw for r in tables["gate/coinc"].rows},
     }
-    return Report("gate-only", __version__, config.seed, config.echo(), results, tables)
+    return results, tables
+
+
+_RUNNERS = {"teleport": _run_teleport, "swap": _run_swap, "gate-only": _run_gate_only}
 
 
 def run_experiment(config: ExperimentConfig) -> Report:
     """Simulate a full run: sources, protocol, counts, reconstruction, metrics."""
-    seed_seq = np.random.SeedSequence(config.seed)
-    if config.protocol == "teleport":
-        report = _run_teleport(config, seed_seq)
-    elif config.protocol == "swap":
-        report = _run_swap(config, seed_seq)
-    else:
-        report = _run_gate_only(config, seed_seq)
+    results, tables = _RUNNERS[config.protocol](config, gate_channel(config.overlap))
+    report = Report(config.protocol, __version__, config.seed, config.echo(), results, tables)
     if config.out:
         report.save(config.out)
     return report

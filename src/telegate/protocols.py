@@ -31,7 +31,6 @@ from .states import (
     DensityMatrix,
     PureState,
     apply_kraus_raw,
-    apply_unitary,
     condition_on_outcome,
     kron,
     I2,
@@ -58,6 +57,12 @@ CORRECTION_MATRICES = {
 #: Pair target whose Pauli-frame corrections are exact: the phi+ pair with
 #: the analyzer-side qubit rotated into the diagonal basis.
 TELEPORT_PAIR_TARGET = "phi+~"
+
+
+def pauli_correct(bell_label: str, matrix: np.ndarray) -> np.ndarray:
+    """Apply the Pauli-frame correction of an analyzer outcome to a qubit matrix."""
+    u = CORRECTION_MATRICES[CORRECTION_FOR_BELL[bell_label]]
+    return u @ matrix @ u.conj().T
 
 
 def tilde_bell(label: str, labels=("q0", "q1")) -> PureState:
@@ -152,7 +157,8 @@ def teleport(input_state: DensityMatrix, pair: DensityMatrix, gate=1.0,
         name = None
         if correct and state is not None:
             name = CORRECTION_FOR_BELL[o.bell_label]
-            state = apply_unitary(state, CORRECTION_MATRICES[name], ("a",))
+            state = DensityMatrix(pauli_correct(o.bell_label, state.entries), state.labels,
+                                  validate_psd=False)
         outcomes.append(
             BsaOutcome(o.bell_label, o.product_result, o.probability, state, name)
         )

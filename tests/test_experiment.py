@@ -110,6 +110,23 @@ class TestConfig:
                                        "efficiencies": dict.fromkeys(keys, 0.9)})
             assert set(cfg.efficiencies) == set(keys)
 
+    def test_unread_fields_rejected(self, tmp_path, capsys):
+        unread = {"gate-only": ("pair_target", "pair_mixedness", "input_mixedness"),
+                  "teleport": ("gate_input",),
+                  "swap": ("gate_input", "input_mixedness")}
+        valid = {"pair_target": "phi+", "pair_mixedness": 0.1, "input_mixedness": 0.1,
+                 "gate_input": "HV"}
+        cfg = tmp_path / "cfg.yaml"
+        for protocol, names in unread.items():
+            for name in names:
+                with pytest.raises(ConfigError, match=name):
+                    config_from_mapping({"protocol": protocol, name: valid[name]})
+                cfg.write_text(yaml.safe_dump({"protocol": protocol, name: valid[name]}))
+                assert cli.main(["run", str(cfg)]) == 2
+                assert name in capsys.readouterr().err
+            read = {name: valid[name] for name in valid if name not in names}
+            assert config_from_mapping({"protocol": protocol, **read}).protocol == protocol
+
     def test_yaml_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text("protocol: teleport\noverlap: 0.9\nseed: 3\n")
@@ -190,6 +207,19 @@ class TestRunExperiment:
         (kind, counts_state), (first_kind, first_state) = seen[:2]
         assert (kind, first_kind) == ("counts", "resample")
         assert first_state != counts_state
+
+    @pytest.mark.parametrize("protocol", experiment.PROTOCOLS)
+    def test_each_run_bootstraps_once(self, protocol, monkeypatch):
+        calls = []
+
+        def point_estimate_only(tables, estimator, n_resamples, seed_seq):
+            calls.append(sorted(tables))
+            values = estimator(tables)
+            return values, dict.fromkeys(values, 0.0)
+
+        monkeypatch.setattr(experiment, "_joint_bootstrap", point_estimate_only)
+        rep = run_experiment(ExperimentConfig(protocol=protocol, counts_per_setting=500, seed=3))
+        assert calls == [sorted(rep.count_tables)]
 
     def test_report_files(self, tmp_path):
         out = tmp_path / "run"
@@ -331,6 +361,20 @@ class TestCli:
         cfg.write_text("grid: {}\n")
         assert cli.main(["calibrate", str(cfg)]) == 2
 
+    def test_calibrate_bad_values_name_field(self, tmp_path, capsys):
+        cfg = tmp_path / "cal.yaml"
+        grid = "grid: {overlap: %s, pair_mixedness: [0, 0.1, 2], input_mixedness: [0, 0.1, 2]}\n"
+        cases = [(f"targets: {{F_H: {t}}}\n" + grid % "[0.9, 1.0, 2]", "targets.F_H")
+                 for t in (".nan", ".inf", "-.inf", "true", "1e200", "-0.5", "'0.9'")]
+        cases += [("targets: {F_H: 0.9}\n" + grid % g, "grid.overlap")
+                  for g in ("[0.9, 1.0, true]", "[0.9, 1.0, 2.7]", "[.nan, 1.0, 2]",
+                            "[0.9, .inf, 2]", "[1.5, 1.0, 2]", "[0.9, 1.0, 0]",
+                            "[0.9, 1.0, 1001]", "[0.9, 1.0]", "0.9")]
+        for text, field_name in cases:
+            cfg.write_text(text)
+            assert cli.main(["calibrate", str(cfg)]) == 2, text
+            assert field_name in capsys.readouterr().err, text
+
 
 # -- config fuzzing through the CLI --------------------------------------------
 
@@ -362,21 +406,30 @@ _FIELDS = {
 }
 
 
+#: Fields the gate-only protocol never reads; setting one is a config error.
+_UNREAD = ("input_mixedness", "pair_mixedness", "pair_target")
+
+
 @st.composite
 def _configs(draw):
     """(config mapping, whether every drawn field is valid)."""
     valid = draw(st.booleans())
     config = {"protocol": "gate-only"}
     if not valid:
-        bad = draw(st.sets(st.sampled_from(["protocol", "unknown_key"] + sorted(_FIELDS)), min_size=1))
+        kinds = ["protocol", "unknown_key", "unread_field"] + sorted(_FIELDS)
+        bad = draw(st.sets(st.sampled_from(kinds), min_size=1))
         if "protocol" in bad:
             config["protocol"] = draw(st.one_of(st.sampled_from(["warp", "Teleport", ""]), _JUNK))
         if "unknown_key" in bad:
             key = draw(st.one_of(st.sampled_from(["overlp", "Seed", "bootstrap"]), st.integers()))
             config[key] = draw(_JUNK)
+        if "unread_field" in bad:
+            name = draw(st.sampled_from(_UNREAD))
+            config[name] = draw(_FIELDS[name][0])
     else:
         bad = set()
-    for name in draw(st.sets(st.sampled_from(sorted(_FIELDS)))) | (bad & set(_FIELDS)):
+    read = sorted(set(_FIELDS) - set(_UNREAD))
+    for name in draw(st.sets(st.sampled_from(read))) | (bad & set(_FIELDS)):
         good_values, bad_values = _FIELDS[name]
         config[name] = draw(bad_values if name in bad else good_values)
     return config, valid
@@ -393,4 +446,66 @@ class TestConfigFuzz:
                 yaml.safe_dump(config, fh, sort_keys=False)
             code = cli.main(["run", path])
         assert code in (0, 2, 3)
+        assert code == (0 if valid else 2), config
+
+
+# -- calibrate config fuzzing through the CLI ------------------------------------
+
+_CAL_KEYS = ("F_H", "F_V", "F_+", "F_R", "F_p", "F_avg", "F_swap_avg", "S_abs_avg")
+#: Valid [start, stop] range per grid axis; valid grids have at most 2 points per axis.
+_CAL_AXES = {"overlap": (0.8, 1.0), "pair_mixedness": (0.0, 0.3), "input_mixedness": (0.0, 0.3)}
+_NOT_A_NUMBER = st.one_of(st.just(float("nan")), st.just(float("inf")), st.just(float("-inf")),
+                          st.booleans(), st.none(), st.text(max_size=3), st.just(10**400),
+                          st.lists(st.floats(0, 1), max_size=2))
+
+
+@st.composite
+def _calibrate_configs(draw):
+    """(calibrate config mapping, whether it is valid)."""
+    targets = draw(st.dictionaries(st.sampled_from(_CAL_KEYS), st.floats(0.0, 4.0),
+                                   min_size=1, max_size=3))
+    grid = {name: [draw(st.floats(lo, hi)), draw(st.floats(lo, hi)), draw(st.integers(1, 2))]
+            for name, (lo, hi) in _CAL_AXES.items()}
+    config = {"targets": targets, "grid": grid}
+    valid = draw(st.booleans())
+    kinds = ["target_key", "target_value", "targets", "bound", "range", "count", "shape", "axis",
+             "grid"]
+    bad = set() if valid else draw(st.sets(st.sampled_from(kinds), min_size=1, max_size=2))
+    axis = draw(st.sampled_from(sorted(_CAL_AXES)))
+    if "target_key" in bad:
+        targets[draw(st.one_of(st.sampled_from(["F_X", "f_h", "S"]), st.integers()))] = 0.5
+    if "target_value" in bad:
+        targets[draw(st.sampled_from(sorted(targets)))] = draw(st.one_of(
+            _NOT_A_NUMBER, st.floats(4.001, 1e300), st.floats(-1e300, -0.001)))
+    if "bound" in bad:
+        grid[axis][draw(st.integers(0, 1))] = draw(_NOT_A_NUMBER)
+    if "range" in bad:
+        grid[axis][draw(st.integers(0, 1))] = draw(st.one_of(st.floats(1.001, 1e300),
+                                                             st.floats(-1e300, -0.001)))
+    if "count" in bad:
+        grid[axis][2] = draw(st.one_of(st.integers(max_value=0), st.integers(min_value=1001),
+                                       st.floats(1, 2), _NOT_A_NUMBER))
+    if "shape" in bad:
+        grid[axis] = draw(st.one_of(st.just(grid[axis][:2]), st.just(grid[axis] + [1]),
+                                    _NOT_A_NUMBER))
+    if "axis" in bad:
+        grid[draw(st.sampled_from(["overlp", "pair", "seed"]))] = [0.0, 0.1, 1]
+    if "targets" in bad:
+        config["targets"] = draw(st.one_of(st.just({}), st.none(), st.floats(),
+                                           st.lists(st.floats(), max_size=2)))
+    if "grid" in bad:
+        config["grid"] = draw(st.one_of(st.none(), st.floats(), st.lists(st.floats(), max_size=2)))
+    return config, valid
+
+
+class TestCalibrateConfigFuzz:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(_calibrate_configs())
+    def test_cli_exit_codes(self, drawn):
+        config, valid = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cal.yaml")
+            with open(path, "w") as fh:
+                yaml.safe_dump(config, fh, sort_keys=False)
+            code = cli.main(["calibrate", path])
         assert code == (0 if valid else 2), config

@@ -14,7 +14,15 @@ from telegate.protocols import (
     teleport,
     tilde_bell,
 )
-from telegate.sources import InputSpec, PairSpec, make_input, make_pair, single_qubit_state
+from telegate.experiment import teleport_summary
+from telegate.sources import (
+    InputSpec,
+    PairSpec,
+    make_input,
+    make_pair,
+    single_qubit_state,
+    tomographic_input_set,
+)
 from telegate.states import DensityMatrix, kron, partial_trace, permute_state
 from conftest import ginibre_dm, random_pure
 
@@ -113,6 +121,20 @@ class TestTeleport:
             res = teleport(chi.density(), ideal_pair, channel, correct=True)
             for o in res.outcomes:
                 assert fidelity_pure(o.state, chi) == pytest.approx(1.0, abs=1e-10)
+
+    def test_corrected_fidelities_match_summary(self, rng):
+        # teleport(correct=True) and the exact summary apply one Pauli correction
+        for _ in range(10):
+            v, lp, li = rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.3)
+            channel = gate_channel(v)
+            pair = make_pair(PairSpec(TELEPORT_PAIR_TARGET, lp), ("a", "b"))
+            per_outcome = teleport_summary(channel, lp, li)["per_outcome"]
+            for spec in tomographic_input_set(li):
+                res = teleport(make_input(spec, "c"), pair, channel, correct=True)
+                chi = single_qubit_state(spec.state)
+                for o in res.outcomes:
+                    expected = per_outcome[spec.state][o.bell_label]["fidelity"]
+                    assert fidelity_pure(o.state, chi) == pytest.approx(expected, abs=1e-12)
 
     def test_correction_table_matches_derivation(self):
         assert derive_correction_table() == CORRECTION_FOR_BELL
