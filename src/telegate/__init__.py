@@ -72,7 +72,6 @@ from .metrics import (
 from .experiment import (
     CalibrationResult,
     ConfigError,
-    CountRow,
     CountTable,
     ExperimentConfig,
     PAPER_TELEPORT_TARGETS,

@@ -75,80 +75,90 @@ EFFICIENCY_KEYS = {
 }
 
 
+#: Largest ``counts_per_setting``; numpy's Poisson sampler fails near 9.2e18.
+MAX_COUNTS_PER_SETTING = 10**12
+
+#: Fields each protocol never reads; a config that sets one is rejected.
+_UNREAD_FIELDS = {
+    "teleport": ("gate_input",),
+    "swap": ("gate_input", "input_mixedness"),
+    "gate-only": ("pair_target", "pair_mixedness", "input_mixedness"),
+}
+
+
 class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending field."""
 
 
 # -- count tables ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CountRow:
-    setting: str
-    outcome: str
-    raw: int
-    corrected: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountTable:
-    """Coincidence counts per setting and outcome, with detector efficiencies."""
+    """Coincidence counts on a settings x outcomes grid, with detector efficiencies.
+
+    ``raw[i, j]`` counts outcome ``outcomes[j]`` at setting ``settings[i]``;
+    every setting lists the same outcomes. ``corrected`` is derived: each
+    outcome's column divided by the product of its detectors' efficiencies.
+    """
 
     modes: tuple[str, ...]
-    rows: tuple[CountRow, ...]
+    settings: tuple[str, ...] = ()
+    outcomes: tuple[str, ...] = ()
+    raw: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     efficiencies: dict[str, float] = field(default_factory=dict)
+    corrected: np.ndarray = field(init=False, repr=False)
 
-    def correction_factor(self, outcome: str) -> float:
-        eta = 1.0
-        for mode, ch in zip(self.modes, outcome):
-            eta *= self.efficiencies.get(f"{mode}{ch}", 1.0)
-        return eta
-
-    def by_setting(self) -> dict[str, list[CountRow]]:
-        out: dict[str, list[CountRow]] = defaultdict(list)
-        for r in self.rows:
-            out[r.setting].append(r)
-        return dict(out)
+    def __post_init__(self):
+        raw = np.asarray(self.raw)
+        if raw.shape != (len(self.settings), len(self.outcomes)):
+            raise ValueError(f"raw counts of shape {raw.shape} do not match "
+                             f"{len(self.settings)} settings x {len(self.outcomes)} outcomes")
+        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "corrected",
+                           raw / _efficiency(self.modes, self.outcomes, self.efficiencies))
 
     def resample(self, rng: np.random.Generator) -> "CountTable":
         """Poisson-resample the raw counts and re-apply the correction."""
-        rows = tuple(
-            CountRow(
-                r.setting,
-                r.outcome,
-                raw := int(rng.poisson(r.raw)),
-                raw / self.correction_factor(r.outcome),
-            )
-            for r in self.rows
-        )
-        return CountTable(self.modes, rows, self.efficiencies)
+        return replace(self, raw=rng.poisson(self.raw))
+
+
+def _efficiency(modes: Sequence[str], outcomes: Sequence[str],
+                efficiencies: Mapping[str, float]) -> np.ndarray:
+    """Per outcome, the product of its detectors' efficiencies, taken in mode order."""
+    eta = np.ones(len(outcomes))
+    for j, outcome in enumerate(outcomes):
+        for mode, ch in zip(modes, outcome):
+            eta[j] *= efficiencies.get(f"{mode}{ch}", 1.0)
+    return eta
 
 
 def simulate_counts(probabilities: Mapping[str, Mapping[str, float]], n_per_setting: int,
                     efficiencies: Mapping[str, float], seed, modes: Sequence[str]) -> CountTable:
     """Draw Poisson counts for every setting and outcome.
 
-    ``probabilities`` maps setting id to outcome distribution; each
-    distribution must sum to one (a table with missing mass, e.g. gate
-    failure, lists it as its own outcome). Raw counts are Poisson(N p eta):
-    detection eats efficiency *before* counting, the corrected column
-    restores it.
+    ``probabilities`` maps setting id to outcome distribution; every
+    distribution lists the same outcomes in the same order and sums to one
+    (a table with missing mass, e.g. gate failure, lists it as its own
+    outcome). Raw counts are Poisson(N p eta): detection eats efficiency
+    *before* counting, the corrected column restores it.
     """
     if n_per_setting <= 0:
         raise ValueError(f"counts per setting must be positive, got {n_per_setting}")
-    table = CountTable(tuple(modes), (), dict(efficiencies))
-    rng = np.random.default_rng(seed)
-    rows = []
+    settings = tuple(probabilities)
+    outcomes = tuple(next(iter(probabilities.values()), ()))
     for setting_id, dist in probabilities.items():
+        if tuple(dist) != outcomes:
+            raise ValueError(f"setting {setting_id}: outcomes {tuple(dist)} differ from {outcomes}")
         total = sum(dist.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"setting {setting_id}: probabilities sum to {total}")
         if any(p < -1e-12 for p in dist.values()):
             raise ValueError(f"setting {setting_id}: invalid distribution")
-        for outcome, p in dist.items():
-            eta = table.correction_factor(outcome)
-            raw = int(rng.poisson(n_per_setting * max(p, 0.0) * eta))
-            rows.append(CountRow(setting_id, outcome, raw, raw / eta))
-    return replace(table, rows=tuple(rows))
+    p = np.array([list(dist.values()) for dist in probabilities.values()], dtype=float)
+    eta = _efficiency(modes, outcomes, efficiencies)
+    lam = n_per_setting * np.maximum(p.reshape(len(settings), len(outcomes)), 0.0) * eta
+    raw = np.random.default_rng(seed).poisson(lam)
+    return CountTable(tuple(modes), settings, outcomes, raw, dict(efficiencies))
 
 
 # -- configuration -----------------------------------------------------------
@@ -174,8 +184,10 @@ class ExperimentConfig:
             val = getattr(self, name)
             if not _is_real(val) or not 0.0 <= val <= 1.0:
                 raise ConfigError(f"{name}: must lie in [0, 1], got {val!r}")
-        if not _is_int(self.counts_per_setting) or self.counts_per_setting <= 0:
-            raise ConfigError(f"counts_per_setting: must be a positive integer, got {self.counts_per_setting!r}")
+        if (not _is_int(self.counts_per_setting)
+                or not 0 < self.counts_per_setting <= MAX_COUNTS_PER_SETTING):
+            raise ConfigError(f"counts_per_setting: must be an integer from 1 to "
+                              f"{MAX_COUNTS_PER_SETTING}, got {self.counts_per_setting!r}")
         if not isinstance(self.efficiencies, Mapping):
             raise ConfigError("efficiencies: expected a mapping of detector -> efficiency")
         keys = EFFICIENCY_KEYS[self.protocol]
@@ -196,6 +208,9 @@ class ExperimentConfig:
             raise ConfigError(f"gate_input: must be two of {sorted(SINGLE_QUBIT_AMPLITUDES)}, got {self.gate_input!r}")
         if not _is_int(self.bootstrap_resamples) or self.bootstrap_resamples < 100:
             raise ConfigError(f"bootstrap_resamples: must be an integer of at least 100, got {self.bootstrap_resamples!r}")
+        for name in _UNREAD_FIELDS[self.protocol]:
+            if getattr(self, name) != _FIELD_DEFAULTS[name]:
+                raise ConfigError(f"{name}: not read by the {self.protocol} protocol")
 
     def resolved_pair_target(self) -> str:
         if self.pair_target is not None:
@@ -218,20 +233,13 @@ def _is_real(val) -> bool:
     return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
-_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
-
-#: Fields each protocol never reads; a config that sets one is rejected.
-_UNREAD_FIELDS = {
-    "teleport": ("gate_input",),
-    "swap": ("gate_input", "input_mixedness"),
-    "gate-only": ("pair_target", "pair_mixedness", "input_mixedness"),
-}
+_FIELD_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 def config_from_mapping(data: Mapping) -> ExperimentConfig:
     if not isinstance(data, Mapping):
         raise ConfigError(f"config root: expected a mapping, got {type(data).__name__}")
-    unknown = set(data) - _CONFIG_FIELDS
+    unknown = set(data) - set(_FIELD_DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown, key=str)}")
     if "protocol" not in data:
@@ -459,9 +467,10 @@ class Report:
         writer.writerow(["table", "modes", "setting", "outcome", "raw", "corrected"])
         for key in sorted(self.count_tables):
             table = self.count_tables[key]
-            for r in table.rows:
-                writer.writerow([key, "".join(table.modes), r.setting, r.outcome,
-                                 r.raw, repr(r.corrected)])
+            for setting, raw_row, corrected_row in zip(table.settings, table.raw, table.corrected):
+                for outcome, raw, corrected in zip(table.outcomes, raw_row, corrected_row):
+                    writer.writerow([key, "".join(table.modes), setting, outcome,
+                                     int(raw), repr(float(corrected))])
         return buf.getvalue()
 
     def save(self, base_path: str) -> list[str]:
@@ -500,11 +509,15 @@ def _joint_bootstrap(tables: Mapping[str, CountTable], estimator: Callable,
     c is redrawn as Poisson(c) and the efficiency correction re-applied,
     every resample from its own child of ``seed_seq``. Resamples whose data
     the estimator cannot fit (FitError, ValueError) are skipped; more than
-    10% of them aborts.
+    10% of them aborts. Counts the point estimate cannot fit raise a
+    RuntimeError (a FitError as it is).
     """
     if n_resamples < 100:
         raise ValueError(f"need at least 100 resamples, got {n_resamples}")
-    values = estimator(tables)
+    try:
+        values = estimator(tables)
+    except ValueError as exc:
+        raise RuntimeError(f"the counts cannot be fitted: {exc}") from exc
     samples = defaultdict(list)
     failures = 0
     for child in seed_seq.spawn(n_resamples):
@@ -604,8 +617,9 @@ def _run_swap(config: ExperimentConfig, channel) -> tuple[dict, dict]:
         for o in outcomes:
             label = o.bell_label
             fitted[label] = mle_fit(tabs[f"{label}/tomo"])
-            e = chsh_correlators({setting: {r.outcome: r.corrected for r in rows}
-                                  for setting, rows in tabs[f"{label}/chsh"].by_setting().items()})
+            chsh_counts = tabs[f"{label}/chsh"]
+            e = chsh_correlators({setting: dict(zip(chsh_counts.outcomes, row)) for setting, row
+                                  in zip(chsh_counts.settings, chsh_counts.corrected)})
             s_val = chsh_from_correlators(e, CHSH_VARIANT_FOR_BELL[label])
             for key, val in _swap_figures(label, fitted[label], s_val).items():
                 figures[f"{label}/{key}"] = val
@@ -644,18 +658,20 @@ def _run_gate_only(config: ExperimentConfig, channel) -> tuple[dict, dict]:
     n = config.counts_per_setting
 
     def estimate(tabs: Mapping[str, CountTable]) -> dict[str, float]:
-        coincidences = sum(r.corrected for r in tabs["gate/coinc"].rows if r.outcome != "00")
-        return {"success_probability": coincidences / n}
+        table = tabs["gate/coinc"]
+        coincidences = sum(table.corrected[0, [o != "00" for o in table.outcomes]])
+        return {"success_probability": float(coincidences) / n}
 
     tables, values, errors = _measure(config, {"gate/coinc": (("b", "c"), {"coinc": dist})},
                                       estimate)
+    coinc = tables["gate/coinc"]
     results = {
         "input": config.gate_input,
         "success_probability_exact": p_success,
         "success_probability": values["success_probability"],
         "success_probability_err": errors["success_probability"],
         "output_distribution_exact": {o: dist[o] for o in outcomes},
-        "output_counts": {r.outcome: r.raw for r in tables["gate/coinc"].rows},
+        "output_counts": dict(zip(coinc.outcomes, coinc.raw[0].tolist())),
     }
     return results, tables
 

@@ -19,14 +19,11 @@ CHSH_VARIANT_FOR_BELL = {"phi+": "+", "psi+": "-", "phi-": "-", "psi-": "+"}
 CHSH_SIGN_FOR_BELL = {"phi+": -1.0, "psi+": +1.0, "phi-": -1.0, "psi-": +1.0}
 
 
-def fidelity_pure(rho: DensityMatrix, target: PureState, correction: np.ndarray | None = None) -> float:
-    """<chi| U rho U^dag |chi>, the overlap with a pure target state."""
+def fidelity_pure(rho: DensityMatrix, target: PureState) -> float:
+    """<chi| rho |chi>, the overlap with a pure target state."""
     if rho.dim != target.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {target.dim}")
-    mat = rho.entries
-    if correction is not None:
-        mat = correction @ mat @ correction.conj().T
-    val = float(np.real(target.amplitudes.conj() @ mat @ target.amplitudes))
+    val = float(np.real(target.amplitudes.conj() @ rho.entries @ target.amplitudes))
     return min(max(val, 0.0), 1.0)
 
 

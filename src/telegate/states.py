@@ -252,11 +252,6 @@ def embed_operator(op: np.ndarray, targets: Sequence[str], labels: Sequence[str]
     return permute_operator(full, targets + others, list(labels))
 
 
-def apply_unitary(rho: DensityMatrix, u: np.ndarray, targets: Sequence[str]) -> DensityMatrix:
-    full = embed_operator(u, targets, rho.labels)
-    return DensityMatrix(full @ rho.entries @ full.conj().T, rho.labels, validate_psd=False)
-
-
 def apply_kraus_raw(arr: np.ndarray, labels: Sequence[str], kraus: Sequence[np.ndarray],
                     targets: Sequence[str]) -> np.ndarray:
     """Unnormalized sum_k K arr K^dag with each K acting on ``targets``."""

@@ -106,32 +106,24 @@ def linear_inversion(counts: "CountTable") -> DensityMatrix:
     instead.
     """
     n = len(counts.modes)
-    freq: dict[str, dict[str, float]] = {}
-    for setting_id, rows in counts.by_setting().items():
-        total = sum(r.corrected for r in rows)
+    totals = counts.corrected.sum(axis=1)
+    for setting_id, total in zip(counts.settings, totals):
         if total <= 0.0:
             raise ValueError(f"setting {setting_id} has zero total counts")
-        freq[setting_id] = {r.outcome: r.corrected / total for r in rows}
     required = {s.id for s in (settings_1q() if n == 1 else settings_2q())}
-    missing = required - set(freq)
+    missing = required - set(counts.settings)
     if missing:
         raise ValueError(f"missing settings: {sorted(missing)}")
+    freq = counts.corrected / totals[:, None]
 
     rho = np.zeros((2**n, 2**n), dtype=complex)
     for word in product("IZXY", repeat=n):
-        estimates = []
-        for setting_id, f in freq.items():
-            if any(w != "I" and w != b for w, b in zip(word, setting_id)):
-                continue
-            est = 0.0
-            for outcome, value in f.items():
-                sign = 1.0
-                for w, s in zip(word, outcome):
-                    if w != "I" and s == "-":
-                        sign = -sign
-                est += sign * value
-            estimates.append(est)
-        rho += np.mean(estimates) * _pauli_word(word)
+        measured = [i for i, setting_id in enumerate(counts.settings)
+                    if all(w in ("I", b) for w, b in zip(word, setting_id))]
+        # the Pauli word's eigenvalue on each outcome: -1 per "-" on a non-identity qubit
+        signs = np.array([(-1.0) ** sum(w != "I" and s == "-" for w, s in zip(word, outcome))
+                          for outcome in counts.outcomes])
+        rho += np.mean(freq[measured] @ signs) * _pauli_word(word)
     rho /= 2**n
     rho = 0.5 * (rho + rho.conj().T)
     return DensityMatrix(rho, validate_psd=False)
@@ -179,18 +171,16 @@ def mle_fit(counts: "CountTable", dim: int | None = None,
         raise ValueError(f"dim {dim} inconsistent with {n} analyzed modes")
 
     settings = {s.id: s for s in (settings_1q() if n == 1 else settings_2q())}
-    projs, weights = [], []
-    for setting_id, rows in counts.by_setting().items():
+    projs = []
+    for setting_id in counts.settings:
         if setting_id not in settings:
             raise ValueError(f"unknown setting {setting_id!r}")
         lookup = dict(settings[setting_id].projectors())
-        for r in rows:
-            if r.corrected < 0:
-                raise ValueError("negative corrected count")
-            projs.append(lookup[r.outcome])
-            weights.append(r.corrected)
+        projs.extend(lookup[outcome] for outcome in counts.outcomes)
     projs = np.array(projs)
-    weights = np.array(weights, dtype=float)
+    weights = counts.corrected.ravel()
+    if (weights < 0).any():
+        raise ValueError("negative corrected count")
     total = weights.sum()
     if total <= 0:
         raise ValueError("count table is empty")
@@ -213,8 +203,10 @@ def mle_fit(counts: "CountTable", dim: int | None = None,
     theta0[:d] = 1.0 / np.sqrt(d)
     history: list[float] = [negloglik(theta0)[0]]
 
-    def record(theta):
-        history.append(negloglik(theta)[0])
+    # scipy passes the iterate's OptimizeResult to a callback whose one
+    # parameter has this name, so the accepted value is not recomputed
+    def record(intermediate_result):
+        history.append(intermediate_result.fun)
 
     res = minimize(
         negloglik,
@@ -247,13 +239,11 @@ def loglikelihood(counts: "CountTable", rho: DensityMatrix) -> float:
     """Multinomial log likelihood of ``rho`` for a count table."""
     n = len(counts.modes)
     settings = {s.id: s for s in (settings_1q() if n == 1 else settings_2q())}
-    out = 0.0
-    for setting_id, rows in counts.by_setting().items():
-        probs = settings[setting_id].probabilities(rho)
-        for r in rows:
-            if r.corrected > 0:
-                out += r.corrected * np.log(max(probs[r.outcome], _TINY))
-    return float(out)
+    dists = [settings[setting_id].probabilities(rho) for setting_id in counts.settings]
+    probs = np.array([[dist[outcome] for outcome in counts.outcomes]
+                      for dist in dists]).reshape(counts.corrected.shape)
+    observed = counts.corrected > 0
+    return float(counts.corrected[observed] @ np.log(np.maximum(probs[observed], _TINY)))
 
 
 @dataclass(frozen=True)

@@ -29,40 +29,56 @@ from telegate.tomography import mle_fit, settings_1q
 class TestSimulateCounts:
     def test_deterministic_outcome_up_to_poisson(self):
         table = simulate_counts({"Z": {"+": 1.0, "-": 0.0}}, 1000, {}, seed=4, modes=("a",))
-        by_outcome = {r.outcome: r for r in table.rows}
-        assert by_outcome["-"].raw == 0
-        assert abs(by_outcome["+"].raw - 1000) < 5 * np.sqrt(1000)
+        plus, minus = (table.raw[0, table.outcomes.index(o)] for o in "+-")
+        assert minus == 0
+        assert abs(plus - 1000) < 5 * np.sqrt(1000)
 
     def test_uniform_within_five_sigma(self):
         probs = {"s": {o: 0.25 for o in ("a+", "b+", "c+", "d+")}}
         # modes length 2: outcome strings here are just labels
         table = simulate_counts(probs, 1_000_000, {}, seed=8, modes=("m", "n"))
-        for r in table.rows:
-            assert abs(r.corrected - 250_000) < 5 * np.sqrt(250_000)
+        for corrected in table.corrected.ravel():
+            assert abs(corrected - 250_000) < 5 * np.sqrt(250_000)
 
     def test_efficiency_corrected_unbiased(self):
         probs = {"Z": {"+": 0.5, "-": 0.5}}
         eff = {"a+": 0.5}
         table = simulate_counts(probs, 1_000_000, eff, seed=15, modes=("a",))
-        plus = next(r for r in table.rows if r.outcome == "+")
-        minus = next(r for r in table.rows if r.outcome == "-")
-        assert plus.corrected == plus.raw / 0.5
+        plus, minus = (table.outcomes.index(o) for o in "+-")
+        assert table.corrected[0, plus] == table.raw[0, plus] / 0.5
         # corrected counts match the eta=1 expectation within 5 sigma of the
         # inflated Poisson noise
         sigma = np.sqrt(500_000 * 0.5) / 0.5
-        assert abs(plus.corrected - 500_000) < 5 * sigma
-        assert abs(minus.corrected - 500_000) < 5 * np.sqrt(500_000)
+        assert abs(table.corrected[0, plus] - 500_000) < 5 * sigma
+        assert abs(table.corrected[0, minus] - 500_000) < 5 * np.sqrt(500_000)
 
     def test_invalid_distribution(self):
         with pytest.raises(ValueError, match="sum"):
             simulate_counts({"Z": {"+": 0.7, "-": 0.7}}, 100, {}, seed=0, modes=("a",))
 
+    def test_settings_must_share_outcomes(self):
+        for other in ({"-": 0.5, "+": 0.5}, {"+": 1.0}, {"+": 0.5, "-": 0.25, "x": 0.25}):
+            with pytest.raises(ValueError, match="setting X: outcomes"):
+                simulate_counts({"Z": {"+": 0.5, "-": 0.5}, "X": other}, 100, {}, seed=0,
+                                modes=("a",))
+
+    def test_grid_draw_matches_cellwise_stream(self):
+        # one Poisson call over the grid consumes the stream like one call per cell
+        probs = {s: {"+": p, "-": 1 - p} for s, p in (("Z", 0.0), ("X", 0.3), ("Y", 1.0))}
+        table = simulate_counts(probs, 700, {"a-": 0.6}, seed=12, modes=("a",))
+        rng = np.random.default_rng(12)
+        cells = [[rng.poisson(700 * p * (0.6 if o == "-" else 1.0)) for o, p in dist.items()]
+                 for dist in probs.values()]
+        assert table.raw.tolist() == cells
+        resampled = table.resample(np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        assert resampled.raw.tolist() == [[rng.poisson(c) for c in row] for row in cells]
+
     def test_unit_efficiency_means_equal_columns(self):
         rho = make_input(InputSpec("R", 0.3))
         probs = {s.id: s.probabilities(rho) for s in settings_1q()}
         table = simulate_counts(probs, 5000, {}, seed=2, modes=("a",))
-        for r in table.rows:
-            assert r.corrected == float(r.raw)
+        assert np.array_equal(table.corrected, table.raw.astype(float))
 
 
 class TestConfig:
@@ -93,7 +109,9 @@ class TestConfig:
         bad = [
             ("pair_target", "nope"), ("pair_target", 3), ("seed", -1), ("seed", True),
             ("bootstrap_resamples", 150.5), ("bootstrap_resamples", True),
-            ("counts_per_setting", True), ("overlap", True), ("pair_mixedness", False),
+            ("counts_per_setting", True), ("counts_per_setting", 10**20),
+            ("counts_per_setting", experiment.MAX_COUNTS_PER_SETTING + 1),
+            ("overlap", True), ("pair_mixedness", False),
             ("gate_input", 12), ("out", 5),
         ]
         for name, value in bad:
@@ -126,6 +144,13 @@ class TestConfig:
                 assert name in capsys.readouterr().err
             read = {name: valid[name] for name in valid if name not in names}
             assert config_from_mapping({"protocol": protocol, **read}).protocol == protocol
+            # built directly, a config rejects unread fields that differ from their default
+            for name in names:
+                with pytest.raises(ConfigError, match=name):
+                    ExperimentConfig(protocol=protocol, **{name: valid[name]})
+            defaults = ExperimentConfig(protocol="teleport")
+            kept = {name: getattr(defaults, name) for name in names}
+            assert ExperimentConfig(protocol=protocol, **kept).protocol == protocol
 
     def test_yaml_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.yaml"
@@ -343,6 +368,19 @@ class TestCli:
         cfg.write_text("protocol: teleport\n")
         assert cli.main(["run", str(cfg)]) == 3
 
+    @pytest.mark.parametrize("protocol", ["teleport", "swap"])
+    def test_count_starved_run_is_a_numerical_failure(self, protocol, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"protocol: {protocol}\ncounts_per_setting: 1\n")
+        assert cli.main(["run", str(cfg)]) == 3
+        assert "cannot be fitted" in capsys.readouterr().err
+
+    def test_oversized_counts_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("protocol: gate-only\ncounts_per_setting: 100000000000000000000\n")
+        assert cli.main(["run", str(cfg)]) == 2
+        assert "counts_per_setting" in capsys.readouterr().err
+
     def test_calibrate_command(self, tmp_path, capsys):
         cfg = tmp_path / "cal.yaml"
         cfg.write_text(
@@ -387,7 +425,8 @@ _FIELDS = {
                                                   st.just(float("nan")), st.booleans(), st.text(max_size=3))),
     "pair_mixedness": (st.floats(0.0, 1.0), st.one_of(st.floats(min_value=1.5), st.integers(max_value=-1), _JUNK)),
     "input_mixedness": (st.floats(0.0, 1.0), st.one_of(st.floats(max_value=-0.5), _JUNK)),
-    "counts_per_setting": (st.integers(1, 10_000), st.one_of(st.integers(max_value=0), st.floats(1, 1e4), _JUNK)),
+    "counts_per_setting": (st.integers(1, 10_000), st.one_of(st.integers(max_value=0), st.floats(1, 1e4),
+                                                              st.integers(min_value=10**12 + 1), _JUNK)),
     "efficiencies": (st.dictionaries(st.sampled_from(experiment.EFFICIENCY_KEYS["gate-only"]),
                                      st.floats(0.01, 1.0), max_size=4),
                      st.one_of(st.dictionaries(st.sampled_from(["x9", "a+", "d-", "b0"]),

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from telegate.experiment import CountRow, CountTable, simulate_counts
+from telegate.experiment import CountTable, simulate_counts
 from telegate.protocols import tilde_bell
 from telegate.sources import InputSpec, make_input, single_qubit_state
 from telegate.states import DensityMatrix, PAULI
 from telegate.tomography import (
+    FitError,
     identity_process,
     linear_inversion,
     loglikelihood,
@@ -21,11 +24,9 @@ from conftest import ginibre_dm
 def exact_table(state: DensityMatrix, modes, shots=1_000_000) -> CountTable:
     """Count table with corrected counts exactly proportional to the Born probabilities."""
     settings = settings_1q() if len(modes) == 1 else settings_2q()
-    rows = []
-    for s in settings:
-        for outcome, p in s.probabilities(state).items():
-            rows.append(CountRow(s.id, outcome, int(round(shots * p)), shots * p))
-    return CountTable(tuple(modes), tuple(rows), {})
+    dists = [s.probabilities(state) for s in settings]
+    return CountTable(tuple(modes), tuple(s.id for s in settings), tuple(dists[0]),
+                      shots * np.array([list(d.values()) for d in dists]))
 
 
 def sampled_table(state: DensityMatrix, modes, shots, seed) -> CountTable:
@@ -89,16 +90,16 @@ class TestLinearInversion:
 
     def test_missing_setting(self):
         table = exact_table(make_input(InputSpec("H")), ("a",))
-        partial = CountTable(table.modes, tuple(r for r in table.rows if r.setting != "Y"), {})
+        partial = CountTable(table.modes, table.settings[:2], table.outcomes, table.raw[:2])
         with pytest.raises(ValueError, match="missing"):
             linear_inversion(partial)
 
     def test_zero_counts_in_setting(self):
         table = exact_table(make_input(InputSpec("H")), ("a",))
-        rows = tuple(r if r.setting != "Y" else CountRow("Y", r.outcome, 0, 0.0)
-                     for r in table.rows)
+        raw = table.raw.copy()
+        raw[table.settings.index("Y")] = 0
         with pytest.raises(ValueError, match="zero"):
-            linear_inversion(CountTable(table.modes, rows, {}))
+            linear_inversion(CountTable(table.modes, table.settings, table.outcomes, raw))
 
 
 class TestMleFit:
@@ -114,11 +115,7 @@ class TestMleFit:
         assert trace_distance(rho.entries, mixed.entries) <= 0.02
 
     def test_pathological_counts_still_psd(self):
-        rows = []
-        for setting in ("Z", "X", "Y"):
-            rows.append(CountRow(setting, "+", 1000, 1000.0))
-            rows.append(CountRow(setting, "-", 0, 0.0))
-        rho = mle_fit(CountTable(("a",), tuple(rows), {}))
+        rho = mle_fit(CountTable(("a",), ("Z", "X", "Y"), ("+", "-"), [[1000, 0]] * 3))
         assert np.linalg.eigvalsh(rho.entries).min() >= -1e-9
         assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-10)
 
@@ -135,14 +132,9 @@ class TestMleFit:
 
         table = sampled_table(ginibre_dm(1, rng), ("a",), 5000, seed=21)
         settings = {s.id: s for s in settings_1q()}
-        projs, weights = [], []
-        for setting_id, rows in table.by_setting().items():
-            lookup = dict(settings[setting_id].projectors())
-            for r in rows:
-                projs.append(lookup[r.outcome])
-                weights.append(r.corrected)
-        projs = np.array(projs)
-        weights = np.array(weights) / np.sum(weights)
+        projs = np.array([dict(settings[setting_id].projectors())[outcome]
+                          for setting_id in table.settings for outcome in table.outcomes])
+        weights = table.corrected.ravel() / table.corrected.sum()
 
         def nll(theta):
             t = tmod._unpack_cholesky(theta, 2)
@@ -187,6 +179,63 @@ class TestMleFit:
         table = sampled_table(make_input(InputSpec("H")), ("a",), 100, seed=1)
         with pytest.raises(ValueError, match="dim"):
             mle_fit(table, dim=4)
+
+
+# -- arbitrary count tables ----------------------------------------------------
+
+@st.composite
+def count_tables(draw):
+    """A 1- or 2-qubit tomography table of arbitrary non-negative counts.
+
+    Some settings are all zero, and whole tables can be.
+    """
+    n_qubits = draw(st.sampled_from((1, 2)))
+    bases = settings_1q() if n_qubits == 1 else settings_2q()
+    outcomes = tuple(o for o, _ in bases[0].projectors())
+    raw = draw(arrays(np.int64, (len(bases), len(outcomes)), elements=st.integers(0, 10**6)))
+    raw[draw(st.lists(st.sampled_from(range(len(bases))), unique=True))] = 0
+    eff = draw(st.dictionaries(st.sampled_from(["a+", "a-", "d+", "d-"]), st.floats(0.1, 1.0)))
+    modes = ("a",) if n_qubits == 1 else ("a", "d")
+    return CountTable(modes, tuple(s.id for s in bases), outcomes, raw, eff)
+
+
+def zero_settings(table: CountTable) -> list[str]:
+    return [s for s, row in zip(table.settings, table.raw) if not row.any()]
+
+
+class TestArbitraryTables:
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(count_tables())
+    def test_mle_fit_is_a_state_or_raises(self, table):
+        try:
+            rho = mle_fit(table)
+        except (FitError, ValueError):
+            return
+        assert table.raw.any()
+        assert np.linalg.eigvalsh(rho.entries).min() >= -1e-9
+        assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-10)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(count_tables())
+    def test_linear_inversion_is_hermitian_trace_one_or_names_zero_setting(self, table):
+        zero = zero_settings(table)
+        try:
+            rho = linear_inversion(table)
+        except ValueError as exc:
+            assert zero and any(f"setting {s} " in str(exc) for s in zero), exc
+            return
+        assert not zero
+        assert np.allclose(rho.entries, rho.entries.conj().T, atol=1e-12)
+        assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-10)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(count_tables(), st.integers(0, 2**32))
+    def test_resample_keeps_layout_and_zeros(self, table, seed):
+        resampled = table.resample(np.random.default_rng(seed))
+        assert resampled.raw.shape == table.raw.shape
+        assert (resampled.modes, resampled.settings, resampled.outcomes) == (
+            table.modes, table.settings, table.outcomes)
+        assert not resampled.raw[table.raw == 0].any()
 
 
 class TestProcessTomo:
