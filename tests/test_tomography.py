@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from telegate.experiment import CountTable, simulate_counts
@@ -8,7 +8,11 @@ from telegate.protocols import tilde_bell
 from telegate.sources import InputSpec, make_input, single_qubit_state
 from telegate.states import DensityMatrix, PAULI
 from telegate.tomography import (
+    BASIS_VECTORS,
     FitError,
+    _cholesky_fit,
+    _fit_inputs,
+    _projector_stack,
     identity_process,
     linear_inversion,
     loglikelihood,
@@ -37,6 +41,16 @@ def sampled_table(state: DensityMatrix, modes, shots, seed) -> CountTable:
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
+
+
+def cholesky_reference(table: CountTable) -> DensityMatrix:
+    """The L-BFGS fit, which mle_fit keeps for two qubits, on any table."""
+    projs, weights = _fit_inputs(table, None)
+    return _cholesky_fit(table.modes, projs, weights, None)
+
+
+def bloch_state(r) -> DensityMatrix:
+    return DensityMatrix(0.5 * (np.eye(2) + sum(x * PAULI[p] for x, p in zip(r, "XYZ"))))
 
 
 class TestSettings:
@@ -184,12 +198,12 @@ class TestMleFit:
 # -- arbitrary count tables ----------------------------------------------------
 
 @st.composite
-def count_tables(draw):
-    """A 1- or 2-qubit tomography table of arbitrary non-negative counts.
+def count_tables(draw, qubits=(1, 2)):
+    """A tomography table of arbitrary non-negative counts on 1 or 2 qubits.
 
     Some settings are all zero, and whole tables can be.
     """
-    n_qubits = draw(st.sampled_from((1, 2)))
+    n_qubits = draw(st.sampled_from(qubits))
     bases = settings_1q() if n_qubits == 1 else settings_2q()
     outcomes = tuple(o for o, _ in bases[0].projectors())
     raw = draw(arrays(np.int64, (len(bases), len(outcomes)), elements=st.integers(0, 10**6)))
@@ -197,6 +211,18 @@ def count_tables(draw):
     eff = draw(st.dictionaries(st.sampled_from(["a+", "a-", "d+", "d-"]), st.floats(0.1, 1.0)))
     modes = ("a",) if n_qubits == 1 else ("a", "d")
     return CountTable(modes, tuple(s.id for s in bases), outcomes, raw, eff)
+
+
+@st.composite
+def near_pure_tables(draw):
+    """A sampled 1-qubit table of a nearly pure state, 1e5 counts per setting."""
+    direction = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+    assume(np.linalg.norm(direction) > 0.1)
+    length = 1.0 - 10.0 ** draw(st.floats(-8.0, -2.0))
+    state = bloch_state(length * direction / np.linalg.norm(direction))
+    eff = draw(st.dictionaries(st.sampled_from(["a+", "a-"]), st.floats(0.1, 1.0)))
+    return simulate_counts({s.id: s.probabilities(state) for s in settings_1q()}, 100_000,
+                           eff, draw(st.integers(0, 2**32)), ("a",))
 
 
 def zero_settings(table: CountTable) -> list[str]:
@@ -228,6 +254,28 @@ class TestArbitraryTables:
         assert np.allclose(rho.entries, rho.entries.conj().T, atol=1e-12)
         assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-10)
 
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.one_of(count_tables(qubits=(1,)), near_pure_tables()))
+    def test_exact_qubit_fit_is_the_maximum(self, table):
+        try:
+            rho = mle_fit(table)  # a FitError fails the test
+        except ValueError:
+            assert not table.raw.any()
+            return
+        assert np.linalg.eigvalsh(rho.entries).min() >= -1e-9
+        assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-10)
+        try:
+            reference = cholesky_reference(table)
+        except FitError as exc:
+            reference = exc.best_state
+        per_count = 1e-12 * table.corrected.sum()
+        assert loglikelihood(table, rho) >= loglikelihood(table, reference) - per_count
+        if zero_settings(table):
+            return
+        inverted = linear_inversion(table).entries
+        if np.linalg.eigvalsh(inverted).min() >= 0.0:
+            assert np.allclose(rho.entries, inverted, rtol=0.0, atol=1e-12)
+
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(count_tables(), st.integers(0, 2**32))
     def test_resample_keeps_layout_and_zeros(self, table, seed):
@@ -236,6 +284,110 @@ class TestArbitraryTables:
         assert (resampled.modes, resampled.settings, resampled.outcomes) == (
             table.modes, table.settings, table.outcomes)
         assert not resampled.raw[table.raw == 0].any()
+
+
+class TestExactQubitFit:
+    def test_agrees_with_cholesky_reference(self):
+        # interior and boundary tables at 50, 1e3 and 1e5 counts, with and without efficiencies
+        rng = np.random.default_rng(7)
+        boundary = 0
+        for k in range(540):
+            direction = rng.normal(size=3)
+            length = rng.uniform(0.2, 0.95) if k % 2 else 1.0 - 10.0 ** rng.uniform(-8, -2)
+            state = bloch_state(length * direction / np.linalg.norm(direction))
+            eff = ({}, {"a+": 0.8}, {"a+": 0.6, "a-": 0.9})[k % 3]
+            shots = (50, 1000, 100_000)[k // 3 % 3]
+            table = simulate_counts({s.id: s.probabilities(state) for s in settings_1q()},
+                                    shots, eff, k, ("a",))
+            boundary += np.linalg.eigvalsh(linear_inversion(table).entries).min() < 0
+            assert np.abs(mle_fit(table).entries - cholesky_reference(table).entries).max() <= 1e-6
+        assert 100 <= boundary <= 440
+
+    @pytest.mark.parametrize("settings_, raw", [
+        (("Z", "X", "Y"), [[1000, 0]] * 3),  # pure along (1, 1, 1)/sqrt(3)
+        (("Z", "X", "Y"), [[1000, 0], [500, 500], [500, 500]]),  # exactly |H>
+        (("Z", "X"), [[900, 100], [200, 800]]),  # missing setting: Y component 0
+        (("Z", "X", "Y"), [[900, 100], [0, 0], [200, 800]]),  # all-zero setting
+        (("Z", "X", "Y", "Z"), [[900, 100], [300, 700], [450, 550], [990, 10]]),  # repeated
+        (("Z", "X", "Y", "Z"), [[10, 0], [3, 7], [4, 6], [970, 20]]),  # repeated, boundary
+    ])
+    def test_edge_tables_agree_with_cholesky_reference(self, settings_, raw):
+        table = CountTable(("a",), settings_, ("+", "-"), np.array(raw, dtype=float))
+        rho = mle_fit(table)
+        assert np.abs(rho.entries - cholesky_reference(table).entries).max() <= 1e-6
+        if "Y" not in settings_ or not table.raw[settings_.index("Y")].any():
+            assert np.real(np.trace(rho.entries @ PAULI["Y"])) == 0.0
+
+    @pytest.mark.parametrize("name", ["H", "V", "+", "R"])
+    def test_pure_probe_fits_meet_the_lagrange_condition(self, name):
+        # one basis is counted on one side only, so the maximum lies on the sphere,
+        # where the likelihood's gradient in the Bloch components points along r
+        for seed in range(5):
+            table = sampled_table(single_qubit_state(name).density(), ("a",), 100_000, seed)
+            rho = mle_fit(table)
+            r = np.array([np.real(np.trace(rho.entries @ PAULI[b])) for b in table.settings])
+            a, c = table.corrected.T
+            grad = (np.divide(a, 1 + r, out=np.zeros(3), where=a > 0)
+                    - np.divide(c, 1 - r, out=np.zeros(3), where=c > 0))
+            assert np.linalg.norm(r) == pytest.approx(1.0, abs=1e-12)
+            assert grad @ r > 0
+            assert np.allclose(grad, (grad @ r) * r, rtol=0.0, atol=1e-9 * np.linalg.norm(grad))
+            reference = cholesky_reference(table)
+            assert loglikelihood(table, rho) >= loglikelihood(table, reference) - 1e-12 * a.sum()
+
+    def test_bloch_axes_come_from_the_analyzers(self):
+        # a table measured along each basis's own '+' vector fits that vector
+        for basis, (up, _) in BASIS_VECTORS.items():
+            target = DensityMatrix(np.outer(up, up.conj()))
+            rho = mle_fit(exact_table(target, ("a",)))
+            assert np.allclose(rho.entries, target.entries, atol=1e-12)
+
+    def test_trace_has_start_and_solution(self):
+        table = sampled_table(make_input(InputSpec("+", 0.3)), ("a",), 1000, seed=4)
+        trace = []
+        rho = mle_fit(table, trace_nll=trace)
+        assert trace[0] == pytest.approx(np.log(2.0), abs=1e-12)
+        assert trace[1] == pytest.approx(-loglikelihood(table, rho) / table.corrected.sum(),
+                                         abs=1e-12)
+        assert len(trace) == 2
+
+
+class TestOutcomeLabels:
+    @pytest.mark.parametrize("fit", [linear_inversion, mle_fit, cholesky_reference])
+    @pytest.mark.parametrize("modes, outcomes, bad", [
+        (("a",), ("+", "x"), "'x'"),
+        (("a",), ("+", "--"), "'--'"),
+        (("a", "d"), ("++", "+-", "-+", "-"), "'-'"),
+        (("a", "d"), ("++", "+-", "-+", "-0"), "'-0'"),
+    ])
+    def test_bad_outcome_is_named(self, fit, modes, outcomes, bad):
+        settings_ = tuple(s.id for s in (settings_1q() if len(modes) == 1 else settings_2q()))
+        table = CountTable(modes, settings_, outcomes, [[5, 1] + [1] * (len(outcomes) - 2)] * len(settings_))
+        with pytest.raises(ValueError, match=f"outcome {bad}"):
+            fit(table)
+
+
+class TestProjectorStack:
+    def test_cached_read_only_and_matches_settings(self):
+        stack = _projector_stack(2, ("ZZ", "XY"), ("++", "+-", "-+", "--"))
+        assert _projector_stack(2, ("ZZ", "XY"), ("++", "+-", "-+", "--")) is stack
+        assert not stack.flags.writeable
+        expected = [p for s in settings_2q() if s.id in ("ZZ", "XY") for _, p in s.projectors()]
+        assert np.array_equal(stack, expected)
+
+
+def process_tomo_loop(inputs, outputs) -> np.ndarray:
+    """process_tomo with its design matrix built entry by entry."""
+    rows, rhs = [], []
+    for rin, rho_out in zip(inputs, outputs):
+        rho_in = rin.density().entries
+        for i in range(2):
+            for j in range(2):
+                rows.append([(PAULI[sm] @ rho_in @ PAULI[sn])[i, j] for sm in "IXYZ" for sn in "IXYZ"])
+                rhs.append(np.asarray(rho_out)[i, j])
+    coeff, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
+    m = coeff.reshape(4, 4)
+    return 0.5 * (m + m.conj().T)
 
 
 class TestProcessTomo:
@@ -277,6 +429,7 @@ class TestProcessTomo:
                 outs.append(out)
             fitted = process_tomo(probes, outs)
             assert np.allclose(fitted.entries, chi, atol=1e-10)
+            assert np.array_equal(fitted.entries, process_tomo_loop(probes, outs))
 
     def test_rank_deficient_inputs(self):
         h = single_qubit_state("H")
