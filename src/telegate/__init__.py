@@ -8,12 +8,8 @@ from ._version import __version__
 from .states import (
     ATOL,
     DensityMatrix,
-    Observable,
     PureState,
-    analyzer_observable,
-    expectation,
     kron,
-    partial_trace,
     trace_norm,
 )
 from .gate import (
@@ -21,7 +17,6 @@ from .gate import (
     GateChannel,
     PdbsSpec,
     ZeroSuccessError,
-    apply_channel,
     coincidence_block,
     coincidence_distribution,
     fock_input,
@@ -44,7 +39,6 @@ from .protocols import (
     ProtocolResult,
     TELEPORT_PAIR_TARGET,
     bsa,
-    derive_correction_table,
     swap,
     teleport,
     tilde_bell,

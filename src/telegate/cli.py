@@ -14,8 +14,10 @@ import numpy as np
 
 from .experiment import (
     ConfigError,
+    _check_out_path,
     _is_int,
     _is_real,
+    _read_yaml,
     calibrate,
     load_config,
     run_experiment,
@@ -74,15 +76,7 @@ def _cmd_run(args) -> int:
 
 
 def _load_calibration_config(path: str):
-    import yaml
-
-    try:
-        with open(path) as fh:
-            data = yaml.safe_load(fh) or {}
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config file {path}: {exc}") from exc
+    data = _read_yaml(path) or {}
     if not isinstance(data, dict):
         raise ConfigError("config root: expected a mapping")
     targets = data.get("targets")
@@ -113,6 +107,8 @@ def _load_calibration_config(path: str):
 
 def _cmd_calibrate(args) -> int:
     targets, grids = _load_calibration_config(args.config)
+    if args.out:
+        _check_out_path(args.out)
     try:
         result = calibrate(targets, grids["overlap"], grids["pair_mixedness"],
                            grids["input_mixedness"])

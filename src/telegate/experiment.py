@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from collections import defaultdict
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Mapping, Sequence
@@ -254,17 +255,33 @@ def config_from_mapping(data: Mapping) -> ExperimentConfig:
     return config
 
 
-def load_config(path: str) -> ExperimentConfig:
+def _read_yaml(path: str):
+    """The YAML document in a config file; an unreadable or malformed file is a ConfigError."""
     import yaml
 
     try:
-        with open(path) as fh:
-            data = yaml.safe_load(fh)
+        # binary mode lets the YAML reader report undecodable bytes as a YAMLError
+        with open(path, "rb") as fh:
+            return yaml.safe_load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path}: {exc}") from exc
-    return config_from_mapping(data or {})
+
+
+def _check_out_path(path: str) -> None:
+    """Raise ConfigError unless a file can be created at ``path``."""
+    directory = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise ConfigError(f"out: cannot write {path}: it is a directory")
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        raise ConfigError(f"out: cannot write {path}: {directory} is not a writable directory")
+
+
+def load_config(path: str) -> ExperimentConfig:
+    return config_from_mapping(_read_yaml(path) or {})
 
 
 # -- exact (count-free) protocol summaries ------------------------------------
@@ -681,6 +698,8 @@ _RUNNERS = {"teleport": _run_teleport, "swap": _run_swap, "gate-only": _run_gate
 
 def run_experiment(config: ExperimentConfig) -> Report:
     """Simulate a full run: sources, protocol, counts, reconstruction, metrics."""
+    if config.out:
+        _check_out_path(f"{config.out}.json")
     results, tables = _RUNNERS[config.protocol](config, gate_channel(config.overlap))
     report = Report(config.protocol, __version__, config.seed, config.echo(), results, tables)
     if config.out:

@@ -20,6 +20,10 @@ five times the interfering value.
 Beam-splitter convention: transmission is real positive, reflection picks
 up a factor i. The paper-level contract is only the sign pattern of the
 coincidence amplitudes, which this convention reproduces.
+
+The protocols use :func:`gate_channel`, which writes the post-selected
+channel in closed form. The Fock propagation in this module is the
+independent optical model it is checked against.
 """
 
 from __future__ import annotations
@@ -31,8 +35,6 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
-
-from .states import DensityMatrix
 
 # Spatial mode codes. 0 and 1 are the live gate arms; each attenuator
 # reflects into its own terminal sink so norm accounting stays exact.
@@ -219,8 +221,7 @@ class GateChannel:
 
     Success probability for an input rho is sum_k Tr[K rho K^dag]; the
     Kraus sum is strictly below identity because most amplitude leaves
-    through the non-coincidence and sink terms. At unit overlap there is a
-    single operator, diag(1, 1, 1, -1) / 3.
+    through the non-coincidence and sink terms.
     """
 
     kraus: tuple[np.ndarray, ...]
@@ -229,40 +230,23 @@ class GateChannel:
     def success_probability(self, rho: np.ndarray) -> float:
         return float(np.real(sum(np.trace(k @ rho @ k.conj().T) for k in self.kraus)))
 
-    def kraus_sum(self) -> np.ndarray:
-        return sum(k.conj().T @ k for k in self.kraus)
-
 
 @lru_cache(maxsize=None)
 def gate_channel(v: float) -> GateChannel:
-    """Build the two-qubit coincidence channel at wavepacket overlap ``v``."""
+    """Two-qubit coincidence channel at wavepacket overlap ``v``, in closed form.
+
+    The arm-1 wavepacket part that overlaps (amplitude v) interferes as in the
+    ideal gate: v diag(1, 1, 1, -1) / 3. The orthogonal part (w = sqrt(1 - v^2))
+    cannot, so its two coincidence routes are separate operators: both photons
+    transmitted, w I / 3, and both reflected, which only |VV> survives,
+    w diag(0, 0, 0, -2) / 3. Vanishing operators are dropped (one left at v = 1).
+    """
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"overlap must lie in [0, 1], got {v}")
-    blocks: dict[tuple[int, int], np.ndarray] = {}
-    for col in range(4):
-        amps = np.zeros(4)
-        amps[col] = 1.0
-        out = propagate_gate(fock_input(amps, v))
-        for cfg, vec in coincidence_block(out).items():
-            blocks.setdefault(cfg, np.zeros((4, 4), dtype=complex))[:, col] = vec
-    kraus = tuple(
-        blocks[cfg] for cfg in sorted(blocks) if np.linalg.norm(blocks[cfg]) > 1e-14
-    )
+    w = math.sqrt(max(0.0, 1.0 - v * v))
+    diagonals = ([v, v, v, -v], [w, w, w, w], [0.0, 0.0, 0.0, -2.0 * w])
+    kraus = tuple(k for k in (np.diag(d).astype(complex) / 3.0 for d in diagonals)
+                  if np.linalg.norm(k) > 1e-14)
     for k in kraus:
         k.setflags(write=False)
     return GateChannel(kraus=kraus, overlap=float(v))
-
-
-def apply_channel(rho: DensityMatrix, channel: GateChannel) -> tuple[DensityMatrix, float]:
-    """Post-selected output state and success probability."""
-    if rho.dim != 4:
-        raise ValueError(f"channel acts on two qubits, state has dim {rho.dim}")
-    out = np.zeros((4, 4), dtype=complex)
-    for k in channel.kraus:
-        out += k @ rho.entries @ k.conj().T
-    p = float(np.real(np.trace(out)))
-    if p < 1e-15:
-        raise ZeroSuccessError(f"success probability {p} below threshold")
-    out = out / p
-    out = 0.5 * (out + out.conj().T)
-    return DensityMatrix(out, rho.labels), p

@@ -14,38 +14,31 @@ carries 1/4 x 1/9 = 1/36.
 Teleportation feeds mode c and half of an entangled (a, b) pair into the
 analyzer on (b, c). With the pair aligned to the analyzer basis (target
 "phi+~") the conditional state in mode a equals the input up to one of the
-four Pauli-frame corrections below; the table is derived by brute force in
-:func:`derive_correction_table` and frozen here.
+four Pauli-frame corrections below; the tests derive the table by brute
+force and check it against the frozen copy here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .gate import GateChannel, ZeroSuccessError, gate_channel
-from .sources import SINGLE_QUBIT_AMPLITUDES, bell_state, make_pair, PairSpec
-from .states import (
-    DensityMatrix,
-    PureState,
-    apply_kraus_raw,
-    condition_on_outcome,
-    kron,
-    I2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-)
+from .sources import SINGLE_QUBIT_AMPLITUDES, bell_state
+from .states import DensityMatrix, PureState, kron, I2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 TILDE_LABELS = ("phi+", "psi+", "phi-", "psi-")
 
 PRODUCT_FOR_BELL = {"phi+": "++", "psi+": "+-", "phi-": "-+", "psi-": "--"}
 BELL_FOR_PRODUCT = {v: k for k, v in PRODUCT_FOR_BELL.items()}
 
+#: Product vector |s_b s_c> of each analyzer outcome, in BELL_FOR_PRODUCT order.
+_PRODUCT_VECTORS = np.array([np.kron(SINGLE_QUBIT_AMPLITUDES[sb], SINGLE_QUBIT_AMPLITUDES[sc])
+                             for sb, sc in BELL_FOR_PRODUCT])
+
 # Pauli-frame correction restoring the teleported state for each analyzer
-# outcome (derived once via derive_correction_table and frozen).
+# outcome (derived once by brute force and frozen).
 CORRECTION_FOR_BELL = {"phi+": "I", "psi+": "Z", "phi-": "X", "psi-": "iY"}
 CORRECTION_MATRICES = {
     "I": I2,
@@ -101,6 +94,34 @@ def _as_channel(gate) -> GateChannel:
     return gate_channel(float(gate))
 
 
+# The analyzer's two stages; the benchmark's per-layer tracer reads both by name.
+
+def apply_kraus_raw(rho: DensityMatrix, keep: tuple[str, ...], modes: tuple[str, str],
+                    kraus) -> np.ndarray:
+    """Unnormalized state of the ``keep`` modes for every analyzer outcome, in one contraction.
+
+    Entry [o, a, b] is sum_k <a, o| K_k rho K_k^dag |b, o>, where each K_k acts
+    on ``modes`` and |o> is the product vector of outcome o (outcomes in
+    ``BELL_FOR_PRODUCT`` order). Its trace over (a, b) is the outcome's weight.
+    """
+    # rho as [keep, modes, keep, modes], each part in the given label order
+    n, s = rho.n_qubits, 2 ** len(keep)
+    order = [rho.labels.index(l) for l in keep + modes]
+    arr = rho.entries.reshape((2,) * 2 * n).transpose(order + [n + k for k in order])
+    # row <o| K_k for every outcome o and Kraus operator K_k
+    rows = np.einsum("oi,kij->okj", _PRODUCT_VECTORS.conj(), np.array(kraus))
+    return np.einsum("okj,ajbl,okl->oab", rows, arr.reshape(s, 4, s, 4), rows.conj())
+
+
+def condition_on_outcome(raw: np.ndarray, weight: float,
+                         keep: tuple[str, ...]) -> DensityMatrix | None:
+    """Normalized conditional state of one outcome; None without spectators or weight."""
+    if not keep or weight <= 1e-15:
+        return None
+    mat = raw / weight
+    return DensityMatrix(0.5 * (mat + mat.conj().T), keep)
+
+
 def bsa(rho: DensityMatrix, modes: tuple[str, str], gate=1.0) -> list[BsaOutcome]:
     """Analyze modes ``(b, c)`` of ``rho``; b enters gate arm 0.
 
@@ -113,30 +134,18 @@ def bsa(rho: DensityMatrix, modes: tuple[str, str], gate=1.0) -> list[BsaOutcome
     for m in (b, c):
         if m not in rho.labels:
             raise KeyError(f"mode {m!r} not present in state labels {rho.labels}")
+    if b == c:
+        raise ValueError(f"analyzer modes must differ, got {modes}")
     channel = _as_channel(gate)
-    arr = apply_kraus_raw(rho.entries, rho.labels, channel.kraus, (b, c))
-    success = float(np.real(np.trace(arr)))
+    keep = tuple(l for l in rho.labels if l not in (b, c))
+    raw = apply_kraus_raw(rho, keep, (b, c), channel.kraus)
+    weights = np.real(np.einsum("oaa->o", raw)).tolist()
+    success = sum(weights)
     if success < 1e-15:
         raise ZeroSuccessError(f"total success probability {success} below threshold")
-    outcomes = []
-    for sb, sc in product("+-", repeat=2):
-        vec = np.kron(SINGLE_QUBIT_AMPLITUDES[sb], SINGLE_QUBIT_AMPLITUDES[sc])
-        weight, reduced = condition_on_outcome(arr, rho.labels, vec, (b, c))
-        state = None
-        if reduced is not None and weight > 1e-15:
-            mat = reduced / weight
-            mat = 0.5 * (mat + mat.conj().T)
-            keep = tuple(l for l in rho.labels if l not in (b, c))
-            state = DensityMatrix(mat, keep)
-        outcomes.append(
-            BsaOutcome(
-                bell_label=BELL_FOR_PRODUCT[sb + sc],
-                product_result=sb + sc,
-                probability=max(weight, 0.0),
-                state=state,
-            )
-        )
-    return outcomes
+    return [BsaOutcome(bell_label=bell, product_result=result, probability=max(weight, 0.0),
+                       state=condition_on_outcome(mat, weight, keep))
+            for (result, bell), weight, mat in zip(BELL_FOR_PRODUCT.items(), weights, raw)]
 
 
 def teleport(input_state: DensityMatrix, pair: DensityMatrix, gate=1.0,
@@ -176,29 +185,3 @@ def swap(pair_ab: DensityMatrix, pair_cd: DensityMatrix, gate=1.0) -> ProtocolRe
     joint = kron(pair_ab.with_labels(("a", "b")), pair_cd.with_labels(("c", "d")))
     raw = bsa(joint, ("b", "c"), gate)
     return ProtocolResult(tuple(raw), sum(o.probability for o in raw))
-
-
-def derive_correction_table(gate=1.0) -> dict[str, str]:
-    """Search {I, X, Z, iY} for the rotation giving unit fidelity per outcome.
-
-    Uses the ideal aligned pair and a generic (non-symmetric) pure input so
-    that only the true frame correction survives the search.
-    """
-    alpha, beta = 0.6, 0.8j
-    chi = np.array([alpha, beta])
-    inp = PureState(chi, ("c",)).density()
-    pair = make_pair(PairSpec(TELEPORT_PAIR_TARGET, 0.0), ("a", "b"))
-    result = teleport(inp, pair, gate, correct=False)
-    table = {}
-    for o in result.outcomes:
-        best = None
-        for name, u in CORRECTION_MATRICES.items():
-            rotated = u @ o.state.entries @ u.conj().T
-            fid = float(np.real(chi.conj() @ rotated @ chi))
-            if fid > 1.0 - 1e-10:
-                best = name
-                break
-        if best is None:
-            raise RuntimeError(f"no Pauli correction found for outcome {o.bell_label}")
-        table[o.bell_label] = best
-    return table

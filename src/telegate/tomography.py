@@ -389,17 +389,6 @@ def _cholesky_fit(modes: tuple[str, ...], projs: np.ndarray, weights: np.ndarray
     return state
 
 
-def loglikelihood(counts: "CountTable", rho: DensityMatrix) -> float:
-    """Multinomial log likelihood of ``rho`` for a count table."""
-    n = len(counts.modes)
-    settings = {s.id: s for s in (settings_1q() if n == 1 else settings_2q())}
-    dists = [settings[setting_id].probabilities(rho) for setting_id in counts.settings]
-    probs = np.array([[dist[outcome] for outcome in counts.outcomes]
-                      for dist in dists]).reshape(counts.corrected.shape)
-    observed = counts.corrected > 0
-    return float(counts.corrected[observed] @ np.log(np.maximum(probs[observed], _TINY)))
-
-
 @dataclass(frozen=True)
 class ProcessMatrix:
     """Single-qubit channel coefficients in the {I, X, Y, Z} operator basis."""

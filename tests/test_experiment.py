@@ -346,6 +346,30 @@ class TestCli:
         assert cli.main(["run", str(cfg)]) == 2
         assert cli.main(["run", str(tmp_path / "missing.yaml")]) == 2
 
+    def test_directory_as_config_exit_code(self, tmp_path, capsys):
+        for command in ("run", "calibrate"):
+            assert cli.main([command, str(tmp_path)]) == 2, command
+            assert str(tmp_path) in capsys.readouterr().err
+
+    def test_unwritable_out_exit_code(self, tmp_path, monkeypatch, capsys):
+        def never(*args):
+            raise AssertionError("computed before the output path was checked")
+
+        monkeypatch.setitem(experiment._RUNNERS, "gate-only", never)
+        monkeypatch.setattr(cli, "calibrate", never)
+        run_cfg = tmp_path / "cfg.yaml"
+        run_cfg.write_text("protocol: gate-only\ncounts_per_setting: 100\n")
+        cal_cfg = tmp_path / "cal.yaml"
+        cal_cfg.write_text("targets: {F_H: 0.9}\n")
+        missing = tmp_path / "missing"
+        for argv, path in (
+                (["run", str(run_cfg), "--out", str(missing / "x")], missing / "x"),
+                (["calibrate", str(cal_cfg), "--out", str(missing / "x.json")], missing / "x.json"),
+                (["calibrate", str(cal_cfg), "--out", str(tmp_path)], tmp_path)):
+            assert cli.main(argv) == 2, argv
+            assert str(path) in capsys.readouterr().err, argv
+        assert not missing.exists()
+
     def test_invalid_field_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
         for line in ("pair_target: nope", "pair_target: 3", "seed: -1", "seed: true",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from telegate.gate import (
     BASIS_2Q,
@@ -9,7 +10,6 @@ from telegate.gate import (
     OUTPUT_PDBS,
     PdbsSpec,
     ZeroSuccessError,
-    apply_channel,
     coincidence_block,
     coincidence_distribution,
     fock_input,
@@ -18,11 +18,33 @@ from telegate.gate import (
     pdbs_apply,
     propagate_gate,
 )
+from telegate.protocols import bsa
 from telegate.sources import bell_state
 from telegate.states import DensityMatrix
 from conftest import ginibre_dm, random_pure
 
 IDEAL_K = np.diag([1, 1, 1, -1]).astype(complex) / 3.0
+OVERLAPS = st.floats(0.0, 1.0)
+
+
+def apply_channel(rho: DensityMatrix, channel: GateChannel) -> tuple[DensityMatrix, float]:
+    """Post-selected output state and success probability."""
+    out = sum(k @ rho.entries @ k.conj().T for k in channel.kraus)
+    p = float(np.real(np.trace(out)))
+    return DensityMatrix(out / p, rho.labels), p
+
+
+def kraus_sum(channel: GateChannel) -> np.ndarray:
+    return sum(k.conj().T @ k for k in channel.kraus)
+
+
+def fock_kraus(v: float) -> list[np.ndarray]:
+    """Kraus operators read off Fock propagation, one per internal-label configuration."""
+    blocks = {}
+    for col, amps in enumerate(np.eye(4)):
+        for cfg, vec in coincidence_block(propagate_gate(fock_input(amps, v))).items():
+            blocks.setdefault(cfg, np.zeros((4, 4), dtype=complex))[:, col] = vec
+    return [blocks[cfg] for cfg in sorted(blocks) if np.linalg.norm(blocks[cfg]) > 1e-14]
 
 
 def two_photon(m0, m1, amp=1.0):
@@ -184,7 +206,7 @@ class TestGateChannel:
     def test_zero_success_error(self):
         empty = GateChannel(kraus=(np.zeros((4, 4), dtype=complex),), overlap=1.0)
         with pytest.raises(ZeroSuccessError):
-            apply_channel(DensityMatrix(np.eye(4) / 4), empty)
+            bsa(DensityMatrix(np.eye(4) / 4, ("b", "c")), ("b", "c"), empty)
 
 
 class TestChannelInvariants:
@@ -229,8 +251,47 @@ class TestChannelInvariants:
 
     def test_cp_bound(self):
         for v in np.linspace(0.0, 1.0, 11):
-            top = np.linalg.eigvalsh(gate_channel(round(float(v), 12)).kraus_sum()).max()
+            top = np.linalg.eigvalsh(kraus_sum(gate_channel(round(float(v), 12)))).max()
             assert top <= 1.0 + 1e-10
+
+
+class TestChannelProperties:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(OVERLAPS)
+    def test_kraus_sum_below_identity(self, v):
+        eigs = np.linalg.eigvalsh(kraus_sum(gate_channel(v)))
+        assert eigs.min() >= -1e-15
+        assert eigs.max() <= 1.0 + 1e-12
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(OVERLAPS)
+    @example(0.0)
+    @example(1.0)
+    def test_hh_and_vv_success(self, v):
+        # HH: 1/9 at any v. VV: v^2 / 9 interfering plus (1 + 4) w^2 / 9 from the
+        # two distinguishable routes, i.e. 1/9 at v = 1 and 5/9 at v = 0
+        ch = gate_channel(v)
+        hh = np.zeros((4, 4)); hh[0, 0] = 1
+        vv = np.zeros((4, 4)); vv[3, 3] = 1
+        assert ch.success_probability(hh) == pytest.approx(1 / 9, abs=1e-14)
+        assert ch.success_probability(vv) == pytest.approx((5 - 4 * v * v) / 9, abs=1e-14)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(OVERLAPS, st.integers(0, 2**32))
+    @example(0.0, 0)
+    @example(0.5, 0)
+    @example(1.0, 0)
+    def test_closed_form_equals_fock_propagation(self, v, seed):
+        kraus = gate_channel(v).kraus
+        reference = fock_kraus(v)
+        assert len(kraus) == len(reference)
+        for k, ref in zip(kraus, reference):
+            assert np.allclose(k, ref, atol=1e-15)
+        amps = random_pure(2, np.random.default_rng(seed)).amplitudes
+        blocks = coincidence_block(propagate_gate(fock_input(amps, v)))
+        fock = sum(np.outer(vec, vec.conj()) for vec in blocks.values())
+        closed = sum(np.outer(k @ amps, (k @ amps).conj()) for k in kraus)
+        assert np.allclose(fock, closed, atol=1e-15)
 
 
 class TestFockState:

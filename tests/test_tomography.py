@@ -15,7 +15,6 @@ from telegate.tomography import (
     _projector_stack,
     identity_process,
     linear_inversion,
-    loglikelihood,
     mle_fit,
     process_fidelity,
     process_tomo,
@@ -37,6 +36,15 @@ def sampled_table(state: DensityMatrix, modes, shots, seed) -> CountTable:
     settings = settings_1q() if len(modes) == 1 else settings_2q()
     probs = {s.id: s.probabilities(state) for s in settings}
     return simulate_counts(probs, shots, {}, seed, modes)
+
+
+def loglikelihood(counts: CountTable, rho: DensityMatrix) -> float:
+    """Multinomial log likelihood of ``rho`` for a count table."""
+    settings = {s.id: s for s in (settings_1q() if len(counts.modes) == 1 else settings_2q())}
+    dists = [settings[setting_id].probabilities(rho) for setting_id in counts.settings]
+    probs = np.array([[dist[outcome] for outcome in counts.outcomes] for dist in dists])
+    observed = counts.corrected > 0
+    return float(counts.corrected[observed] @ np.log(np.maximum(probs[observed], 1e-12)))
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
