@@ -79,6 +79,12 @@ EFFICIENCY_KEYS = {
 #: Largest ``counts_per_setting``; numpy's Poisson sampler fails near 9.2e18.
 MAX_COUNTS_PER_SETTING = 10**12
 
+#: Largest ``bootstrap_resamples``; each resample spawns a seed and refits every table.
+MAX_BOOTSTRAP_RESAMPLES = 10**5
+
+#: File suffixes of a saved report: the JSON report and its count tables.
+REPORT_SUFFIXES = (".json", ".counts.csv")
+
 #: Fields each protocol never reads; a config that sets one is rejected.
 _UNREAD_FIELDS = {
     "teleport": ("gate_input",),
@@ -207,8 +213,10 @@ class ExperimentConfig:
         if (not isinstance(self.gate_input, str) or len(self.gate_input) != 2
                 or any(c not in SINGLE_QUBIT_AMPLITUDES for c in self.gate_input)):
             raise ConfigError(f"gate_input: must be two of {sorted(SINGLE_QUBIT_AMPLITUDES)}, got {self.gate_input!r}")
-        if not _is_int(self.bootstrap_resamples) or self.bootstrap_resamples < 100:
-            raise ConfigError(f"bootstrap_resamples: must be an integer of at least 100, got {self.bootstrap_resamples!r}")
+        if (not _is_int(self.bootstrap_resamples)
+                or not 100 <= self.bootstrap_resamples <= MAX_BOOTSTRAP_RESAMPLES):
+            raise ConfigError(f"bootstrap_resamples: must be an integer from 100 to "
+                              f"{MAX_BOOTSTRAP_RESAMPLES}, got {self.bootstrap_resamples!r}")
         for name in _UNREAD_FIELDS[self.protocol]:
             if getattr(self, name) != _FIELD_DEFAULTS[name]:
                 raise ConfigError(f"{name}: not read by the {self.protocol} protocol")
@@ -311,9 +319,9 @@ def _teleport_estimate(conditional: Mapping[str, Mapping[str, tuple[float, Densi
     ``conditional[probe][bell]`` holds an analyzer outcome's weight and its
     uncorrected state. Each state gets its outcome's Pauli-frame correction;
     a probe's output is the weighted mean of its corrected states, and the
-    four outputs feed process tomography. Returns the fidelities with the
-    probe per outcome (``F_<probe>/<bell>``) and per probe (``F_<probe>``),
-    the process fidelity ``F_p``, and the process matrix.
+    four outputs feed process tomography as plain matrices. Returns the
+    fidelities with the probe per outcome (``F_<probe>/<bell>``) and per probe
+    (``F_<probe>``), the process fidelity ``F_p``, and the process matrix.
     """
     figures: dict[str, float] = {}
     outputs = []
@@ -328,22 +336,21 @@ def _teleport_estimate(conditional: Mapping[str, Mapping[str, tuple[float, Densi
             fid += w * f
             acc += w * corrected
         figures[f"F_{name}"] = fid
-        outputs.append(DensityMatrix(0.5 * (acc + acc.conj().T), ("a",), validate_psd=False))
+        outputs.append(acc)
     matrix = process_tomo([single_qubit_state(name) for name in conditional], outputs)
     figures["F_p"] = process_fidelity(matrix, identity_process())
     return figures, matrix
 
 
-def teleport_summary(gate, pair_mixedness: float = 0.0, input_mixedness: float = 0.0,
-                     pair_target: str = TELEPORT_PAIR_TARGET) -> dict:
-    """Exact teleportation figures for the four probe inputs.
+def teleport_summary(gate, pair_mixedness: float = 0.0, input_mixedness: float = 0.0) -> dict:
+    """Exact teleportation figures for the four probe inputs, from the phi+~ pair.
 
     Fidelities are of the correction-rotated conditional states averaged
     over the four analyzer outcomes with their joint probabilities; the
     process matrix treats the nominal pure probes as the channel inputs.
     """
     conditional, probabilities = _teleport_conditionals(
-        _as_channel(gate), pair_target, pair_mixedness, input_mixedness)
+        _as_channel(gate), TELEPORT_PAIR_TARGET, pair_mixedness, input_mixedness)
     figures, matrix = _teleport_estimate(conditional)
     summary: dict = {f"F_{name}": figures[f"F_{name}"] for name in conditional}
     summary["per_outcome"] = {
@@ -367,9 +374,9 @@ def _swap_figures(label: str, rho: DensityMatrix, s: float) -> dict[str, float]:
     }
 
 
-def swap_summary(gate, pair_mixedness: float = 0.0, pair_target: str = "phi+") -> dict:
-    """Exact entanglement-swapping figures for the four analyzer outcomes."""
-    pair = make_pair(PairSpec(pair_target, pair_mixedness))
+def swap_summary(gate, pair_mixedness: float = 0.0) -> dict:
+    """Exact entanglement-swapping figures for the four analyzer outcomes, from phi+ pairs."""
+    pair = make_pair(PairSpec("phi+", pair_mixedness))
     res = swap(pair, pair, _as_channel(gate))
     out: dict = {"outcomes": {}}
     for o in res.outcomes:
@@ -491,8 +498,7 @@ class Report:
         return buf.getvalue()
 
     def save(self, base_path: str) -> list[str]:
-        json_path = f"{base_path}.json"
-        csv_path = f"{base_path}.counts.csv"
+        json_path, csv_path = (base_path + suffix for suffix in REPORT_SUFFIXES)
         with open(json_path, "w") as fh:
             fh.write(self.to_json())
             fh.write("\n")
@@ -699,7 +705,8 @@ _RUNNERS = {"teleport": _run_teleport, "swap": _run_swap, "gate-only": _run_gate
 def run_experiment(config: ExperimentConfig) -> Report:
     """Simulate a full run: sources, protocol, counts, reconstruction, metrics."""
     if config.out:
-        _check_out_path(f"{config.out}.json")
+        for suffix in REPORT_SUFFIXES:
+            _check_out_path(config.out + suffix)
     results, tables = _RUNNERS[config.protocol](config, gate_channel(config.overlap))
     report = Report(config.protocol, __version__, config.seed, config.echo(), results, tables)
     if config.out:

@@ -225,7 +225,6 @@ class GateChannel:
     """
 
     kraus: tuple[np.ndarray, ...]
-    overlap: float
 
     def success_probability(self, rho: np.ndarray) -> float:
         return float(np.real(sum(np.trace(k @ rho @ k.conj().T) for k in self.kraus)))
@@ -249,4 +248,4 @@ def gate_channel(v: float) -> GateChannel:
                   if np.linalg.norm(k) > 1e-14)
     for k in kraus:
         k.setflags(write=False)
-    return GateChannel(kraus=kraus, overlap=float(v))
+    return GateChannel(kraus=kraus)

@@ -27,18 +27,11 @@ def fidelity_pure(rho: DensityMatrix, target: PureState) -> float:
     return min(max(val, 0.0), 1.0)
 
 
-def partial_transpose(rho: DensityMatrix, subsystem: int = 1) -> np.ndarray:
-    """Transpose one qubit of a two-qubit state (entanglement witness)."""
+def partial_transpose(rho: DensityMatrix) -> np.ndarray:
+    """Transpose the second qubit of a two-qubit state (entanglement witness)."""
     if rho.dim != 4:
         raise ValueError("partial transpose implemented for two qubits")
-    t = rho.entries.reshape(2, 2, 2, 2)
-    if subsystem == 0:
-        t = np.transpose(t, (2, 1, 0, 3))
-    elif subsystem == 1:
-        t = np.transpose(t, (0, 3, 2, 1))
-    else:
-        raise ValueError("subsystem must be 0 or 1")
-    return t.reshape(4, 4)
+    return np.transpose(rho.entries.reshape(2, 2, 2, 2), (0, 3, 2, 1)).reshape(4, 4)
 
 
 def log_negativity(rho: DensityMatrix) -> float:
@@ -50,18 +43,19 @@ def log_negativity(rho: DensityMatrix) -> float:
     return max(value, 0.0) if value > -1e-10 else value
 
 
+#: Analyzer angles (degrees) of the CHSH settings, the standard quadruple: the
+#: first mode is measured at CHSH_ANGLES[0][i] and the second at CHSH_ANGLES[1][j].
+CHSH_ANGLES = ((0.0, -45.0), (-22.5, -67.5))
+
+
 @dataclass(frozen=True)
 class ChshSpec:
-    """Analyzer angles (degrees) and sign variant for the CHSH combination.
+    """Sign variant for the CHSH combination at :data:`CHSH_ANGLES`.
 
-    The first mode is measured at ``mode_a_angles`` and the second at
-    ``mode_d_angles``; defaults are the standard quadruple 0, -22.5, -45,
-    -67.5. Variant "+" weighs the (secondary, primary) correlator with plus,
+    Variant "+" weighs the (secondary, primary) correlator with plus,
     variant "-" flips the two secondary-angle terms.
     """
 
-    mode_a_angles: tuple[float, float] = (0.0, -45.0)
-    mode_d_angles: tuple[float, float] = (-22.5, -67.5)
     variant: str = "+"
 
     def __post_init__(self):
@@ -69,17 +63,17 @@ class ChshSpec:
             raise ValueError(f"variant must be '+' or '-', got {self.variant!r}")
 
 
-#: CHSH setting id -> (i, j): the setting measures the first mode at mode-a
-#: angle i and the second at mode-d angle j, i.e. the correlator E[i, j].
+#: CHSH setting id -> (i, j): the setting measures the first mode at its
+#: angle i and the second at its angle j, i.e. the correlator E[i, j].
 CHSH_SETTINGS = {"chsh00": (0, 0), "chsh01": (0, 1), "chsh10": (1, 0), "chsh11": (1, 1)}
 
 
-def chsh_distributions(rho: DensityMatrix, spec: ChshSpec = ChshSpec()) -> dict[str, dict[str, float]]:
+def chsh_distributions(rho: DensityMatrix) -> dict[str, dict[str, float]]:
     """+/- outcome probabilities of a two-qubit state at every CHSH setting."""
     out = {}
     for setting_id, (i, j) in CHSH_SETTINGS.items():
-        vecs_a = analyzer_eigenvectors(spec.mode_a_angles[i])
-        vecs_d = analyzer_eigenvectors(spec.mode_d_angles[j])
+        vecs_a = analyzer_eigenvectors(CHSH_ANGLES[0][i])
+        vecs_d = analyzer_eigenvectors(CHSH_ANGLES[1][j])
         dist = {}
         for sa, va in zip("+-", vecs_a):
             for sd, vd in zip("+-", vecs_d):
@@ -113,12 +107,12 @@ def chsh_from_correlators(e: np.ndarray, variant: str) -> float:
 
 def chsh(rho: DensityMatrix, spec: ChshSpec = ChshSpec()) -> float:
     """Signed CHSH value; callers compare |S| against 2 (classical bound)."""
-    return chsh_from_correlators(chsh_correlators(chsh_distributions(rho, spec)), spec.variant)
+    return chsh_from_correlators(chsh_correlators(chsh_distributions(rho)), spec.variant)
 
 
-def chsh_best(rho: DensityMatrix, spec: ChshSpec = ChshSpec()) -> tuple[str, float]:
+def chsh_best(rho: DensityMatrix) -> tuple[str, float]:
     """(variant, signed S) of the variant with the larger |S|."""
-    e = chsh_correlators(chsh_distributions(rho, spec))
+    e = chsh_correlators(chsh_distributions(rho))
     plus = chsh_from_correlators(e, "+")
     minus = chsh_from_correlators(e, "-")
     return ("+", plus) if abs(plus) >= abs(minus) else ("-", minus)

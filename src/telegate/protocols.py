@@ -26,7 +26,7 @@ import numpy as np
 
 from .gate import GateChannel, ZeroSuccessError, gate_channel
 from .sources import SINGLE_QUBIT_AMPLITUDES, bell_state
-from .states import DensityMatrix, PureState, kron, I2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .states import DensityMatrix, PureState, _computed, kron, I2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 TILDE_LABELS = ("phi+", "psi+", "phi-", "psi-")
 
@@ -118,8 +118,7 @@ def condition_on_outcome(raw: np.ndarray, weight: float,
     """Normalized conditional state of one outcome; None without spectators or weight."""
     if not keep or weight <= 1e-15:
         return None
-    mat = raw / weight
-    return DensityMatrix(0.5 * (mat + mat.conj().T), keep)
+    return _computed(raw / weight, keep)
 
 
 def bsa(rho: DensityMatrix, modes: tuple[str, str], gate=1.0) -> list[BsaOutcome]:
@@ -166,8 +165,7 @@ def teleport(input_state: DensityMatrix, pair: DensityMatrix, gate=1.0,
         name = None
         if correct and state is not None:
             name = CORRECTION_FOR_BELL[o.bell_label]
-            state = DensityMatrix(pauli_correct(o.bell_label, state.entries), state.labels,
-                                  validate_psd=False)
+            state = _computed(pauli_correct(o.bell_label, state.entries), state.labels)
         outcomes.append(
             BsaOutcome(o.bell_label, o.product_result, o.probability, state, name)
         )

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityMatrix, PureState
+from .states import DensityMatrix, PureState, _computed
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -91,14 +91,14 @@ def make_pair(spec: PairSpec, labels=("q0", "q1")) -> DensityMatrix:
     """(1 - lambda) |bell><bell| + lambda I/4."""
     pure = bell_state(spec.target, labels).density()
     lam = spec.mixedness
-    return DensityMatrix((1.0 - lam) * pure.entries + lam * np.eye(4) / 4.0, labels)
+    return _computed((1.0 - lam) * pure.entries + lam * np.eye(4) / 4.0, pure.labels)
 
 
 def make_input(spec: InputSpec, label="q0") -> DensityMatrix:
     """(1 - lambda) |chi><chi| + lambda I/2."""
     pure = single_qubit_state(spec.state, label).density()
     lam = spec.mixedness
-    return DensityMatrix((1.0 - lam) * pure.entries + lam * np.eye(2) / 2.0, (label,))
+    return _computed((1.0 - lam) * pure.entries + lam * np.eye(2) / 2.0, pure.labels)
 
 
 def tomographic_input_set(mixedness: float = 0.0) -> list[InputSpec]:

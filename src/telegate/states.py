@@ -10,7 +10,7 @@ function, safe for unrestricted parallel use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -76,7 +76,7 @@ class PureState:
         return len(self.amplitudes)
 
     def density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), self.labels)
+        return _computed(np.outer(self.amplitudes, self.amplitudes.conj()), self.labels)
 
     def with_labels(self, labels: Sequence[str]) -> "PureState":
         return PureState(self.amplitudes, tuple(labels))
@@ -84,15 +84,14 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, trace-one matrix over 2^n basis states.
+    """Hermitian, trace-one, positive semidefinite matrix over 2^n basis states.
 
-    Positivity is enforced by default; reconstruction code that legitimately
-    produces indefinite intermediates passes ``validate_psd=False``.
+    The constructor checks all three and the labels where a state enters the
+    package; states computed from checked ones come from :func:`_computed`.
     """
 
     entries: np.ndarray
     labels: tuple[str, ...] = ()
-    validate_psd: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
@@ -106,10 +105,9 @@ class DensityMatrix:
         tr = np.trace(m)
         if abs(tr - 1.0) > ATOL:
             raise ValueError(f"trace is {tr}, expected 1")
-        if self.validate_psd:
-            lo = float(np.linalg.eigvalsh(m).min())
-            if lo < PSD_FLOOR:
-                raise ValueError(f"matrix has negative eigenvalue {lo}")
+        lo = float(np.linalg.eigvalsh(m).min())
+        if lo < PSD_FLOOR:
+            raise ValueError(f"matrix has negative eigenvalue {lo}")
         object.__setattr__(self, "entries", _freeze(m))
         object.__setattr__(self, "labels", _check_labels(self.labels, n))
 
@@ -122,7 +120,15 @@ class DensityMatrix:
         return self.entries.shape[0]
 
     def with_labels(self, labels: Sequence[str]) -> "DensityMatrix":
-        return DensityMatrix(self.entries, tuple(labels), validate_psd=False)
+        return _computed(self.entries, _check_labels(labels, self.n_qubits))
+
+
+def _computed(m: np.ndarray, labels: tuple[str, ...]) -> DensityMatrix:
+    """A state computed from checked ones, with checked labels: made exactly Hermitian, not re-checked."""
+    state = object.__new__(DensityMatrix)
+    object.__setattr__(state, "entries", _freeze(0.5 * (m + m.conj().T)))
+    object.__setattr__(state, "labels", labels)
+    return state
 
 
 def kron(a, b):
@@ -137,7 +143,7 @@ def kron(a, b):
     if isinstance(a, PureState) and isinstance(b, PureState):
         return PureState(np.kron(a.amplitudes, b.amplitudes), labels)
     if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(np.kron(a.entries, b.entries), labels)
+        return _computed(np.kron(a.entries, b.entries), labels)
     raise TypeError(f"cannot combine {type(a).__name__} with {type(b).__name__}")
 
 

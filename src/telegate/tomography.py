@@ -33,7 +33,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .sources import SINGLE_QUBIT_AMPLITUDES
-from .states import ATOL, I2, DensityMatrix, PAULI, PureState
+from .states import ATOL, I2, DensityMatrix, PAULI, PureState, _check_labels, _computed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .experiment import CountTable
@@ -159,9 +159,7 @@ def linear_inversion(counts: "CountTable") -> DensityMatrix:
         signs = np.array([(-1.0) ** sum(w != "I" and s == "-" for w, s in zip(word, outcome))
                           for outcome in counts.outcomes])
         rho += np.mean(freq[measured] @ signs) * _pauli_word(word)
-    rho /= 2**n
-    rho = 0.5 * (rho + rho.conj().T)
-    return DensityMatrix(rho, validate_psd=False)
+    return _computed(rho / 2**n, _check_labels(counts.modes, n))
 
 
 def _unpack_cholesky(theta: np.ndarray, d: int) -> np.ndarray:
@@ -252,11 +250,11 @@ def _exact_fit_1q(counts: "CountTable", projs: np.ndarray, weights: np.ndarray,
     if math.fsum(x * x for x in r) > 1.0:
         lam = _sphere_multiplier(pairs)
         r = [_axis_root(a, c, lam)[0] for a, c in pairs]
-        # unit length to rounding, so the state passes the PSD check
+        # unit length to rounding, so the state is positive to rounding
         norm = math.sqrt(math.fsum(x * x for x in r))
         r = [x / norm for x in r]
     rho = 0.5 * (I2 + sum(x * _BLOCH_AXES[b] for b, x in zip(BASIS_VECTORS, r)))
-    state = DensityMatrix(rho, counts.modes)
+    state = _computed(rho, _check_labels(counts.modes, 1))
     if trace_nll is not None:
         for m in (0.5 * I2, state.entries):
             p = np.clip(np.real(np.einsum("oij,ji->o", projs, m)), _TINY, None)
@@ -372,9 +370,7 @@ def _cholesky_fit(modes: tuple[str, ...], projs: np.ndarray, weights: np.ndarray
     )
     t = _unpack_cholesky(res.x, d)
     s = t.conj().T @ t
-    rho = s / np.real(np.trace(s))
-    rho = 0.5 * (rho + rho.conj().T)
-    state = DensityMatrix(rho, modes)
+    state = _computed(s / np.real(np.trace(s)), _check_labels(modes, len(modes)))
 
     if trace_nll is not None:
         trace_nll.extend(history)

@@ -109,6 +109,7 @@ class TestConfig:
         bad = [
             ("pair_target", "nope"), ("pair_target", 3), ("seed", -1), ("seed", True),
             ("bootstrap_resamples", 150.5), ("bootstrap_resamples", True),
+            ("bootstrap_resamples", experiment.MAX_BOOTSTRAP_RESAMPLES + 1),
             ("counts_per_setting", True), ("counts_per_setting", 10**20),
             ("counts_per_setting", experiment.MAX_COUNTS_PER_SETTING + 1),
             ("overlap", True), ("pair_mixedness", False),
@@ -362,18 +363,21 @@ class TestCli:
         cal_cfg = tmp_path / "cal.yaml"
         cal_cfg.write_text("targets: {F_H: 0.9}\n")
         missing = tmp_path / "missing"
+        (tmp_path / "o.counts.csv").mkdir()
         for argv, path in (
                 (["run", str(run_cfg), "--out", str(missing / "x")], missing / "x"),
+                (["run", str(run_cfg), "--out", str(tmp_path / "o")], tmp_path / "o.counts.csv"),
                 (["calibrate", str(cal_cfg), "--out", str(missing / "x.json")], missing / "x.json"),
                 (["calibrate", str(cal_cfg), "--out", str(tmp_path)], tmp_path)):
             assert cli.main(argv) == 2, argv
             assert str(path) in capsys.readouterr().err, argv
-        assert not missing.exists()
+        assert not missing.exists() and not (tmp_path / "o.json").exists()
 
     def test_invalid_field_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
         for line in ("pair_target: nope", "pair_target: 3", "seed: -1", "seed: true",
-                     "bootstrap_resamples: 150.5", "efficiencies: {x9: 0.9}"):
+                     "bootstrap_resamples: 150.5", "bootstrap_resamples: 100001",
+                     "efficiencies: {x9: 0.9}"):
             cfg.write_text(f"protocol: gate-only\n{line}\n")
             assert cli.main(["run", str(cfg)]) == 2, line
             assert line.split(":")[0] in capsys.readouterr().err

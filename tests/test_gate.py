@@ -204,7 +204,7 @@ class TestGateChannel:
         assert fid < 1.0 - 1e-3
 
     def test_zero_success_error(self):
-        empty = GateChannel(kraus=(np.zeros((4, 4), dtype=complex),), overlap=1.0)
+        empty = GateChannel(kraus=(np.zeros((4, 4), dtype=complex),))
         with pytest.raises(ZeroSuccessError):
             bsa(DensityMatrix(np.eye(4) / 4, ("b", "c")), ("b", "c"), empty)
 

@@ -3,6 +3,7 @@ import pytest
 
 from telegate.experiment import CountTable, Estimate, _joint_bootstrap
 from telegate.metrics import (
+    CHSH_ANGLES,
     CHSH_SIGN_FOR_BELL,
     CHSH_SETTINGS,
     CHSH_VARIANT_FOR_BELL,
@@ -67,7 +68,7 @@ class TestLogNegativity:
         base = log_negativity(rho)
         for _ in range(100):
             u = np.kron(haar_unitary_2(rng), haar_unitary_2(rng))
-            rotated = DensityMatrix(u @ rho.entries @ u.conj().T, validate_psd=False)
+            rotated = DensityMatrix(u @ rho.entries @ u.conj().T)
             assert abs(log_negativity(rotated) - base) < 1e-9
 
     def test_two_qubits_only(self):
@@ -111,13 +112,12 @@ class TestChsh:
                 assert abs(chsh(rho, ChshSpec(variant=variant))) <= TSIRELSON + 1e-9
 
     def test_correlators_match_analyzer_observables(self, rng):
-        spec = ChshSpec()
         for _ in range(5):
             rho = ginibre_dm(2, rng)
-            e = chsh_correlators(chsh_distributions(rho, spec))
+            e = chsh_correlators(chsh_distributions(rho))
             for i, j in CHSH_SETTINGS.values():
-                obs = np.kron(analyzer_observable(spec.mode_a_angles[i]),
-                              analyzer_observable(spec.mode_d_angles[j]))
+                obs = np.kron(analyzer_observable(CHSH_ANGLES[0][i]),
+                              analyzer_observable(CHSH_ANGLES[1][j]))
                 exact = np.trace(rho.entries @ obs).real
                 assert e[i, j] == pytest.approx(exact, abs=1e-12)
 

@@ -46,8 +46,6 @@ class TestValidation:
         m = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(ValueError, match="negative eigenvalue"):
             DensityMatrix(m)
-        # reconstruction intermediates may opt out
-        assert DensityMatrix(m, validate_psd=False).dim == 2
 
     def test_duplicate_labels(self):
         with pytest.raises(ValueError, match="duplicate"):
