@@ -26,6 +26,8 @@ import numpy as np
 from ._version import __version__
 from .gate import gate_channel
 from .metrics import (
+    CHSH_OUTCOMES,
+    CHSH_SETTINGS,
     CHSH_VARIANT_FOR_BELL,
     ChshSpec,
     chsh,
@@ -50,13 +52,11 @@ from .sources import (
     SINGLE_QUBIT_AMPLITUDES,
     make_input,
     make_pair,
-    single_qubit_state,
     tomographic_input_set,
 )
 from .states import DensityMatrix
 from .tomography import (
     FitError,
-    MeasurementSetting,
     ProcessMatrix,
     identity_process,
     mle_fit,
@@ -156,11 +156,12 @@ def simulate_counts(probabilities: Mapping[str, Mapping[str, float]], n_per_sett
     for setting_id, dist in probabilities.items():
         if tuple(dist) != outcomes:
             raise ValueError(f"setting {setting_id}: outcomes {tuple(dist)} differ from {outcomes}")
+        # written so that NaN fails both checks
         total = sum(dist.values())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"setting {setting_id}: probabilities sum to {total}")
-        if any(p < -1e-12 for p in dist.values()):
-            raise ValueError(f"setting {setting_id}: invalid distribution")
+        if not all(p >= -1e-12 for p in dist.values()):
+            raise ValueError(f"setting {setting_id}: invalid distribution {dict(dist)}")
     p = np.array([list(dist.values()) for dist in probabilities.values()], dtype=float)
     eta = _efficiency(modes, outcomes, efficiencies)
     lam = n_per_setting * np.maximum(p.reshape(len(settings), len(outcomes)), 0.0) * eta
@@ -317,16 +318,17 @@ def _teleport_estimate(conditional: Mapping[str, Mapping[str, tuple[float, Densi
     """Teleport figures from each probe's conditional states on mode a.
 
     ``conditional[probe][bell]`` holds an analyzer outcome's weight and its
-    uncorrected state. Each state gets its outcome's Pauli-frame correction;
-    a probe's output is the weighted mean of its corrected states, and the
-    four outputs feed process tomography as plain matrices. Returns the
-    fidelities with the probe per outcome (``F_<probe>/<bell>``) and per probe
-    (``F_<probe>``), the process fidelity ``F_p``, and the process matrix.
+    uncorrected state, probes in TOMOGRAPHIC_PROBES order. Each state gets
+    its outcome's Pauli-frame correction; a probe's output is the weighted
+    mean of its corrected states, and the four outputs feed process
+    tomography. Returns the fidelities with the probe per outcome
+    (``F_<probe>/<bell>``) and per probe (``F_<probe>``), the process
+    fidelity ``F_p``, and the process matrix.
     """
     figures: dict[str, float] = {}
     outputs = []
     for name, by_bell in conditional.items():
-        chi = single_qubit_state(name).amplitudes
+        chi = SINGLE_QUBIT_AMPLITUDES[name]
         acc = np.zeros((2, 2), dtype=complex)
         fid = 0.0
         for bell, (w, state) in by_bell.items():
@@ -337,7 +339,7 @@ def _teleport_estimate(conditional: Mapping[str, Mapping[str, tuple[float, Densi
             acc += w * corrected
         figures[f"F_{name}"] = fid
         outputs.append(acc)
-    matrix = process_tomo([single_qubit_state(name) for name in conditional], outputs)
+    matrix = process_tomo(outputs)
     figures["F_p"] = process_fidelity(matrix, identity_process())
     return figures, matrix
 
@@ -430,11 +432,13 @@ def calibrate(targets: Mapping[str, float],
     way); adding the swap-average targets resolves it, since swapping uses
     the pair twice and the input photon not at all.
     """
-    for key in targets:
+    for key, target in targets.items():
         if key not in _TELEPORT_KEYS and key not in _SWAP_KEYS:
             raise ValueError(
                 f"unknown calibration target {key!r}; options: "
                 f"{_TELEPORT_KEYS + tuple(_SWAP_KEYS)}")
+        if not _is_real(target) or not np.isfinite(target):
+            raise ValueError(f"calibration target {key!r} must be a finite number, got {target!r}")
     if not len(overlap_grid) or not len(pair_grid) or not len(input_grid):
         raise ValueError("calibration grids must be non-empty")
     swap_targets = {k: v for k, v in targets.items() if k in _SWAP_KEYS}
@@ -559,8 +563,10 @@ def _joint_bootstrap(tables: Mapping[str, CountTable], estimator: Callable,
     return values, errors
 
 
-def _tomo_probabilities(state: DensityMatrix, settings: list[MeasurementSetting]) -> dict:
-    return {s.id: s.probabilities(state) for s in settings}
+def _tomo_probabilities(state: DensityMatrix) -> dict:
+    """setting id -> outcome distribution at every Pauli setting of the state's qubits."""
+    return {s.id: s.probabilities(state)
+            for s in (settings_1q() if state.n_qubits == 1 else settings_2q())}
 
 
 def _measure(config: ExperimentConfig, distributions: Mapping[str, tuple],
@@ -586,9 +592,8 @@ def _measure(config: ExperimentConfig, distributions: Mapping[str, tuple],
 def _run_teleport(config: ExperimentConfig, channel) -> tuple[dict, dict]:
     conditional, _ = _teleport_conditionals(channel, config.resolved_pair_target(),
                                             config.pair_mixedness, config.input_mixedness)
-    settings = settings_1q()
     distributions = {
-        f"{name}/{bell}": (("a",), _tomo_probabilities(state, settings))
+        f"{name}/{bell}": (("a",), _tomo_probabilities(state))
         for name, by_bell in conditional.items() for bell, (_, state) in by_bell.items()
     }
 
@@ -629,20 +634,19 @@ def _run_teleport(config: ExperimentConfig, channel) -> tuple[dict, dict]:
 def _run_swap(config: ExperimentConfig, channel) -> tuple[dict, dict]:
     pair = make_pair(PairSpec(config.resolved_pair_target(), config.pair_mixedness))
     outcomes = [o for o in swap(pair, pair, channel).outcomes if o.state is not None]
-    settings = settings_2q()
     distributions = {}
     for o in outcomes:
-        distributions[f"{o.bell_label}/tomo"] = (("a", "d"), _tomo_probabilities(o.state, settings))
-        distributions[f"{o.bell_label}/chsh"] = (("a", "d"), chsh_distributions(o.state))
+        distributions[f"{o.bell_label}/tomo"] = (("a", "d"), _tomo_probabilities(o.state))
+        distributions[f"{o.bell_label}/chsh"] = (("a", "d"), {
+            setting: dict(zip(CHSH_OUTCOMES, row))
+            for setting, row in zip(CHSH_SETTINGS, chsh_distributions(o.state).tolist())})
 
     def estimate(tabs: Mapping[str, CountTable]) -> Estimate:
         figures, fitted = {}, {}
         for o in outcomes:
             label = o.bell_label
             fitted[label] = mle_fit(tabs[f"{label}/tomo"])
-            chsh_counts = tabs[f"{label}/chsh"]
-            e = chsh_correlators({setting: dict(zip(chsh_counts.outcomes, row)) for setting, row
-                                  in zip(chsh_counts.settings, chsh_counts.corrected)})
+            e = chsh_correlators(tabs[f"{label}/chsh"].corrected)
             s_val = chsh_from_correlators(e, CHSH_VARIANT_FOR_BELL[label])
             for key, val in _swap_figures(label, fitted[label], s_val).items():
                 figures[f"{label}/{key}"] = val

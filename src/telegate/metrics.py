@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -64,40 +63,41 @@ class ChshSpec:
 
 
 #: CHSH setting id -> (i, j): the setting measures the first mode at its
-#: angle i and the second at its angle j, i.e. the correlator E[i, j].
+#: angle i and the second at its angle j, i.e. the correlator E[i, j]. A
+#: CHSH grid has these settings as rows and CHSH_OUTCOMES as columns.
 CHSH_SETTINGS = {"chsh00": (0, 0), "chsh01": (0, 1), "chsh10": (1, 0), "chsh11": (1, 1)}
 
+#: The +/- outcome of each mode's analyzer, first mode first: the CHSH grid's columns.
+CHSH_OUTCOMES = ("++", "+-", "-+", "--")
 
-def chsh_distributions(rho: DensityMatrix) -> dict[str, dict[str, float]]:
-    """+/- outcome probabilities of a two-qubit state at every CHSH setting."""
-    out = {}
-    for setting_id, (i, j) in CHSH_SETTINGS.items():
-        vecs_a = analyzer_eigenvectors(CHSH_ANGLES[0][i])
-        vecs_d = analyzer_eigenvectors(CHSH_ANGLES[1][j])
-        dist = {}
-        for sa, va in zip("+-", vecs_a):
-            for sd, vd in zip("+-", vecs_d):
-                vec = np.kron(va, vd)
-                dist[sa + sd] = max(float(np.real(vec.conj() @ rho.entries @ vec)), 0.0)
-        out[setting_id] = dist
-    return out
+#: The product |v_a v_d> of analyzer eigenvectors detected in every CHSH grid
+#: cell, as bras (settings, outcomes, 1, 4) and kets (settings, outcomes, 4, 1).
+_CHSH_KETS = np.array([[np.kron(va, vd)[:, None] for va in analyzer_eigenvectors(CHSH_ANGLES[0][i])
+                        for vd in analyzer_eigenvectors(CHSH_ANGLES[1][j])]
+                       for i, j in CHSH_SETTINGS.values()])
+_CHSH_BRAS = _CHSH_KETS.conj().swapaxes(-1, -2)
+
+#: The correlated product of the two +/-1 results, per CHSH outcome.
+_CHSH_PARITY = np.array([1.0, -1.0, -1.0, 1.0])
 
 
-def chsh_correlators(dists: Mapping[str, Mapping[str, float]]) -> np.ndarray:
-    """E[i, j] from the +/- outcome weights of every CHSH setting.
+def chsh_distributions(rho: DensityMatrix) -> np.ndarray:
+    """Outcome probabilities of a two-qubit state on the CHSH grid (settings x outcomes)."""
+    return np.maximum(np.real(_CHSH_BRAS @ rho.entries @ _CHSH_KETS)[..., 0, 0], 0.0)
+
+
+def chsh_correlators(grid: np.ndarray) -> np.ndarray:
+    """E[i, j] from the outcome weights of a CHSH grid.
 
     The weights may be probabilities or (corrected) counts; each setting is
     normalized by its own total.
     """
-    e = np.empty((2, 2))
-    for setting_id, (i, j) in CHSH_SETTINGS.items():
-        dist = dists[setting_id]
-        total = sum(dist.values())
+    grid = np.asarray(grid, dtype=float)
+    totals = grid.sum(axis=1)
+    for setting_id, total in zip(CHSH_SETTINGS, totals):
         if total <= 0:
             raise ValueError(f"setting {setting_id} has zero counts")
-        e[i, j] = sum(w * (1 if o[0] == "+" else -1) * (1 if o[1] == "+" else -1)
-                      for o, w in dist.items()) / total
-    return e
+    return (grid @ _CHSH_PARITY / totals).reshape(2, 2)
 
 
 def chsh_from_correlators(e: np.ndarray, variant: str) -> float:

@@ -20,7 +20,7 @@ force and check it against the frozen copy here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,7 +73,6 @@ class BsaOutcome:
     product_result: str
     probability: float
     state: DensityMatrix | None
-    correction: str | None = None
 
 
 @dataclass(frozen=True)
@@ -158,18 +157,11 @@ def teleport(input_state: DensityMatrix, pair: DensityMatrix, gate=1.0,
     if input_state.n_qubits != 1 or pair.n_qubits != 2:
         raise ValueError("teleport needs a 1-qubit input and a 2-qubit pair")
     joint = kron(pair.with_labels(("a", "b")), input_state.with_labels(("c",)))
-    raw = bsa(joint, ("b", "c"), gate)
-    outcomes = []
-    for o in raw:
-        state = o.state
-        name = None
-        if correct and state is not None:
-            name = CORRECTION_FOR_BELL[o.bell_label]
-            state = _computed(pauli_correct(o.bell_label, state.entries), state.labels)
-        outcomes.append(
-            BsaOutcome(o.bell_label, o.product_result, o.probability, state, name)
-        )
-    return ProtocolResult(tuple(outcomes), sum(o.probability for o in outcomes))
+    outcomes = tuple(
+        replace(o, state=_computed(pauli_correct(o.bell_label, o.state.entries), o.state.labels))
+        if correct and o.state is not None else o
+        for o in bsa(joint, ("b", "c"), gate))
+    return ProtocolResult(outcomes, sum(o.probability for o in outcomes))
 
 
 def swap(pair_ab: DensityMatrix, pair_cd: DensityMatrix, gate=1.0) -> ProtocolResult:

@@ -37,6 +37,9 @@ SINGLE_QUBIT_AMPLITUDES = {
     "L": np.array([1, -1j]) * _SQ2,
 }
 
+#: The four probe states of process tomography, in the order every consumer reads.
+TOMOGRAPHIC_PROBES = ("H", "V", "+", "R")
+
 
 @dataclass(frozen=True)
 class PairSpec:
@@ -107,4 +110,4 @@ def tomographic_input_set(mixedness: float = 0.0) -> list[InputSpec]:
     Their Bloch vectors (z, -z, x, y) span the qubit operator space, which
     is what makes process reconstruction from these four inputs possible.
     """
-    return [InputSpec(name, mixedness) for name in ("H", "V", "+", "R")]
+    return [InputSpec(name, mixedness) for name in TOMOGRAPHIC_PROBES]

@@ -16,9 +16,11 @@ respectively 4 counts per setting. Two reconstructions are provided:
 
 Process tomography expands a single-qubit channel in the Pauli operator
 basis, E(rho) = sum_mn M[m, n] sigma_m rho sigma_n, and solves the linear
-system fixed by the four probe states H, V, +, R. The fit is deliberately
-unconstrained (no CP projection) so that small unphysical entries show up
-rather than being hidden; only Hermiticity is enforced by symmetrization.
+system fixed by its outputs on the four probe states H, V, +, R. The
+setting projectors and the system's design matrix are built once, at
+import. The fit is deliberately unconstrained (no CP projection) so that
+small unphysical entries show up rather than being hidden; only
+Hermiticity is enforced by symmetrization.
 """
 
 from __future__ import annotations
@@ -27,13 +29,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .sources import SINGLE_QUBIT_AMPLITUDES
-from .states import ATOL, I2, DensityMatrix, PAULI, PureState, _check_labels, _computed
+from .sources import SINGLE_QUBIT_AMPLITUDES, TOMOGRAPHIC_PROBES, single_qubit_state
+from .states import ATOL, I2, DensityMatrix, PAULI, _check_labels, _computed, _freeze
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .experiment import CountTable
@@ -44,9 +46,18 @@ BASIS_VECTORS = {
     for basis, states in (("Z", "HV"), ("X", "+-"), ("Y", "RL"))
 }
 
-#: Each basis's Bloch axis as an observable, P+ - P- (the Pauli matrix of its name).
-_BLOCH_AXES = {basis: np.outer(up, up.conj()) - np.outer(down, down.conj())
-               for basis, (up, down) in BASIS_VECTORS.items()}
+#: Per qubit count, the Pauli setting ids and their outcomes ('+' before '-' per qubit).
+_SETTING_IDS = {n: tuple(map("".join, product("ZXY", repeat=n))) for n in (1, 2)}
+_OUTCOMES = {n: tuple(map("".join, product("+-", repeat=n))) for n in (1, 2)}
+
+#: Per qubit count, the analyzer ket and projector of every (setting, outcome)
+#: cell, indexed [setting, outcome] in _SETTING_IDS and _OUTCOMES order.
+_KETS = {1: np.array([BASIS_VECTORS[b] for b in _SETTING_IDS[1]])}
+_KETS[2] = np.einsum("sai,tbj->stabij", _KETS[1], _KETS[1]).reshape(9, 4, 4)
+_PROJECTORS = {n: _freeze(k[..., :, None] * k[..., None, :].conj()) for n, k in _KETS.items()}
+
+#: Each basis's Pauli observable P+ - P-, in Z, X, Y order as in BASIS_VECTORS.
+_BLOCH_AXES = _PROJECTORS[1][:, 0] - _PROJECTORS[1][:, 1]
 
 _TINY = 1e-12
 
@@ -69,9 +80,8 @@ class MeasurementSetting:
     bases: tuple[str, ...]
 
     def __post_init__(self):
-        for b in self.bases:
-            if b not in BASIS_VECTORS:
-                raise ValueError(f"unknown basis {b!r}")
+        if tuple(self.bases) not in map(tuple, _SETTING_IDS.get(len(self.bases), ())):
+            raise ValueError(f"unknown setting {self.bases!r}: one or two of the bases Z, X, Y")
 
     @property
     def id(self) -> str:
@@ -79,28 +89,20 @@ class MeasurementSetting:
 
     def projectors(self) -> list[tuple[str, np.ndarray]]:
         """(outcome string, projector) for every sign combination."""
-        out = []
-        for signs in product("+-", repeat=len(self.bases)):
-            vec = np.array([1.0], dtype=complex)
-            for b, s in zip(self.bases, signs):
-                vec = np.kron(vec, BASIS_VECTORS[b][0 if s == "+" else 1])
-            out.append(("".join(signs), np.outer(vec, vec.conj())))
-        return out
+        n = len(self.bases)
+        return list(zip(_OUTCOMES[n], _PROJECTORS[n][_SETTING_IDS[n].index(self.id)]))
 
     def probabilities(self, rho) -> dict[str, float]:
         mat = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho)
-        probs = {}
-        for outcome, proj in self.projectors():
-            probs[outcome] = max(float(np.real(np.trace(proj @ mat))), 0.0)
-        return probs
+        return {o: max(float(np.real(np.trace(p @ mat))), 0.0) for o, p in self.projectors()}
 
 
 def settings_1q() -> list[MeasurementSetting]:
-    return [MeasurementSetting((b,)) for b in ("Z", "X", "Y")]
+    return [MeasurementSetting(tuple(s)) for s in _SETTING_IDS[1]]
 
 
 def settings_2q() -> list[MeasurementSetting]:
-    return [MeasurementSetting((b1, b2)) for b1 in ("Z", "X", "Y") for b2 in ("Z", "X", "Y")]
+    return [MeasurementSetting(tuple(s)) for s in _SETTING_IDS[2]]
 
 
 def _pauli_word(word: tuple[str, ...]) -> np.ndarray:
@@ -120,14 +122,14 @@ def _check_outcomes(counts: "CountTable") -> None:
 @lru_cache(maxsize=32)
 def _projector_stack(n: int, settings: tuple[str, ...], outcomes: tuple[str, ...]) -> np.ndarray:
     """Read-only projectors of every (setting, outcome) cell, in row-major order."""
-    known = {s.id: s for s in (settings_1q() if n == 1 else settings_2q())}
-    projs = []
+    if n not in _SETTING_IDS:
+        raise ValueError(f"tomography analyzes 1 or 2 modes, got {n}")
     for setting_id in settings:
-        if setting_id not in known:
+        if setting_id not in _SETTING_IDS[n]:
             raise ValueError(f"unknown setting {setting_id!r}")
-        lookup = dict(known[setting_id].projectors())
-        projs.extend(lookup[outcome] for outcome in outcomes)
-    projs = np.array(projs)
+    rows = [_SETTING_IDS[n].index(setting_id) for setting_id in settings]
+    cols = [_OUTCOMES[n].index(outcome) for outcome in outcomes]
+    projs = _PROJECTORS[n][np.ix_(rows, cols)].reshape(-1, 2**n, 2**n)
     projs.setflags(write=False)
     return projs
 
@@ -253,7 +255,7 @@ def _exact_fit_1q(counts: "CountTable", projs: np.ndarray, weights: np.ndarray,
         # unit length to rounding, so the state is positive to rounding
         norm = math.sqrt(math.fsum(x * x for x in r))
         r = [x / norm for x in r]
-    rho = 0.5 * (I2 + sum(x * _BLOCH_AXES[b] for b, x in zip(BASIS_VECTORS, r)))
+    rho = 0.5 * (I2 + sum(x * axis for x, axis in zip(r, _BLOCH_AXES)))
     state = _computed(rho, _check_labels(counts.modes, 1))
     if trace_nll is not None:
         for m in (0.5 * I2, state.entries):
@@ -405,8 +407,13 @@ class ProcessMatrix:
         return float(np.real(np.trace(self.entries)))
 
 
-_PAULI_ORDER = ("I", "X", "Y", "Z")
-_PAULI_STACK = np.array([PAULI[s] for s in _PAULI_ORDER])
+_PAULI_STACK = np.array([PAULI[s] for s in "IXYZ"])
+_PROBE_STATES = np.array([single_qubit_state(p).density().entries for p in TOMOGRAPHIC_PROBES])
+
+#: The process-tomography design matrix, of rank 16: row (probe k, i, j),
+#: column (m, n) holds (sigma_m rho_k sigma_n)[i, j].
+_DESIGN = _freeze(np.einsum("mip,kpq,nqj->kijmn", _PAULI_STACK, _PROBE_STATES,
+                            _PAULI_STACK).reshape(-1, 16))
 
 
 def identity_process() -> ProcessMatrix:
@@ -415,19 +422,12 @@ def identity_process() -> ProcessMatrix:
     return ProcessMatrix(m)
 
 
-def process_tomo(inputs: Sequence, outputs: Sequence[DensityMatrix]) -> ProcessMatrix:
-    """Least-squares process matrix from known inputs and measured outputs."""
-    if len(inputs) != len(outputs):
-        raise ValueError("inputs and outputs must pair up")
-    rho_in = np.array([rin.density().entries if isinstance(rin, PureState) else rin.entries
-                       for rin in inputs], dtype=complex).reshape(-1, 2, 2)
-    rho_out = np.array([rout.entries if isinstance(rout, DensityMatrix) else np.asarray(rout)
-                        for rout in outputs], dtype=complex).reshape(-1)
-    # row (input k, i, j), column (m, n): (sigma_m rho_in[k] sigma_n)[i, j]
-    a = np.einsum("mip,kpq,nqj->kijmn", _PAULI_STACK, rho_in, _PAULI_STACK).reshape(-1, 16)
-    if np.linalg.matrix_rank(a, tol=1e-9) < 16:
-        raise ValueError("input states do not span the qubit operator space")
-    coeff, *_ = np.linalg.lstsq(a, rho_out, rcond=None)
+def process_tomo(outputs) -> ProcessMatrix:
+    """Least-squares process matrix from the channel's 2 x 2 outputs for H, V, +, R, in order."""
+    rho_out = np.asarray(outputs, dtype=complex)
+    if rho_out.shape != (4, 2, 2):
+        raise ValueError(f"need the 2 x 2 outputs of the 4 probes, got shape {rho_out.shape}")
+    coeff, *_ = np.linalg.lstsq(_DESIGN, rho_out.reshape(-1), rcond=None)
     m = coeff.reshape(4, 4)
     return ProcessMatrix(0.5 * (m + m.conj().T))
 

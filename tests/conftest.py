@@ -1,7 +1,11 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
+from telegate.metrics import CHSH_ANGLES, CHSH_SETTINGS
 from telegate.states import DensityMatrix, PureState, analyzer_eigenvectors
+from telegate.tomography import BASIS_VECTORS
 
 
 def ginibre_dm(n_qubits: int, rng: np.random.Generator) -> DensityMatrix:
@@ -49,3 +53,40 @@ def analyzer_observable(theta_deg: float) -> np.ndarray:
     """+/-1 observable P+ - P- of the linear-polarization analyzer at ``theta_deg``."""
     plus, minus = analyzer_eigenvectors(theta_deg)
     return np.outer(plus, plus.conj()) - np.outer(minus, minus.conj())
+
+
+# Per-call builders of the package's fixed measurements, kept as references
+# for the constant arrays the package builds once.
+
+def reference_projectors(bases) -> list[tuple[str, np.ndarray]]:
+    """(outcome, projector) of a Pauli setting, one kron product per outcome."""
+    out = []
+    for signs in product("+-", repeat=len(bases)):
+        vec = np.array([1.0], dtype=complex)
+        for b, s in zip(bases, signs):
+            vec = np.kron(vec, BASIS_VECTORS[b][0 if s == "+" else 1])
+        out.append(("".join(signs), np.outer(vec, vec.conj())))
+    return out
+
+
+def reference_chsh_distributions(rho: DensityMatrix) -> dict[str, dict[str, float]]:
+    """setting -> outcome -> probability at the CHSH settings, one vector at a time."""
+    out = {}
+    for setting_id, (i, j) in CHSH_SETTINGS.items():
+        dist = {}
+        for sa, va in zip("+-", analyzer_eigenvectors(CHSH_ANGLES[0][i])):
+            for sd, vd in zip("+-", analyzer_eigenvectors(CHSH_ANGLES[1][j])):
+                vec = np.kron(va, vd)
+                dist[sa + sd] = max(float(np.real(vec.conj() @ rho.entries @ vec)), 0.0)
+        out[setting_id] = dist
+    return out
+
+
+def reference_chsh_correlators(dists) -> np.ndarray:
+    """E[i, j] from setting -> outcome -> weight, each setting normalized by its total."""
+    e = np.empty((2, 2))
+    for setting_id, (i, j) in CHSH_SETTINGS.items():
+        dist = dists[setting_id]
+        e[i, j] = sum(w * (1 if o[0] == "+" else -1) * (1 if o[1] == "+" else -1)
+                      for o, w in dist.items()) / sum(dist.values())
+    return e

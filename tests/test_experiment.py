@@ -56,6 +56,17 @@ class TestSimulateCounts:
         with pytest.raises(ValueError, match="sum"):
             simulate_counts({"Z": {"+": 0.7, "-": 0.7}}, 100, {}, seed=0, modes=("a",))
 
+    @pytest.mark.parametrize("dist", [
+        {"+": float("nan"), "-": 0.5},
+        {"+": float("nan"), "-": float("nan")},
+        {"+": float("inf"), "-": -float("inf")},
+        {"+": 1.5, "-": -0.5},
+    ])
+    def test_non_finite_or_negative_distribution_names_setting(self, dist):
+        probs = {"Z": {"+": 0.5, "-": 0.5}, "X": dist}
+        with pytest.raises(ValueError, match="setting X: "):
+            simulate_counts(probs, 100, {}, seed=0, modes=("a",))
+
     def test_settings_must_share_outcomes(self):
         for other in ({"-": 0.5, "+": 0.5}, {"+": 1.0}, {"+": 0.5, "-": 0.25, "x": 0.25}):
             with pytest.raises(ValueError, match="setting X: outcomes"):
@@ -304,6 +315,12 @@ class TestCalibrate:
     def test_empty_grid(self):
         with pytest.raises(ValueError, match="non-empty"):
             calibrate({"F_H": 1.0}, overlap_grid=())
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "0.9", None,
+                                     True, 0.9 + 0j])
+    def test_non_finite_or_non_real_target_is_named(self, bad):
+        with pytest.raises(ValueError, match="calibration target 'F_V'"):
+            calibrate({"F_H": 0.9, "F_V": bad}, overlap_grid=(1.0,))
 
 
 class TestCli:

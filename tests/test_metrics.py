@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from telegate.experiment import CountTable, Estimate, _joint_bootstrap
 from telegate.metrics import (
     CHSH_ANGLES,
+    CHSH_OUTCOMES,
     CHSH_SIGN_FOR_BELL,
     CHSH_SETTINGS,
     CHSH_VARIANT_FOR_BELL,
@@ -13,6 +15,7 @@ from telegate.metrics import (
     chsh_correlators,
     chsh_distributions,
     chsh_best,
+    chsh_from_correlators,
     fidelity_pure,
     log_negativity,
     partial_transpose,
@@ -20,8 +23,15 @@ from telegate.metrics import (
 from telegate.protocols import TILDE_LABELS, tilde_bell
 from telegate.sources import PairSpec, bell_state, make_pair, single_qubit_state
 from telegate.states import DensityMatrix
-from telegate.tomography import FitError
-from conftest import analyzer_observable, ginibre_dm, random_pure
+from telegate.tomography import FitError, settings_1q, settings_2q
+from conftest import (
+    analyzer_observable,
+    ginibre_dm,
+    random_pure,
+    reference_chsh_correlators,
+    reference_chsh_distributions,
+    reference_projectors,
+)
 
 
 def haar_unitary_2(rng) -> np.ndarray:
@@ -122,19 +132,66 @@ class TestChsh:
                 assert e[i, j] == pytest.approx(exact, abs=1e-12)
 
     def test_correlators_from_counts_are_scale_free(self, rng):
-        dists = chsh_distributions(ginibre_dm(2, rng))
-        counts = {s: {o: 1000.0 * p for o, p in d.items()} for s, d in dists.items()}
-        assert np.allclose(chsh_correlators(counts), chsh_correlators(dists), atol=1e-12)
+        grid = chsh_distributions(ginibre_dm(2, rng))
+        assert grid.shape == (len(CHSH_SETTINGS), len(CHSH_OUTCOMES))
+        assert np.allclose(chsh_correlators(1000.0 * grid), chsh_correlators(grid), atol=1e-12)
 
     def test_zero_count_setting(self):
-        dists = {s: {"++": 5.0, "+-": 0.0, "-+": 0.0, "--": 0.0} for s in CHSH_SETTINGS}
-        dists["chsh10"] = dict.fromkeys(("++", "+-", "-+", "--"), 0.0)
+        grid = np.zeros((len(CHSH_SETTINGS), len(CHSH_OUTCOMES)))
+        grid[:, CHSH_OUTCOMES.index("++")] = 5.0
+        grid[list(CHSH_SETTINGS).index("chsh10")] = 0.0
         with pytest.raises(ValueError, match="chsh10"):
-            chsh_correlators(dists)
+            chsh_correlators(grid)
 
     def test_bad_variant(self):
         with pytest.raises(ValueError):
             ChshSpec(variant="x")
+
+
+@st.composite
+def random_states(draw):
+    """A 1- or 2-qubit state of any rank, from a Ginibre-like matrix of bounded entries."""
+    d = 2 ** draw(st.sampled_from((1, 2)))
+    rank = draw(st.integers(1, d))
+    parts = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * d * rank,
+                                   max_size=2 * d * rank))).reshape(2, d, rank)
+    g = parts[0] + 1j * parts[1]
+    m = g @ g.conj().T
+    assume(np.trace(m).real > 1e-3)
+    return DensityMatrix(m / np.trace(m).real)
+
+
+class TestFixedMeasurements:
+    """The constant CHSH and Pauli-setting arrays against per-call builders."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(random_states())
+    def test_constant_arrays_match_per_call_builders(self, rho):
+        for s in settings_1q() if rho.dim == 2 else settings_2q():
+            reference = reference_projectors(s.bases)
+            assert [o for o, _ in s.projectors()] == [o for o, _ in reference]
+            assert np.array_equal(np.array([p for _, p in s.projectors()]),
+                                  np.array([p for _, p in reference]))
+            expected = {o: max(float(np.real(np.trace(p @ rho.entries))), 0.0)
+                        for o, p in reference}
+            got = s.probabilities(rho)
+            assert list(got) == list(expected)
+            assert np.allclose(list(got.values()), list(expected.values()), rtol=0, atol=1e-15)
+        if rho.dim != 4:
+            return
+        dists = reference_chsh_distributions(rho)
+        assert list(dists) == list(CHSH_SETTINGS)
+        assert all(list(d) == list(CHSH_OUTCOMES) for d in dists.values())
+        grid = np.array([list(d.values()) for d in dists.values()])
+        assert np.allclose(chsh_distributions(rho), grid, rtol=0, atol=1e-15)
+        e = reference_chsh_correlators(dists)
+        for variant in ("+", "-"):
+            assert chsh(rho, ChshSpec(variant)) == pytest.approx(
+                chsh_from_correlators(e, variant), rel=0, abs=1e-15)
+        # the larger |S| of the two variants; a tie within rounding may go either way
+        variant, s_val = chsh_best(rho)
+        assert s_val == pytest.approx(chsh_from_correlators(e, variant), rel=0, abs=1e-15)
+        assert abs(s_val) >= max(abs(chsh_from_correlators(e, v)) for v in "+-") - 1e-15
 
 
 def flat_table(count: int, n_cells: int = 4) -> CountTable:

@@ -228,11 +228,16 @@ class TestTeleport:
             assert o.probability == pytest.approx(1 / 36, abs=1e-12)
             assert np.allclose(o.state.entries, chi.entries, atol=1e-12, rtol=0)
 
-    def test_corrections_recorded(self, ideal_pair):
-        res = teleport(make_input(InputSpec("H")), ideal_pair, 1.0, correct=True)
-        assert {o.bell_label: o.correction for o in res.outcomes} == CORRECTION_FOR_BELL
-        raw = teleport(make_input(InputSpec("H")), ideal_pair, 1.0, correct=False)
-        assert all(o.correction is None for o in raw.outcomes)
+    def test_corrections_recorded(self, ideal_pair, rng):
+        # each outcome's state is rotated by the correction named for its Bell label
+        chi = ginibre_dm(1, rng).with_labels(("c",))
+        res = teleport(chi, ideal_pair, 0.8, correct=True)
+        raw = teleport(chi, ideal_pair, 0.8, correct=False)
+        for o, r in zip(res.outcomes, raw.outcomes):
+            assert (o.bell_label, o.probability) == (r.bell_label, r.probability)
+            u = CORRECTION_MATRICES[CORRECTION_FOR_BELL[o.bell_label]]
+            assert np.allclose(o.state.entries, u @ r.state.entries @ u.conj().T,
+                               rtol=0, atol=1e-15)
 
     def test_v_fidelity_oracles(self, ideal_pair):
         # hand-derived Kraus decomposition: F_V = 1/(3 - 2 v^2), F_+ = 1/(2 - v^2)

@@ -5,11 +5,13 @@ from hypothesis.extra.numpy import arrays
 
 from telegate.experiment import CountTable, simulate_counts
 from telegate.protocols import tilde_bell
-from telegate.sources import InputSpec, make_input, single_qubit_state
+from telegate.sources import TOMOGRAPHIC_PROBES, InputSpec, make_input, single_qubit_state
 from telegate.states import DensityMatrix, PAULI
 from telegate.tomography import (
     BASIS_VECTORS,
     FitError,
+    MeasurementSetting,
+    _DESIGN,
     _cholesky_fit,
     _fit_inputs,
     _projector_stack,
@@ -21,7 +23,7 @@ from telegate.tomography import (
     settings_1q,
     settings_2q,
 )
-from conftest import ginibre_dm
+from conftest import ginibre_dm, reference_projectors
 
 
 def exact_table(state: DensityMatrix, modes, shots=1_000_000) -> CountTable:
@@ -69,6 +71,11 @@ class TestSettings:
         all_settings = settings_2q()
         assert len(all_settings) == 9
         assert sum(len(s.projectors()) for s in all_settings) == 36
+
+    @pytest.mark.parametrize("bases", [(), ("Q",), ("Z", "X", "Y"), ("Z", 1), ("ZX",)])
+    def test_only_one_and_two_qubit_pauli_settings(self, bases):
+        with pytest.raises(ValueError, match="unknown setting"):
+            MeasurementSetting(bases)
 
     def test_projectors_resolve_identity(self):
         for s in settings_1q() + settings_2q():
@@ -380,8 +387,14 @@ class TestProjectorStack:
         stack = _projector_stack(2, ("ZZ", "XY"), ("++", "+-", "-+", "--"))
         assert _projector_stack(2, ("ZZ", "XY"), ("++", "+-", "-+", "--")) is stack
         assert not stack.flags.writeable
-        expected = [p for s in settings_2q() if s.id in ("ZZ", "XY") for _, p in s.projectors()]
+        expected = [p for bases in ("ZZ", "XY") for _, p in reference_projectors(bases)]
         assert np.array_equal(stack, expected)
+
+    def test_unknown_setting_and_mode_count(self):
+        with pytest.raises(ValueError, match="'ZQ'"):
+            _projector_stack(2, ("ZZ", "ZQ"), ("++", "+-", "-+", "--"))
+        with pytest.raises(ValueError, match="1 or 2 modes, got 3"):
+            _projector_stack(3, ("ZZZ",), ("+++",))
 
 
 def process_tomo_loop(inputs, outputs) -> np.ndarray:
@@ -400,26 +413,21 @@ def process_tomo_loop(inputs, outputs) -> np.ndarray:
 
 class TestProcessTomo:
     def probe_states(self):
-        return [single_qubit_state(n) for n in ("H", "V", "+", "R")]
+        return [single_qubit_state(n) for n in TOMOGRAPHIC_PROBES]
 
     def test_identity_channel(self):
-        probes = self.probe_states()
-        m = process_tomo(probes, [p.density() for p in probes])
+        m = process_tomo([p.density().entries for p in self.probe_states()])
         expected = np.zeros((4, 4)); expected[0, 0] = 1
         assert np.allclose(m.entries, expected, atol=1e-10)
 
     def test_bit_flip_channel(self):
-        probes = self.probe_states()
         x = PAULI["X"]
-        outs = [DensityMatrix(x @ p.density().entries @ x) for p in probes]
-        m = process_tomo(probes, outs)
+        m = process_tomo([x @ p.density().entries @ x for p in self.probe_states()])
         expected = np.zeros((4, 4)); expected[1, 1] = 1
         assert np.allclose(m.entries, expected, atol=1e-10)
 
     def test_depolarizing_channel(self):
-        probes = self.probe_states()
-        outs = [DensityMatrix(np.eye(2) / 2) for _ in probes]
-        m = process_tomo(probes, outs)
+        m = process_tomo([np.eye(2) / 2] * 4)
         assert np.allclose(m.entries, np.diag([0.25, 0.25, 0.25, 0.25]), atol=1e-10)
 
     def test_random_pauli_channel_roundtrip(self, rng):
@@ -435,14 +443,18 @@ class TestProcessTomo:
                 out = sum(chi[m, n] * PAULI[a] @ rho @ PAULI[b]
                           for m, a in enumerate("IXYZ") for n, b in enumerate("IXYZ"))
                 outs.append(out)
-            fitted = process_tomo(probes, outs)
+            fitted = process_tomo(outs)
             assert np.allclose(fitted.entries, chi, atol=1e-10)
             assert np.array_equal(fitted.entries, process_tomo_loop(probes, outs))
 
-    def test_rank_deficient_inputs(self):
-        h = single_qubit_state("H")
-        with pytest.raises(ValueError, match="span"):
-            process_tomo([h, h, h, h], [h.density()] * 4)
+    def test_design_matrix_has_full_rank(self):
+        # the four probes span the qubit operator space, so the outputs fix M
+        assert _DESIGN.shape == (16, 16)
+        assert np.linalg.matrix_rank(_DESIGN, tol=1e-9) == 16
+
+    def test_needs_one_output_per_probe(self):
+        with pytest.raises(ValueError, match="probes"):
+            process_tomo([np.eye(2) / 2] * 3)
 
 
 class TestProcessFidelity:
