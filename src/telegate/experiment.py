@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 import os
 from collections import defaultdict
 from dataclasses import dataclass, field, fields, replace
@@ -132,6 +133,9 @@ class CountTable:
 def _efficiency(modes: Sequence[str], outcomes: Sequence[str],
                 efficiencies: Mapping[str, float]) -> np.ndarray:
     """Per outcome, the product of its detectors' efficiencies, taken in mode order."""
+    for key, val in efficiencies.items():
+        if isinstance(val, bool) or not isinstance(val, numbers.Real) or not 0.0 < val <= 1.0:
+            raise ValueError(f"efficiency {key}: must lie in (0, 1], got {val!r}")
     eta = np.ones(len(outcomes))
     for j, outcome in enumerate(outcomes):
         for mode, ch in zip(modes, outcome):
@@ -149,8 +153,10 @@ def simulate_counts(probabilities: Mapping[str, Mapping[str, float]], n_per_sett
     outcome). Raw counts are Poisson(N p eta): detection eats efficiency
     *before* counting, the corrected column restores it.
     """
-    if n_per_setting <= 0:
-        raise ValueError(f"counts per setting must be positive, got {n_per_setting}")
+    if (isinstance(n_per_setting, bool) or not isinstance(n_per_setting, numbers.Integral)
+            or not 0 < n_per_setting <= MAX_COUNTS_PER_SETTING):
+        raise ValueError(f"n_per_setting: must be an integer from 1 to "
+                         f"{MAX_COUNTS_PER_SETTING}, got {n_per_setting!r}")
     settings = tuple(probabilities)
     outcomes = tuple(next(iter(probabilities.values()), ()))
     for setting_id, dist in probabilities.items():

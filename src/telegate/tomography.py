@@ -4,15 +4,18 @@ State tomography measures every Pauli basis combination (3 settings for one
 qubit, 9 for two) with the +/- outcomes of each analyzer resolved, i.e. 2
 respectively 4 counts per setting. Two reconstructions are provided:
 
-* :func:`linear_inversion` - direct Stokes-parameter inversion. Exact on
+* :func:`linear_inversion` - the Born rule solved in least squares on the
+  per-setting frequencies, i.e. the Stokes-parameter estimate. Exact on
   exact frequencies but not guaranteed positive on noisy counts.
 * :func:`mle_fit` - multinomial maximum likelihood, always a valid state.
   One qubit is fitted exactly: the likelihood splits by Pauli basis, so the
   maximum is the linearly inverted Bloch vector when that lies in the Bloch
   ball, and otherwise the point on the sphere fixed by one Lagrange
-  multiplier, a scalar root. Two qubits are fitted by L-BFGS over the
-  Cholesky parameterization rho = T^dag T / Tr[T^dag T], which is positive
-  by construction, always starting from the maximally mixed state.
+  multiplier, a scalar root. Two qubits are fitted by L-BFGS over a complex
+  factor, rho = A A^dag / Tr[A A^dag], which reaches every state and starts
+  from the maximally mixed one; the likelihood is concave in rho, so every
+  local maximum of the factored problem is global (Journee, Bach, Absil &
+  Sepulchre, SIAM J. Optim. 20, 2327, 2010). Only this fit imports scipy.
 
 Process tomography expands a single-qubit channel in the Pauli operator
 basis, E(rho) = sum_mn M[m, n] sigma_m rho sigma_n, and solves the linear
@@ -32,7 +35,6 @@ from itertools import product
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .sources import SINGLE_QUBIT_AMPLITUDES, TOMOGRAPHIC_PROBES, single_qubit_state
 from .states import ATOL, I2, DensityMatrix, PAULI, _check_labels, _computed, _freeze
@@ -105,20 +107,6 @@ def settings_2q() -> list[MeasurementSetting]:
     return [MeasurementSetting(tuple(s)) for s in _SETTING_IDS[2]]
 
 
-def _pauli_word(word: tuple[str, ...]) -> np.ndarray:
-    m = np.array([1.0], dtype=complex)
-    for w in word:
-        m = np.kron(m, PAULI[w])
-    return m
-
-
-def _check_outcomes(counts: "CountTable") -> None:
-    n = len(counts.modes)
-    for outcome in counts.outcomes:
-        if not (isinstance(outcome, str) and len(outcome) == n and set(outcome) <= {"+", "-"}):
-            raise ValueError(f"outcome {outcome!r} is not a string of {n} '+'/'-' signs")
-
-
 @lru_cache(maxsize=32)
 def _projector_stack(n: int, settings: tuple[str, ...], outcomes: tuple[str, ...]) -> np.ndarray:
     """Read-only projectors of every (setting, outcome) cell, in row-major order."""
@@ -134,58 +122,43 @@ def _projector_stack(n: int, settings: tuple[str, ...], outcomes: tuple[str, ...
     return projs
 
 
-def linear_inversion(counts: "CountTable") -> DensityMatrix:
-    """Stokes reconstruction from relative frequencies.
+def _table_projectors(counts: "CountTable") -> np.ndarray:
+    """The projectors of a table's cells, once its outcomes and corrected counts are valid."""
+    n = len(counts.modes)
+    for outcome in counts.outcomes:
+        if not (isinstance(outcome, str) and len(outcome) == n and set(outcome) <= {"+", "-"}):
+            raise ValueError(f"outcome {outcome!r} is not a string of {n} '+'/'-' signs")
+    c = counts.corrected
+    # two reductions, as every fit pays them; NaN fails the first
+    if not (c.min(initial=0.0) >= 0.0 and c.max(initial=0.0) < np.inf):
+        i = int(np.argmin((np.isfinite(c) & (c >= 0.0)).all(axis=1)))
+        raise ValueError(f"setting {counts.settings[i]}: corrected counts {c[i].tolist()} "
+                         "are not all finite and non-negative")
+    return _projector_stack(n, tuple(counts.settings), tuple(counts.outcomes))
 
-    Hermitian and trace one by construction; positivity is *not* guaranteed,
-    which is exactly why the statistics pipeline feeds :func:`mle_fit`
-    instead.
+
+def linear_inversion(counts: "CountTable") -> DensityMatrix:
+    """Least-squares solution of the Born rule f = Tr[P rho] on per-setting frequencies.
+
+    The normal equations decouple by Pauli word, so this is the Stokes
+    estimate: each word's mean over the settings that measure it, repeated
+    settings included. Hermitian and trace one by construction; positivity
+    is *not* guaranteed, which is exactly why the statistics pipeline feeds
+    :func:`mle_fit` instead.
     """
-    _check_outcomes(counts)
+    projs = _table_projectors(counts)
     n = len(counts.modes)
     totals = counts.corrected.sum(axis=1)
     for setting_id, total in zip(counts.settings, totals):
         if total <= 0.0:
             raise ValueError(f"setting {setting_id} has zero total counts")
-    required = {s.id for s in (settings_1q() if n == 1 else settings_2q())}
-    missing = required - set(counts.settings)
+    missing = set(_SETTING_IDS[n]) - set(counts.settings)
     if missing:
         raise ValueError(f"missing settings: {sorted(missing)}")
-    freq = counts.corrected / totals[:, None]
-
-    rho = np.zeros((2**n, 2**n), dtype=complex)
-    for word in product("IZXY", repeat=n):
-        measured = [i for i, setting_id in enumerate(counts.settings)
-                    if all(w in ("I", b) for w, b in zip(word, setting_id))]
-        # the Pauli word's eigenvalue on each outcome: -1 per "-" on a non-identity qubit
-        signs = np.array([(-1.0) ** sum(w != "I" and s == "-" for w, s in zip(word, outcome))
-                          for outcome in counts.outcomes])
-        rho += np.mean(freq[measured] @ signs) * _pauli_word(word)
-    return _computed(rho / 2**n, _check_labels(counts.modes, n))
-
-
-def _unpack_cholesky(theta: np.ndarray, d: int) -> np.ndarray:
-    t = np.zeros((d, d), dtype=complex)
-    t[np.diag_indices(d)] = theta[:d]
-    k = d
-    for i in range(d):
-        for j in range(i):
-            t[i, j] = theta[k] + 1j * theta[k + 1]
-            k += 2
-    return t
-
-
-def _grad_to_real(g: np.ndarray, d: int) -> np.ndarray:
-    # Wirtinger derivative dL/dT* -> gradient in the packed real coordinates
-    out = np.zeros(d * d)
-    out[:d] = 2.0 * np.real(np.diag(g))
-    k = d
-    for i in range(d):
-        for j in range(i):
-            out[k] = 2.0 * np.real(g[i, j])
-            out[k + 1] = 2.0 * np.imag(g[i, j])
-            k += 2
-    return out
+    freq = (counts.corrected / totals[:, None]).ravel()
+    # Tr[P rho] = sum_ij P*_ij rho_ij for Hermitian P
+    rho, *_ = np.linalg.lstsq(projs.conj().reshape(len(freq), -1), freq, rcond=None)
+    return _computed(rho.reshape(2**n, 2**n), _check_labels(counts.modes, n))
 
 
 def _fit_inputs(counts: "CountTable", dim: int | None) -> tuple[np.ndarray, np.ndarray]:
@@ -197,11 +170,8 @@ def _fit_inputs(counts: "CountTable", dim: int | None) -> tuple[np.ndarray, np.n
     n = len(counts.modes)
     if dim is not None and dim != 2**n:
         raise ValueError(f"dim {dim} inconsistent with {n} analyzed modes")
-    _check_outcomes(counts)
-    projs = _projector_stack(n, tuple(counts.settings), tuple(counts.outcomes))
+    projs = _table_projectors(counts)
     weights = counts.corrected.ravel()
-    if (weights < 0).any():
-        raise ValueError("negative corrected count")
     total = weights.sum()
     if total <= 0:
         raise ValueError("count table is empty")
@@ -215,16 +185,16 @@ def mle_fit(counts: "CountTable", dim: int | None = None,
     Maximizes the multinomial log likelihood sum_o c_o log p_o of the
     corrected counts. A one-qubit table is fitted exactly
     (:func:`_exact_fit_1q`) and never raises :class:`FitError`; a two-qubit
-    table is fitted by L-BFGS (:func:`_cholesky_fit`), which raises it,
-    carrying the best iterate, when it does not converge. ``trace_nll``, if
-    given, collects the per-count negative log likelihood at the maximally
-    mixed state and then at every accepted iterate; the exact fit has one
-    iterate, its solution.
+    table is fitted by L-BFGS over a complex factor (:func:`_factor_fit`),
+    which raises it, carrying the best iterate, when it does not converge.
+    ``trace_nll``, if given, collects the per-count negative log likelihood
+    at the maximally mixed state and then at every accepted iterate; the
+    exact fit has one iterate, its solution.
     """
     projs, weights = _fit_inputs(counts, dim)
     if len(counts.modes) == 1:
         return _exact_fit_1q(counts, projs, weights, trace_nll)
-    return _cholesky_fit(counts.modes, projs, weights, trace_nll)
+    return _factor_fit(counts.modes, projs, weights, trace_nll)
 
 
 def _exact_fit_1q(counts: "CountTable", projs: np.ndarray, weights: np.ndarray,
@@ -330,32 +300,37 @@ def _decreasing_root(f, lo: float, hi: float, x: float, ftol: float) -> float:
     return x
 
 
-def _cholesky_fit(modes: tuple[str, ...], projs: np.ndarray, weights: np.ndarray,
-                  trace_nll: list | None) -> DensityMatrix:
-    """L-BFGS maximum likelihood over rho = T^dag T / Tr[T^dag T], T lower triangular.
+def _factor_nll(x: np.ndarray, projs: np.ndarray, weights: np.ndarray) -> tuple[float, np.ndarray]:
+    """Per-count negative log likelihood of rho = A A^dag / Tr[A A^dag], and its gradient.
 
-    The only fit for two qubits, and the one-qubit reference in tests.
+    A = (x[:d^2] + i x[d^2:]).reshape(d, d). With p_o = Tr[P_o rho] and
+    R = sum_o (w_o / p_o) P_o, the derivative in A* is (A - R A)/Tr[A A^dag]
+    (the weights sum to one), and the gradient in x is twice its real and
+    imaginary parts.
+    """
+    d = projs.shape[-1]
+    a = (x[:d * d] + 1j * x[d * d:]).reshape(d, d)
+    s = a @ a.conj().T
+    z = float(np.real(np.trace(s)))
+    p = np.clip(np.real(np.einsum("oij,ji->o", projs, s)) / z, _TINY, None)
+    g = 2.0 * (a - np.einsum("o,oij->ij", weights / p, projs) @ a) / z
+    return -float(weights @ np.log(p)), np.concatenate([g.real.ravel(), g.imag.ravel()])
+
+
+def _factor_fit(modes: tuple[str, ...], projs: np.ndarray, weights: np.ndarray,
+                trace_nll: list | None) -> DensityMatrix:
+    """L-BFGS maximum likelihood over rho = A A^dag / Tr[A A^dag], from A = I / sqrt(d).
+
     Convergence is declared when the last accepted step improves the log
     likelihood by less than 1e-9 or the gradient norm drops below 1e-7,
     with an iteration cap of 10^4; anything else raises :class:`FitError`
     carrying the best iterate.
     """
+    from scipy.optimize import minimize
+
     d = projs.shape[-1]
-
-    def negloglik(theta):
-        t = _unpack_cholesky(theta, d)
-        s = t.conj().T @ t
-        z = float(np.real(np.trace(s)))
-        p = np.real(np.einsum("oij,ji->o", projs, s)) / z
-        p = np.clip(p, _TINY, None)
-        nll = -float(weights @ np.log(p))
-        r = np.einsum("o,oij->ij", weights / p, projs)
-        grad_conj = -(t @ r - t) / z
-        return nll, _grad_to_real(grad_conj, d)
-
-    theta0 = np.zeros(d * d)
-    theta0[:d] = 1.0 / np.sqrt(d)
-    history: list[float] = [negloglik(theta0)[0]]
+    x0 = np.concatenate([np.eye(d).ravel() / np.sqrt(d), np.zeros(d * d)])
+    history: list[float] = [_factor_nll(x0, projs, weights)[0]]
 
     # scipy passes the iterate's OptimizeResult to a callback whose one
     # parameter has this name, so the accepted value is not recomputed
@@ -363,15 +338,16 @@ def _cholesky_fit(modes: tuple[str, ...], projs: np.ndarray, weights: np.ndarray
         history.append(intermediate_result.fun)
 
     res = minimize(
-        negloglik,
-        theta0,
+        _factor_nll,
+        x0,
+        args=(projs, weights),
         jac=True,
         method="L-BFGS-B",
         callback=record,
         options={"maxiter": 10_000, "ftol": 1e-14, "gtol": 1e-10},
     )
-    t = _unpack_cholesky(res.x, d)
-    s = t.conj().T @ t
+    a = (res.x[:d * d] + 1j * res.x[d * d:]).reshape(d, d)
+    s = a @ a.conj().T
     state = _computed(s / np.real(np.trace(s)), _check_labels(modes, len(modes)))
 
     if trace_nll is not None:

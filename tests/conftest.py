@@ -2,10 +2,11 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from telegate.metrics import CHSH_ANGLES, CHSH_SETTINGS
-from telegate.states import DensityMatrix, PureState, analyzer_eigenvectors
-from telegate.tomography import BASIS_VECTORS
+from telegate.states import DensityMatrix, PAULI, PureState, _check_labels, _computed, analyzer_eigenvectors
+from telegate.tomography import BASIS_VECTORS, FitError, _TINY, _fit_inputs
 
 
 def ginibre_dm(n_qubits: int, rng: np.random.Generator) -> DensityMatrix:
@@ -90,3 +91,117 @@ def reference_chsh_correlators(dists) -> np.ndarray:
         e[i, j] = sum(w * (1 if o[0] == "+" else -1) * (1 if o[1] == "+" else -1)
                       for o, w in dist.items()) / sum(dist.values())
     return e
+
+
+# The package's earlier reconstructions, kept as references: the Stokes loop
+# that linear_inversion replaced by one least-squares solve, and the
+# Cholesky-parameterized L-BFGS fit that the complex-factor fit replaced.
+
+def reference_linear_inversion(counts) -> np.ndarray:
+    """Stokes reconstruction: each Pauli word's mean over the settings that measure it."""
+    n = len(counts.modes)
+    freq = counts.corrected / counts.corrected.sum(axis=1)[:, None]
+
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    for word in product("IZXY", repeat=n):
+        measured = [i for i, setting_id in enumerate(counts.settings)
+                    if all(w in ("I", b) for w, b in zip(word, setting_id))]
+        # the Pauli word's eigenvalue on each outcome: -1 per "-" on a non-identity qubit
+        signs = np.array([(-1.0) ** sum(w != "I" and s == "-" for w, s in zip(word, outcome))
+                          for outcome in counts.outcomes])
+        rho += np.mean(freq[measured] @ signs) * _pauli_word(word)
+    return rho / 2**n
+
+
+def _pauli_word(word: tuple[str, ...]) -> np.ndarray:
+    m = np.array([1.0], dtype=complex)
+    for w in word:
+        m = np.kron(m, PAULI[w])
+    return m
+
+
+def _unpack_cholesky(theta: np.ndarray, d: int) -> np.ndarray:
+    t = np.zeros((d, d), dtype=complex)
+    t[np.diag_indices(d)] = theta[:d]
+    k = d
+    for i in range(d):
+        for j in range(i):
+            t[i, j] = theta[k] + 1j * theta[k + 1]
+            k += 2
+    return t
+
+
+def _grad_to_real(g: np.ndarray, d: int) -> np.ndarray:
+    # Wirtinger derivative dL/dT* -> gradient in the packed real coordinates
+    out = np.zeros(d * d)
+    out[:d] = 2.0 * np.real(np.diag(g))
+    k = d
+    for i in range(d):
+        for j in range(i):
+            out[k] = 2.0 * np.real(g[i, j])
+            out[k + 1] = 2.0 * np.imag(g[i, j])
+            k += 2
+    return out
+
+
+def _cholesky_fit(modes: tuple[str, ...], projs: np.ndarray, weights: np.ndarray,
+                  trace_nll: list | None) -> DensityMatrix:
+    """L-BFGS maximum likelihood over rho = T^dag T / Tr[T^dag T], T lower triangular.
+
+    The reference of the exact one-qubit fit and of the two-qubit factor fit.
+    Convergence is declared when the last accepted step improves the log
+    likelihood by less than 1e-9 or the gradient norm drops below 1e-7,
+    with an iteration cap of 10^4; anything else raises :class:`FitError`
+    carrying the best iterate.
+    """
+    d = projs.shape[-1]
+
+    def negloglik(theta):
+        t = _unpack_cholesky(theta, d)
+        s = t.conj().T @ t
+        z = float(np.real(np.trace(s)))
+        p = np.real(np.einsum("oij,ji->o", projs, s)) / z
+        p = np.clip(p, _TINY, None)
+        nll = -float(weights @ np.log(p))
+        r = np.einsum("o,oij->ij", weights / p, projs)
+        grad_conj = -(t @ r - t) / z
+        return nll, _grad_to_real(grad_conj, d)
+
+    theta0 = np.zeros(d * d)
+    theta0[:d] = 1.0 / np.sqrt(d)
+    history: list[float] = [negloglik(theta0)[0]]
+
+    # scipy passes the iterate's OptimizeResult to a callback whose one
+    # parameter has this name, so the accepted value is not recomputed
+    def record(intermediate_result):
+        history.append(intermediate_result.fun)
+
+    res = minimize(
+        negloglik,
+        theta0,
+        jac=True,
+        method="L-BFGS-B",
+        callback=record,
+        options={"maxiter": 10_000, "ftol": 1e-14, "gtol": 1e-10},
+    )
+    t = _unpack_cholesky(res.x, d)
+    s = t.conj().T @ t
+    state = _computed(s / np.real(np.trace(s)), _check_labels(modes, len(modes)))
+
+    if trace_nll is not None:
+        trace_nll.extend(history)
+    grad_norm = float(np.linalg.norm(res.jac))
+    last_improvement = abs(history[-2] - history[-1]) if len(history) >= 2 else 0.0
+    if grad_norm > 1e-7 and not last_improvement < 1e-9:
+        raise FitError(
+            f"no convergence after {res.nit} iterations "
+            f"(grad {grad_norm:.2e}, last step {last_improvement:.2e})",
+            best_state=state,
+        )
+    return state
+
+
+def cholesky_reference(table) -> DensityMatrix:
+    """The Cholesky-parameterized L-BFGS fit on any table."""
+    projs, weights = _fit_inputs(table, None)
+    return _cholesky_fit(table.modes, projs, weights, None)

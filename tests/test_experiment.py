@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -66,6 +68,23 @@ class TestSimulateCounts:
         probs = {"Z": {"+": 0.5, "-": 0.5}, "X": dist}
         with pytest.raises(ValueError, match="setting X: "):
             simulate_counts(probs, 100, {}, seed=0, modes=("a",))
+
+    @pytest.mark.parametrize("eta", [0.0, -0.5, 1.5, float("nan"), float("inf"), True, "0.5", None])
+    def test_bad_efficiency_names_detector(self, eta):
+        with pytest.raises(ValueError, match=r"efficiency a\+: "):
+            simulate_counts({"Z": {"+": 0.5, "-": 0.5}}, 100, {"a+": eta}, seed=0, modes=("a",))
+        with pytest.raises(ValueError, match=r"efficiency a\+: "):
+            CountTable(("a",), ("Z",), ("+", "-"), np.array([[5, 5]]), {"a+": eta})
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5, 100.0, float("nan"), True, "100", 10**12 + 1])
+    def test_bad_count_scale_is_named(self, n):
+        with pytest.raises(ValueError, match="n_per_setting: "):
+            simulate_counts({"Z": {"+": 0.5, "-": 0.5}}, n, {}, seed=0, modes=("a",))
+
+    def test_numpy_integer_count_scale(self):
+        table = simulate_counts({"Z": {"+": 0.5, "-": 0.5}}, np.int64(100), {"a+": np.float32(0.5)},
+                                seed=0, modes=("a",))
+        assert table.raw.sum() > 0
 
     def test_settings_must_share_outcomes(self):
         for other in ({"-": 0.5, "+": 0.5}, {"+": 1.0}, {"+": 0.5, "-": 0.25, "x": 0.25}):
@@ -412,6 +431,29 @@ class TestCli:
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("protocol: teleport\n")
         assert cli.main(["run", str(cfg)]) == 3
+
+    def test_scipy_is_loaded_by_two_qubit_fits_only(self, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("protocol: teleport\ncounts_per_setting: 100\n")
+        code = "\n".join([
+            "import contextlib, io, sys",
+            "import numpy as np",
+            "import telegate.cli as cli",
+            "from telegate.experiment import CountTable",
+            "from telegate.tomography import mle_fit, settings_2q",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    assert cli.main(['gate-table', '--format', 'csv']) == 0",
+            f"    assert cli.main(['run', {str(cfg)!r}]) == 0",
+            "assert 'scipy' not in sys.modules, 'scipy loaded without a two-qubit fit'",
+            "ids = tuple(s.id for s in settings_2q())",
+            "mle_fit(CountTable(('a', 'd'), ids, ('++', '+-', '-+', '--'), np.ones((9, 4))))",
+            "assert 'scipy' in sys.modules",
+        ])
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("protocol", ["teleport", "swap"])
     def test_count_starved_run_is_a_numerical_failure(self, protocol, tmp_path, capsys):

@@ -12,7 +12,7 @@ from telegate.tomography import (
     FitError,
     MeasurementSetting,
     _DESIGN,
-    _cholesky_fit,
+    _factor_nll,
     _fit_inputs,
     _projector_stack,
     identity_process,
@@ -23,7 +23,14 @@ from telegate.tomography import (
     settings_1q,
     settings_2q,
 )
-from conftest import ginibre_dm, reference_projectors
+from conftest import (
+    _grad_to_real,
+    _unpack_cholesky,
+    cholesky_reference,
+    ginibre_dm,
+    reference_linear_inversion,
+    reference_projectors,
+)
 
 
 def exact_table(state: DensityMatrix, modes, shots=1_000_000) -> CountTable:
@@ -51,12 +58,6 @@ def loglikelihood(counts: CountTable, rho: DensityMatrix) -> float:
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
-
-
-def cholesky_reference(table: CountTable) -> DensityMatrix:
-    """The L-BFGS fit, which mle_fit keeps for two qubits, on any table."""
-    projs, weights = _fit_inputs(table, None)
-    return _cholesky_fit(table.modes, projs, weights, None)
 
 
 def bloch_state(r) -> DensityMatrix:
@@ -156,9 +157,7 @@ class TestMleFit:
         assert all(d <= 1e-12 for d in diffs)  # negative log likelihood descends
 
     def test_analytic_gradient_matches_finite_differences(self, rng):
-        # guards the Wirtinger factor-of-two packing
-        from telegate import tomography as tmod
-
+        # guards the Wirtinger factor-of-two packing of the Cholesky reference
         table = sampled_table(ginibre_dm(1, rng), ("a",), 5000, seed=21)
         settings = {s.id: s for s in settings_1q()}
         projs = np.array([dict(settings[setting_id].projectors())[outcome]
@@ -166,18 +165,18 @@ class TestMleFit:
         weights = table.corrected.ravel() / table.corrected.sum()
 
         def nll(theta):
-            t = tmod._unpack_cholesky(theta, 2)
+            t = _unpack_cholesky(theta, 2)
             s = t.conj().T @ t
             p = np.clip(np.real(np.einsum("oij,ji->o", projs, s)) / np.trace(s).real, 1e-12, None)
             return -float(weights @ np.log(p))
 
         def grad(theta):
-            t = tmod._unpack_cholesky(theta, 2)
+            t = _unpack_cholesky(theta, 2)
             s = t.conj().T @ t
             z = np.trace(s).real
             p = np.clip(np.real(np.einsum("oij,ji->o", projs, s)) / z, 1e-12, None)
             r = np.einsum("o,oij->ij", weights / p, projs)
-            return tmod._grad_to_real(-(t @ r - t) / z, 2)
+            return _grad_to_real(-(t @ r - t) / z, 2)
 
         theta = rng.normal(size=4) * 0.5 + np.array([1.0, 1.0, 0, 0])
         g = grad(theta)
@@ -367,6 +366,81 @@ class TestExactQubitFit:
         assert len(trace) == 2
 
 
+@st.composite
+def two_qubit_tables(draw):
+    """A sampled 2-qubit table of a random state of rank 1 to 4, at 50 to 1e5 counts per setting.
+
+    Rank-deficient states and small counts put the maximum on the boundary
+    of the state space; full-rank states at large counts keep it inside.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    rank = draw(st.integers(1, 4))
+    shots = round(10 ** draw(st.floats(np.log10(50), 5.0)))
+    eff = draw(st.dictionaries(st.sampled_from(["a+", "a-", "d+", "d-"]), st.floats(0.1, 1.0)))
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    state = DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T))
+    return simulate_counts({s.id: s.probabilities(state) for s in settings_2q()}, shots,
+                           eff, seed, ("a", "d"))
+
+
+class TestFactorFit:
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(two_qubit_tables())
+    def test_reaches_the_cholesky_likelihood(self, table):
+        rho = mle_fit(table)  # a FitError fails the test
+        try:
+            reference = cholesky_reference(table)
+        except FitError as exc:
+            reference = exc.best_state
+        per_count = 1e-11 * table.corrected.sum()
+        assert loglikelihood(table, rho) >= loglikelihood(table, reference) - per_count
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(two_qubit_tables(), st.integers(0, 2**32 - 1))
+    def test_gradient_matches_finite_differences(self, table, seed):
+        projs, weights = _fit_inputs(table, None)
+        x = np.random.default_rng(seed).normal(size=32)
+        grad = _factor_nll(x, projs, weights)[1]
+        eps = 1e-6
+        fd = [(_factor_nll(x + eps * e, projs, weights)[0]
+               - _factor_nll(x - eps * e, projs, weights)[0]) / (2 * eps) for e in np.eye(32)]
+        assert np.allclose(grad, fd, rtol=1e-5, atol=1e-7)
+
+    def test_trace_starts_mixed_and_ends_at_the_fit(self):
+        table = sampled_table(ginibre_dm(2, np.random.default_rng(3)), ("a", "d"), 2000, seed=6)
+        trace = []
+        rho = mle_fit(table, trace_nll=trace)
+        assert trace[0] == pytest.approx(np.log(4.0), abs=1e-12)
+        assert all(d <= 1e-12 for d in np.diff(trace))
+        assert trace[-1] == pytest.approx(-loglikelihood(table, rho) / table.corrected.sum(),
+                                          abs=1e-12)
+
+
+@st.composite
+def repeated_setting_tables(draw):
+    """A 1- or 2-qubit table with every setting counted, some of them repeated, in any order."""
+    n_qubits = draw(st.sampled_from((1, 2)))
+    bases = settings_1q() if n_qubits == 1 else settings_2q()
+    ids = [s.id for s in bases]
+    order = draw(st.permutations(ids + draw(st.lists(st.sampled_from(ids), max_size=6))))
+    raw = draw(arrays(np.int64, (len(order), 2**n_qubits), elements=st.integers(0, 10**6)))
+    raw[raw.sum(axis=1) == 0, 0] = 1
+    modes = ("a",) if n_qubits == 1 else ("a", "d")
+    eff = draw(st.dictionaries(st.sampled_from([m + c for m in modes for c in "+-"]),
+                               st.floats(0.1, 1.0)))
+    outcomes = tuple(o for o, _ in bases[0].projectors())
+    return CountTable(modes, tuple(order), outcomes, raw, eff)
+
+
+class TestLinearInversionSolve:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(repeated_setting_tables())
+    def test_equals_the_stokes_estimate(self, table):
+        rho = linear_inversion(table).entries
+        assert np.abs(rho - reference_linear_inversion(table)).max() <= 1e-12
+
+
 class TestOutcomeLabels:
     @pytest.mark.parametrize("fit", [linear_inversion, mle_fit, cholesky_reference])
     @pytest.mark.parametrize("modes, outcomes, bad", [
@@ -380,6 +454,19 @@ class TestOutcomeLabels:
         table = CountTable(modes, settings_, outcomes, [[5, 1] + [1] * (len(outcomes) - 2)] * len(settings_))
         with pytest.raises(ValueError, match=f"outcome {bad}"):
             fit(table)
+
+
+class TestBadCounts:
+    @pytest.mark.parametrize("fit", [linear_inversion, mle_fit])
+    @pytest.mark.parametrize("modes, bad", [
+        (("a",), float("nan")), (("a", "d"), float("inf")), (("a",), -50.0), (("a", "d"), -1e-9)])
+    def test_non_finite_or_negative_corrected_count_names_setting(self, fit, modes, bad):
+        bases = settings_1q() if len(modes) == 1 else settings_2q()
+        outcomes = tuple(o for o, _ in bases[0].projectors())
+        raw = np.full((len(bases), len(outcomes)), 100.0)
+        raw[-1, 0] = bad
+        with pytest.raises(ValueError, match=f"setting {bases[-1].id}: corrected counts"):
+            fit(CountTable(modes, tuple(s.id for s in bases), outcomes, raw))
 
 
 class TestProjectorStack:
