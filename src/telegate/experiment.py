@@ -19,7 +19,7 @@ import json
 import numbers
 import os
 from collections import defaultdict
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -40,9 +40,10 @@ from .metrics import (
 )
 from .protocols import (
     CORRECTION_FOR_BELL,
+    CORRECTIONS,
     TELEPORT_PAIR_TARGET,
+    TILDE_LABELS,
     _as_channel,
-    pauli_correct,
     swap,
     teleport,
     tilde_bell,
@@ -51,6 +52,7 @@ from .sources import (
     BELL_AMPLITUDES,
     PairSpec,
     SINGLE_QUBIT_AMPLITUDES,
+    TOMOGRAPHIC_PROBES,
     make_input,
     make_pair,
     tomographic_input_set,
@@ -105,8 +107,8 @@ class CountTable:
     """Coincidence counts on a settings x outcomes grid, with detector efficiencies.
 
     ``raw[i, j]`` counts outcome ``outcomes[j]`` at setting ``settings[i]``;
-    every setting lists the same outcomes. ``corrected`` is derived: each
-    outcome's column divided by the product of its detectors' efficiencies.
+    every setting lists the same outcomes. Derived: ``eta[j]``, the product of
+    outcome j's detector efficiencies, and ``corrected``, which is ``raw / eta``.
     """
 
     modes: tuple[str, ...]
@@ -114,6 +116,7 @@ class CountTable:
     outcomes: tuple[str, ...] = ()
     raw: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     efficiencies: dict[str, float] = field(default_factory=dict)
+    eta: np.ndarray = field(init=False, repr=False)
     corrected: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -122,12 +125,15 @@ class CountTable:
             raise ValueError(f"raw counts of shape {raw.shape} do not match "
                              f"{len(self.settings)} settings x {len(self.outcomes)} outcomes")
         object.__setattr__(self, "raw", raw)
-        object.__setattr__(self, "corrected",
-                           raw / _efficiency(self.modes, self.outcomes, self.efficiencies))
+        object.__setattr__(self, "eta", _efficiency(self.modes, self.outcomes, self.efficiencies))
+        object.__setattr__(self, "corrected", raw / self.eta)
 
     def resample(self, rng: np.random.Generator) -> "CountTable":
-        """Poisson-resample the raw counts and re-apply the correction."""
-        return replace(self, raw=rng.poisson(self.raw))
+        """Poisson-resample the raw counts; layout, efficiencies and ``eta`` carry over."""
+        raw = rng.poisson(self.raw)
+        table = object.__new__(CountTable)
+        table.__dict__.update(self.__dict__, raw=raw, corrected=raw / self.eta)
+        return table
 
 
 def _efficiency(modes: Sequence[str], outcomes: Sequence[str],
@@ -301,51 +307,43 @@ def load_config(path: str) -> ExperimentConfig:
 
 # -- exact (count-free) protocol summaries ------------------------------------
 
+#: The teleport grid's cells, probe-major (rows TOMOGRAPHIC_PROBES, columns TILDE_LABELS):
+#: a teleport run's count tables and, prefixed with "F_", its per-outcome fidelities.
+TELEPORT_CELLS = tuple(f"{probe}/{bell}" for probe in TOMOGRAPHIC_PROBES for bell in TILDE_LABELS)
+
+#: Each grid row's probe |chi>, as kets (probes, 1, 2, 1) and bras (probes, 1, 1, 2).
+_PROBE_KETS = np.array([SINGLE_QUBIT_AMPLITUDES[p] for p in TOMOGRAPHIC_PROBES])[:, None, :, None]
+_PROBE_BRAS = _PROBE_KETS.conj().swapaxes(-1, -2)
+
+
 def _teleport_conditionals(channel, pair_target: str, pair_mixedness: float,
-                           input_mixedness: float) -> tuple[dict, dict]:
-    """Per probe, each outcome's (weight, uncorrected state on mode a) and joint probability.
-
-    A weight is the outcome's share of the probe's post-selected events.
-    """
+                           input_mixedness: float) -> tuple[np.ndarray, list[DensityMatrix]]:
+    """The grid's joint probabilities (probes x outcomes) and its 16 uncorrected mode-a states."""
     pair = make_pair(PairSpec(pair_target, pair_mixedness), ("a", "b"))
-    conditional = {}
-    probabilities = {}
-    for spec in tomographic_input_set(input_mixedness):
-        res = teleport(make_input(spec, "c"), pair, channel, correct=False)
-        conditional[spec.state] = {
-            o.bell_label: (o.probability / res.success_probability, o.state)
-            for o in res.outcomes if o.state is not None}
-        probabilities[spec.state] = {o.bell_label: o.probability for o in res.outcomes}
-    return conditional, probabilities
+    rows = [teleport(make_input(spec, "c"), pair, channel, correct=False).outcomes
+            for spec in tomographic_input_set(input_mixedness)]
+    probabilities = np.array([[o.probability for o in row] for row in rows])
+    return probabilities, [o.state for row in rows for o in row]
 
 
-def _teleport_estimate(conditional: Mapping[str, Mapping[str, tuple[float, DensityMatrix]]]
+def _teleport_estimate(probabilities: np.ndarray, states: Sequence[DensityMatrix]
                        ) -> tuple[dict[str, float], ProcessMatrix]:
-    """Teleport figures from each probe's conditional states on mode a.
+    """Teleport figures from the grid's joint probabilities and uncorrected states.
 
-    ``conditional[probe][bell]`` holds an analyzer outcome's weight and its
-    uncorrected state, probes in TOMOGRAPHIC_PROBES order. Each state gets
-    its outcome's Pauli-frame correction; a probe's output is the weighted
-    mean of its corrected states, and the four outputs feed process
-    tomography. Returns the fidelities with the probe per outcome
-    (``F_<probe>/<bell>``) and per probe (``F_<probe>``), the process
-    fidelity ``F_p``, and the process matrix.
+    Each state gets its outcome's Pauli-frame correction. A probe's output
+    is the mean of its corrected states weighted by the row-normalized
+    probabilities, and the four outputs feed process tomography. Returns the
+    fidelities with the probe per cell (``F_<probe>/<bell>``) and per probe
+    (``F_<probe>``), the process fidelity ``F_p``, and the process matrix.
     """
-    figures: dict[str, float] = {}
-    outputs = []
-    for name, by_bell in conditional.items():
-        chi = SINGLE_QUBIT_AMPLITUDES[name]
-        acc = np.zeros((2, 2), dtype=complex)
-        fid = 0.0
-        for bell, (w, state) in by_bell.items():
-            corrected = pauli_correct(bell, state.entries)
-            f = float(np.real(chi.conj() @ corrected @ chi))
-            figures[f"F_{name}/{bell}"] = f
-            fid += w * f
-            acc += w * corrected
-        figures[f"F_{name}"] = fid
-        outputs.append(acc)
-    matrix = process_tomo(outputs)
+    rho = np.array([s.entries for s in states]).reshape(len(TOMOGRAPHIC_PROBES), -1, 2, 2)
+    corrected = CORRECTIONS @ rho @ CORRECTIONS.conj().swapaxes(-1, -2)
+    fidelities = np.real(_PROBE_BRAS @ corrected @ _PROBE_KETS)[..., 0, 0]
+    weights = probabilities / probabilities.sum(axis=1, keepdims=True)
+    matrix = process_tomo((weights[..., None, None] * corrected).sum(axis=1))
+    figures = dict(zip((f"F_{cell}" for cell in TELEPORT_CELLS), fidelities.ravel().tolist()))
+    figures.update(zip((f"F_{p}" for p in TOMOGRAPHIC_PROBES),
+                       (weights * fidelities).sum(axis=1).tolist()))
     figures["F_p"] = process_fidelity(matrix, identity_process())
     return figures, matrix
 
@@ -357,16 +355,16 @@ def teleport_summary(gate, pair_mixedness: float = 0.0, input_mixedness: float =
     over the four analyzer outcomes with their joint probabilities; the
     process matrix treats the nominal pure probes as the channel inputs.
     """
-    conditional, probabilities = _teleport_conditionals(
+    probabilities, states = _teleport_conditionals(
         _as_channel(gate), TELEPORT_PAIR_TARGET, pair_mixedness, input_mixedness)
-    figures, matrix = _teleport_estimate(conditional)
-    summary: dict = {f"F_{name}": figures[f"F_{name}"] for name in conditional}
+    figures, matrix = _teleport_estimate(probabilities, states)
+    summary: dict = {f"F_{name}": figures[f"F_{name}"] for name in TOMOGRAPHIC_PROBES}
     summary["per_outcome"] = {
-        name: {bell: {"probability": p, "fidelity": figures.get(f"F_{name}/{bell}")}
-               for bell, p in probs.items()}
-        for name, probs in probabilities.items()
+        name: {bell: {"probability": p, "fidelity": figures[f"F_{name}/{bell}"]}
+               for bell, p in zip(TILDE_LABELS, row)}
+        for name, row in zip(TOMOGRAPHIC_PROBES, probabilities.tolist())
     }
-    summary["F_avg"] = float(np.mean([summary[f"F_{name}"] for name in conditional]))
+    summary["F_avg"] = float(np.mean([summary[f"F_{name}"] for name in TOMOGRAPHIC_PROBES]))
     summary["F_p"] = figures["F_p"]
     summary["process_matrix"] = matrix
     return summary
@@ -596,22 +594,19 @@ def _measure(config: ExperimentConfig, distributions: Mapping[str, tuple],
 
 
 def _run_teleport(config: ExperimentConfig, channel) -> tuple[dict, dict]:
-    conditional, _ = _teleport_conditionals(channel, config.resolved_pair_target(),
-                                            config.pair_mixedness, config.input_mixedness)
-    distributions = {
-        f"{name}/{bell}": (("a",), _tomo_probabilities(state))
-        for name, by_bell in conditional.items() for bell, (_, state) in by_bell.items()
-    }
+    probabilities, states = _teleport_conditionals(
+        channel, config.resolved_pair_target(), config.pair_mixedness, config.input_mixedness)
+    distributions = {cell: (("a",), _tomo_probabilities(state))
+                     for cell, state in zip(TELEPORT_CELLS, states)}
 
     def estimate(tabs: Mapping[str, CountTable]) -> Estimate:
-        fitted = {key: mle_fit(tabs[key]) for key in distributions}
-        figures, matrix = _teleport_estimate({
-            name: {bell: (w, fitted[f"{name}/{bell}"]) for bell, (w, _) in by_bell.items()}
-            for name, by_bell in conditional.items()})
+        fitted = {cell: mle_fit(tabs[cell]) for cell in TELEPORT_CELLS}
+        figures, matrix = _teleport_estimate(probabilities, list(fitted.values()))
         return Estimate(figures, (fitted, matrix))
 
     tables, values, errors = _measure(config, distributions, estimate)
     fitted, matrix = values.fitted
+    weights = probabilities / probabilities.sum(axis=1, keepdims=True)
     results = {
         "inputs": {
             name: {
@@ -625,10 +620,10 @@ def _run_teleport(config: ExperimentConfig, channel) -> tuple[dict, dict]:
                         "fidelity_err": errors[f"F_{name}/{bell}"],
                         "state": _matrix_payload(fitted[f"{name}/{bell}"].entries),
                     }
-                    for bell, (w, _) in by_bell.items()
+                    for bell, w in zip(TILDE_LABELS, row)
                 },
             }
-            for name, by_bell in conditional.items()
+            for name, row in zip(TOMOGRAPHIC_PROBES, weights.tolist())
         },
         "process_matrix": _matrix_payload(matrix.entries),
         "process_fidelity": values["F_p"],
@@ -639,7 +634,7 @@ def _run_teleport(config: ExperimentConfig, channel) -> tuple[dict, dict]:
 
 def _run_swap(config: ExperimentConfig, channel) -> tuple[dict, dict]:
     pair = make_pair(PairSpec(config.resolved_pair_target(), config.pair_mixedness))
-    outcomes = [o for o in swap(pair, pair, channel).outcomes if o.state is not None]
+    outcomes = swap(pair, pair, channel).outcomes
     distributions = {}
     for o in outcomes:
         distributions[f"{o.bell_label}/tomo"] = (("a", "d"), _tomo_probabilities(o.state))

@@ -89,14 +89,16 @@ def chsh_distributions(rho: DensityMatrix) -> np.ndarray:
 def chsh_correlators(grid: np.ndarray) -> np.ndarray:
     """E[i, j] from the outcome weights of a CHSH grid.
 
-    The weights may be probabilities or (corrected) counts; each setting is
-    normalized by its own total.
+    The weights may be probabilities or (corrected) counts, finite and
+    non-negative; each setting is normalized by its own positive total.
     """
     grid = np.asarray(grid, dtype=float)
     totals = grid.sum(axis=1)
-    for setting_id, total in zip(CHSH_SETTINGS, totals):
-        if total <= 0:
-            raise ValueError(f"setting {setting_id} has zero counts")
+    for setting_id, row, total in zip(CHSH_SETTINGS, grid, totals):
+        # written so that NaN fails the check
+        if not (np.all((row >= 0) & (row < np.inf)) and total > 0):
+            raise ValueError(f"setting {setting_id}: weights must be finite and non-negative "
+                             f"with a positive total, got {row.tolist()}")
     return (grid @ _CHSH_PARITY / totals).reshape(2, 2)
 
 

@@ -47,15 +47,13 @@ CORRECTION_MATRICES = {
     "iY": 1j * SIGMA_Y,
 }
 
+#: The correction unitaries in TILDE_LABELS order, the order bsa reports its
+#: outcomes: a conditional state rho becomes U rho U^dag.
+CORRECTIONS = np.array([CORRECTION_MATRICES[CORRECTION_FOR_BELL[bell]] for bell in TILDE_LABELS])
+
 #: Pair target whose Pauli-frame corrections are exact: the phi+ pair with
 #: the analyzer-side qubit rotated into the diagonal basis.
 TELEPORT_PAIR_TARGET = "phi+~"
-
-
-def pauli_correct(bell_label: str, matrix: np.ndarray) -> np.ndarray:
-    """Apply the Pauli-frame correction of an analyzer outcome to a qubit matrix."""
-    u = CORRECTION_MATRICES[CORRECTION_FOR_BELL[bell_label]]
-    return u @ matrix @ u.conj().T
 
 
 def tilde_bell(label: str, labels=("q0", "q1")) -> PureState:
@@ -150,17 +148,17 @@ def teleport(input_state: DensityMatrix, pair: DensityMatrix, gate=1.0,
              correct: bool = True) -> ProtocolResult:
     """Teleport the mode-c state onto mode a through a (b, c) analysis.
 
-    With ``correct`` the outcome-specific Pauli-frame rotation is applied to
-    each conditional, mirroring corrections applied on the data rather than
-    in the optics.
+    With ``correct`` each outcome's state is rotated by its entry of
+    ``CORRECTIONS``, mirroring corrections applied on the data rather than
+    in the optics. A Bell pair leaves no outcome without a state.
     """
     if input_state.n_qubits != 1 or pair.n_qubits != 2:
         raise ValueError("teleport needs a 1-qubit input and a 2-qubit pair")
     joint = kron(pair.with_labels(("a", "b")), input_state.with_labels(("c",)))
     outcomes = tuple(
-        replace(o, state=_computed(pauli_correct(o.bell_label, o.state.entries), o.state.labels))
+        replace(o, state=_computed(u @ o.state.entries @ u.conj().T, o.state.labels))
         if correct and o.state is not None else o
-        for o in bsa(joint, ("b", "c"), gate))
+        for o, u in zip(bsa(joint, ("b", "c"), gate), CORRECTIONS))
     return ProtocolResult(outcomes, sum(o.probability for o in outcomes))
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -103,6 +104,27 @@ class TestSimulateCounts:
         resampled = table.resample(np.random.default_rng(4))
         rng = np.random.default_rng(4)
         assert resampled.raw.tolist() == [[rng.poisson(c) for c in row] for row in cells]
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.sampled_from([("a",), ("a", "d")]), st.integers(1, 9), st.data(),
+           st.integers(0, 2**32 - 1))
+    def test_resample_equals_construction(self, modes, n_settings, data, seed):
+        # a resample reuses its parent's efficiency vector instead of being constructed
+        outcomes = tuple("".join(o) for o in itertools.product("+-", repeat=len(modes)))
+        detectors = [f"{m}{c}" for m in modes for c in "+-"]
+        efficiencies = data.draw(st.dictionaries(st.sampled_from(detectors), st.floats(0.01, 1.0)))
+        row = st.lists(st.integers(0, 10**6), min_size=len(outcomes), max_size=len(outcomes))
+        raw = np.array(data.draw(st.lists(row, min_size=n_settings, max_size=n_settings)))
+        setting_ids = tuple(f"s{k}" for k in range(n_settings))
+        resampled = CountTable(modes, setting_ids, outcomes, raw,
+                               efficiencies).resample(np.random.default_rng(seed))
+        drawn = np.random.default_rng(seed).poisson(raw)
+        built = CountTable(modes, setting_ids, outcomes, drawn, efficiencies)
+        for name in ("raw", "eta", "corrected"):
+            a, b = getattr(resampled, name), getattr(built, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        for name in ("modes", "settings", "outcomes", "efficiencies"):
+            assert getattr(resampled, name) == getattr(built, name)
 
     def test_unit_efficiency_means_equal_columns(self):
         rho = make_input(InputSpec("R", 0.3))

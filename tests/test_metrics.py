@@ -143,6 +143,14 @@ class TestChsh:
         with pytest.raises(ValueError, match="chsh10"):
             chsh_correlators(grid)
 
+    @pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf])
+    def test_invalid_weight(self, bad):
+        # a NaN or infinite weight would give a NaN correlator, a negative one |E| > 1
+        grid = np.full((len(CHSH_SETTINGS), len(CHSH_OUTCOMES)), 5.0)
+        grid[list(CHSH_SETTINGS).index("chsh01"), CHSH_OUTCOMES.index("+-")] = bad
+        with pytest.raises(ValueError, match="chsh01"):
+            chsh_correlators(grid)
+
     def test_bad_variant(self):
         with pytest.raises(ValueError):
             ChshSpec(variant="x")

@@ -18,7 +18,9 @@ from telegate.protocols import (
 )
 from telegate.experiment import teleport_summary
 from telegate.sources import (
+    BELL_AMPLITUDES,
     SINGLE_QUBIT_AMPLITUDES,
+    TOMOGRAPHIC_PROBES,
     InputSpec,
     PairSpec,
     make_input,
@@ -335,3 +337,43 @@ class TestSwap:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             swap(make_input(InputSpec("H")), make_pair(PairSpec()))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.floats(0.0, 1.0), st.lists(st.sampled_from(sorted(BELL_AMPLITUDES)), min_size=2,
+                                     max_size=2),
+       st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+       st.sampled_from(sorted(SINGLE_QUBIT_AMPLITUDES)))
+def test_outcome_probabilities(v, targets, mixedness, probe):
+    """Every analyzer outcome of teleport and swap keeps a closed-form share of the events.
+
+    A Bell pair with white noise has the maximally mixed marginal, so the
+    analyzed modes (b, c) are in I/2 x rho_c, with rho_c the input (teleport)
+    or I/2 (swap). With w^2 = 1 - v^2, the channel's Kraus operators are
+    v diag(1, 1, 1, -1)/3, w I/3 and w diag(0, 0, 0, -2)/3, and an outcome
+    is the product |s_b s_c> of +/-45 degree states. The three terms give
+    - v^2/9 <s_b s_c|CZ (I/2 x rho_c) CZ|s_b s_c> = v^2/36, since
+      |<s_b|H>|^2 = |<s_b|V>|^2 = 1/2 and Z maps s_c to the opposite sign;
+    - w^2/9 <s_b|I/2|s_b> <s_c|rho_c|s_c> = w^2/18 <s_c|rho_c|s_c>;
+    - 4 w^2/9 |<s_b s_c|VV>|^2 <V|I/2|V> <V|rho_c|V> = w^2/18 <V|rho_c|V>.
+    So p = v^2/36 + w^2/18 (<s_c|rho_c|s_c> + <V|rho_c|V>), which is (2 - v^2)/36
+    for rho_c = I/2. The bracket is at least 1 - 1/sqrt 2 (the smaller
+    eigenvalue of |s_c><s_c| + |V><V|), so no outcome vanishes and every one
+    has a conditional state; for the probes H, V, +, R it is at least 1/2,
+    so every outcome keeps at least 1/36 of the events.
+    """
+    channel = gate_channel(v)
+    rho_c = make_input(InputSpec(probe, mixedness[2]))
+    pair = make_pair(PairSpec(targets[0], mixedness[0]))
+    res = teleport(rho_c, pair, channel, correct=False)
+    for o in res.outcomes:
+        s_c = SINGLE_QUBIT_AMPLITUDES[o.product_result[1]]
+        bracket = np.real(s_c.conj() @ rho_c.entries @ s_c + rho_c.entries[1, 1])
+        assert o.probability == pytest.approx(v**2 / 36 + (1 - v**2) / 18 * bracket,
+                                              rel=0, abs=1e-15)
+        assert o.state is not None
+        if probe in TOMOGRAPHIC_PROBES:
+            assert o.probability >= 1 / 36 - 1e-15
+    for o in swap(pair, make_pair(PairSpec(targets[1], mixedness[1])), channel).outcomes:
+        assert o.probability == pytest.approx((2 - v**2) / 36, rel=0, abs=1e-15)
+        assert o.state is not None
