@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -29,8 +30,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-#: Points per calibration grid axis, at most; the scan is exhaustive.
+#: Points per calibration grid axis, and in the whole grid, at most; the scan is exhaustive.
 MAX_GRID_POINTS = 1000
+MAX_GRID_TOTAL = 10**6
 
 DEFAULT_CAL_GRID = {
     "overlap": (0.85, 1.00, 16),
@@ -98,6 +100,9 @@ def _load_calibration_config(path: str):
     unknown = set(grid_spec) - set(DEFAULT_CAL_GRID)
     if unknown:
         raise ConfigError(f"grid: unknown parameters {sorted(unknown, key=str)}")
+    total = math.prod(len(axis) for axis in grids.values())
+    if total > MAX_GRID_TOTAL:
+        raise ConfigError(f"grid: {total} points in all, at most {MAX_GRID_TOTAL}")
     for key, value in targets.items():
         # every calibratable figure is a fidelity in [0, 1] or an |S| in [0, 4]
         if not _is_real(value) or not 0.0 <= value <= 4.0:

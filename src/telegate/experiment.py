@@ -370,35 +370,42 @@ def teleport_summary(gate, pair_mixedness: float = 0.0, input_mixedness: float =
     return summary
 
 
-def _swap_figures(label: str, rho: DensityMatrix, s: float) -> dict[str, float]:
-    """Swap figures of an outcome's (a, d) state, given its signed CHSH value."""
-    return {
-        "fidelity": fidelity_pure(rho, tilde_bell(label, ("a", "d"))),
-        "log_negativity": log_negativity(rho),
-        "chsh": s,
-        "chsh_abs": abs(s),
-    }
+#: Each swap outcome's figures, in report order.
+_SWAP_FIGURES = ("fidelity", "log_negativity", "chsh", "chsh_abs")
+
+
+def _swap_estimate(states: Sequence[DensityMatrix], s_values: Sequence[float]) -> dict[str, float]:
+    """Swap figures from the four (a, d) states and their signed CHSH values.
+
+    Both come in TILDE_LABELS order, the order bsa reports. Returns
+    ``<bell>/<figure>`` per outcome and ``average_<figure>`` over outcomes.
+    """
+    figures: dict[str, float] = {}
+    for bell, rho, s in zip(TILDE_LABELS, states, s_values):
+        values = (fidelity_pure(rho, tilde_bell(bell, ("a", "d"))), log_negativity(rho), s, abs(s))
+        figures.update((f"{bell}/{key}", val) for key, val in zip(_SWAP_FIGURES, values))
+    for key in ("fidelity", "chsh_abs", "log_negativity"):
+        figures[f"average_{key}"] = float(np.mean([figures[f"{b}/{key}"] for b in TILDE_LABELS]))
+    return figures
 
 
 def swap_summary(gate, pair_mixedness: float = 0.0) -> dict:
     """Exact entanglement-swapping figures for the four analyzer outcomes, from phi+ pairs."""
     pair = make_pair(PairSpec("phi+", pair_mixedness))
     res = swap(pair, pair, _as_channel(gate))
-    out: dict = {"outcomes": {}}
-    for o in res.outcomes:
-        variant = CHSH_VARIANT_FOR_BELL[o.bell_label]
-        out["outcomes"][o.bell_label] = {
-            "probability": o.probability,
-            "chsh_variant": variant,
-            **_swap_figures(o.bell_label, o.state, chsh(o.state, ChshSpec(variant=variant))),
-            "state": o.state,
-        }
-    vals = out["outcomes"]
-    out["success_probability"] = res.success_probability
-    out["F_avg"] = float(np.mean([v["fidelity"] for v in vals.values()]))
-    out["N_avg"] = float(np.mean([v["log_negativity"] for v in vals.values()]))
-    out["S_abs_avg"] = float(np.mean([v["chsh_abs"] for v in vals.values()]))
-    return out
+    variants = [CHSH_VARIANT_FOR_BELL[o.bell_label] for o in res.outcomes]
+    figures = _swap_estimate([o.state for o in res.outcomes],
+                             [chsh(o.state, ChshSpec(v)) for o, v in zip(res.outcomes, variants)])
+    return {
+        "outcomes": {
+            o.bell_label: {"probability": o.probability, "chsh_variant": v,
+                           **{k: figures[f"{o.bell_label}/{k}"] for k in _SWAP_FIGURES},
+                           "state": o.state}
+            for o, v in zip(res.outcomes, variants)},
+        "success_probability": res.success_probability,
+        "F_avg": figures["average_fidelity"], "N_avg": figures["average_log_negativity"],
+        "S_abs_avg": figures["average_chsh_abs"],
+    }
 
 
 # -- calibration ---------------------------------------------------------------
@@ -643,29 +650,22 @@ def _run_swap(config: ExperimentConfig, channel) -> tuple[dict, dict]:
             for setting, row in zip(CHSH_SETTINGS, chsh_distributions(o.state).tolist())})
 
     def estimate(tabs: Mapping[str, CountTable]) -> Estimate:
-        figures, fitted = {}, {}
-        for o in outcomes:
-            label = o.bell_label
-            fitted[label] = mle_fit(tabs[f"{label}/tomo"])
-            e = chsh_correlators(tabs[f"{label}/chsh"].corrected)
-            s_val = chsh_from_correlators(e, CHSH_VARIANT_FOR_BELL[label])
-            for key, val in _swap_figures(label, fitted[label], s_val).items():
-                figures[f"{label}/{key}"] = val
-        for key in ("fidelity", "chsh_abs", "log_negativity"):
-            figures[f"average_{key}"] = float(np.mean([figures[f"{o.bell_label}/{key}"]
-                                                       for o in outcomes]))
-        return Estimate(figures, fitted)
+        fitted = [mle_fit(tabs[f"{o.bell_label}/tomo"]) for o in outcomes]
+        s_values = [chsh_from_correlators(chsh_correlators(tabs[f"{o.bell_label}/chsh"].corrected),
+                                          CHSH_VARIANT_FOR_BELL[o.bell_label])
+                    for o in outcomes]
+        return Estimate(_swap_estimate(fitted, s_values), fitted)
 
     tables, values, errors = _measure(config, distributions, estimate)
     results: dict = {"outcomes": {}}
-    for o in outcomes:
+    for o, fitted in zip(outcomes, values.fitted):
         label = o.bell_label
         row = results["outcomes"][label] = {
             "product_result": o.product_result,
             "probability": o.probability,
             "chsh_variant": CHSH_VARIANT_FOR_BELL[label],
             "chsh_abs": values[f"{label}/chsh_abs"],
-            "state": _matrix_payload(values.fitted[label].entries),
+            "state": _matrix_payload(fitted.entries),
         }
         for key in ("fidelity", "log_negativity", "chsh"):
             row[key], row[f"{key}_err"] = values[f"{label}/{key}"], errors[f"{label}/{key}"]

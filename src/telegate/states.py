@@ -160,10 +160,8 @@ def analyzer_eigenvectors(theta_deg: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values; Hermitian inputs use the eigenvalue route."""
+    """Sum of singular values; for a Hermitian matrix, the sum of its eigenvalues' moduli."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got {m.shape}")
-    if np.allclose(m, m.conj().T, atol=ATOL):
-        return float(np.abs(np.linalg.eigvalsh(m)).sum())
     return float(np.linalg.svd(m, compute_uv=False).sum())

@@ -18,12 +18,12 @@ respectively 4 counts per setting. Two reconstructions are provided:
   Sepulchre, SIAM J. Optim. 20, 2327, 2010). Only this fit imports scipy.
 
 Process tomography expands a single-qubit channel in the Pauli operator
-basis, E(rho) = sum_mn M[m, n] sigma_m rho sigma_n, and solves the linear
-system fixed by its outputs on the four probe states H, V, +, R. The
-setting projectors and the system's design matrix are built once, at
-import. The fit is deliberately unconstrained (no CP projection) so that
-small unphysical entries show up rather than being hidden; only
-Hermiticity is enforced by symmetrization.
+basis, E(rho) = sum_mn M[m, n] sigma_m rho sigma_n. Its outputs on the four
+probe states H, V, +, R fix M through a square, invertible design matrix:
+M is one product with its inverse. The setting projectors, the design
+matrix and its inverse are built once, at import. The fit is deliberately
+unconstrained (no CP projection) so that small unphysical entries show up
+rather than being hidden; only Hermiticity is enforced by symmetrization.
 """
 
 from __future__ import annotations
@@ -386,10 +386,11 @@ class ProcessMatrix:
 _PAULI_STACK = np.array([PAULI[s] for s in "IXYZ"])
 _PROBE_STATES = np.array([single_qubit_state(p).density().entries for p in TOMOGRAPHIC_PROBES])
 
-#: The process-tomography design matrix, of rank 16: row (probe k, i, j),
-#: column (m, n) holds (sigma_m rho_k sigma_n)[i, j].
+#: The process-tomography design matrix, of rank 16, and its inverse: row
+#: (probe k, i, j), column (m, n) holds (sigma_m rho_k sigma_n)[i, j].
 _DESIGN = _freeze(np.einsum("mip,kpq,nqj->kijmn", _PAULI_STACK, _PROBE_STATES,
                             _PAULI_STACK).reshape(-1, 16))
+_DESIGN_INV = _freeze(np.linalg.inv(_DESIGN))
 
 
 def identity_process() -> ProcessMatrix:
@@ -399,12 +400,11 @@ def identity_process() -> ProcessMatrix:
 
 
 def process_tomo(outputs) -> ProcessMatrix:
-    """Least-squares process matrix from the channel's 2 x 2 outputs for H, V, +, R, in order."""
+    """Process matrix from the channel's 2 x 2 outputs for H, V, +, R, in order."""
     rho_out = np.asarray(outputs, dtype=complex)
     if rho_out.shape != (4, 2, 2):
         raise ValueError(f"need the 2 x 2 outputs of the 4 probes, got shape {rho_out.shape}")
-    coeff, *_ = np.linalg.lstsq(_DESIGN, rho_out.reshape(-1), rcond=None)
-    m = coeff.reshape(4, 4)
+    m = (_DESIGN_INV @ rho_out.reshape(-1)).reshape(4, 4)
     return ProcessMatrix(0.5 * (m + m.conj().T))
 
 

@@ -323,6 +323,40 @@ class TestRunExperiment:
         assert fidelity_pure(rho, target) >= 0.999
 
 
+class TestTeleportEstimatorAudit:
+    """The teleport figures and their bootstrap errors over 20 seeded runs, against the exact truth.
+
+    Each seed runs the calibrated point with 56 counts per setting and 100
+    resamples. Per figure, the mean over seeds lies within 3 standard errors
+    of the exact value and the mean reported error is within a factor of
+    about 1.6 of the spread over seeds; the reported 1-sigma intervals cover
+    the exact value in 50-85% of the 100 (seed, figure) pairs.
+    """
+
+    SEEDS = range(1, 21)
+
+    def test_bias_error_scale_and_coverage(self):
+        truth = teleport_summary(0.93, 0.01, 0.14)
+        names = ("H", "V", "+", "R")
+        values, errors = [], []
+        for seed in self.SEEDS:
+            res = run_experiment(ExperimentConfig(
+                protocol="teleport", overlap=0.93, pair_mixedness=0.01, input_mixedness=0.14,
+                counts_per_setting=56, bootstrap_resamples=100, seed=seed)).results
+            blocks = [res["inputs"][name] for name in names]
+            values.append([b["fidelity"] for b in blocks] + [res["process_fidelity"]])
+            errors.append([b["fidelity_err"] for b in blocks] + [res["process_fidelity_err"]])
+        values, errors = np.array(values), np.array(errors)
+        exact = np.array([truth[f"F_{name}"] for name in names] + [truth["F_p"]])
+        sd = values.std(axis=0, ddof=1)
+        n = len(self.SEEDS)
+        assert np.all(np.abs(values.mean(axis=0) - exact) <= 3.0 * sd / np.sqrt(n)), values.mean(0)
+        ratio = errors.mean(axis=0) / sd
+        assert np.all((0.6 <= ratio) & (ratio <= 1.6)), ratio
+        coverage = np.mean(np.abs(values - exact) <= errors)
+        assert 0.50 <= coverage <= 0.85, coverage
+
+
 class TestCalibrate:
     def test_ideal_targets_recover_ideal_point(self):
         targets = {"F_H": 1.0, "F_V": 1.0, "F_+": 1.0, "F_R": 1.0, "F_p": 1.0}
@@ -521,6 +555,18 @@ class TestCli:
             cfg.write_text(text)
             assert cli.main(["calibrate", str(cfg)]) == 2, text
             assert field_name in capsys.readouterr().err, text
+
+    def test_calibration_grid_total_is_bounded(self, tmp_path, capsys):
+        cfg = tmp_path / "cal.yaml"
+        grid = "grid: {overlap: [0, 1, 1000], pair_mixedness: [0, 1, 1000], input_mixedness: %s}\n"
+        cfg.write_text("targets: {F_H: 0.9}\n" + grid % "[0, 1, 1]")
+        _, grids = cli._load_calibration_config(str(cfg))
+        assert [len(axis) for axis in grids.values()] == [1000, 1000, 1]
+        cfg.write_text("targets: {F_H: 0.9}\n" + grid % "[0, 1, 2]")
+        with pytest.raises(ConfigError, match="2000000 points"):
+            cli._load_calibration_config(str(cfg))
+        assert cli.main(["calibrate", str(cfg)]) == 2
+        assert "2000000 points" in capsys.readouterr().err
 
 
 # -- config fuzzing through the CLI --------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from telegate.states import (
     DensityMatrix,
@@ -166,7 +168,36 @@ class TestExpectation:
             expectation(H.density(), np.eye(4))
 
 
+def complex_matrices(n: int):
+    """n x n complex matrices with real and imaginary parts in [-1, 1]."""
+    return arrays(np.float64, (2, n, n), elements=st.floats(-1.0, 1.0)).map(
+        lambda a: a[0] + 1j * a[1])
+
+
+any_size = st.sampled_from([2, 4]).flatmap(complex_matrices)
+
+
 class TestTraceNorm:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(any_size)
+    def test_hermitian_is_sum_of_eigenvalue_moduli(self, g):
+        h = g + g.conj().T
+        assert abs(trace_norm(h) - np.abs(np.linalg.eigvalsh(h)).sum()) <= 1e-12
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(complex_matrices(4))
+    def test_partial_transpose_is_sum_of_eigenvalue_moduli(self, a):
+        s = a @ a.conj().T
+        assume(np.trace(s).real > 1e-6)
+        rho = s / np.trace(s).real
+        pt = np.transpose(rho.reshape(2, 2, 2, 2), (0, 3, 2, 1)).reshape(4, 4)
+        assert abs(trace_norm(pt) - np.abs(np.linalg.eigvalsh(pt)).sum()) <= 1e-12
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(any_size)
+    def test_general_is_sum_of_singular_values(self, g):
+        assert abs(trace_norm(g) - np.linalg.svd(g, compute_uv=False).sum()) <= 1e-12
+
     def test_identity(self):
         assert trace_norm(np.eye(2)) == pytest.approx(2.0, abs=1e-12)
 

@@ -12,6 +12,7 @@ from telegate.tomography import (
     FitError,
     MeasurementSetting,
     _DESIGN,
+    _DESIGN_INV,
     _factor_nll,
     _fit_inputs,
     _projector_stack,
@@ -484,18 +485,15 @@ class TestProjectorStack:
             _projector_stack(3, ("ZZZ",), ("+++",))
 
 
-def process_tomo_loop(inputs, outputs) -> np.ndarray:
-    """process_tomo with its design matrix built entry by entry."""
-    rows, rhs = [], []
-    for rin, rho_out in zip(inputs, outputs):
+def design_loop(inputs) -> np.ndarray:
+    """The process-tomography design matrix built entry by entry."""
+    rows = []
+    for rin in inputs:
         rho_in = rin.density().entries
         for i in range(2):
             for j in range(2):
                 rows.append([(PAULI[sm] @ rho_in @ PAULI[sn])[i, j] for sm in "IXYZ" for sn in "IXYZ"])
-                rhs.append(np.asarray(rho_out)[i, j])
-    coeff, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
-    m = coeff.reshape(4, 4)
-    return 0.5 * (m + m.conj().T)
+    return np.array(rows)
 
 
 class TestProcessTomo:
@@ -532,12 +530,17 @@ class TestProcessTomo:
                 outs.append(out)
             fitted = process_tomo(outs)
             assert np.allclose(fitted.entries, chi, atol=1e-10)
-            assert np.array_equal(fitted.entries, process_tomo_loop(probes, outs))
+
+    def test_design_matrix_equals_entry_by_entry_rows(self):
+        assert np.array_equal(_DESIGN, design_loop(self.probe_states()))
 
     def test_design_matrix_has_full_rank(self):
         # the four probes span the qubit operator space, so the outputs fix M
         assert _DESIGN.shape == (16, 16)
         assert np.linalg.matrix_rank(_DESIGN, tol=1e-9) == 16
+
+    def test_design_inverse(self):
+        assert np.max(np.abs(_DESIGN_INV @ _DESIGN - np.eye(16))) < 1e-13
 
     def test_needs_one_output_per_probe(self):
         with pytest.raises(ValueError, match="probes"):
