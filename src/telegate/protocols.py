@@ -20,7 +20,7 @@ force and check it against the frozen copy here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,21 +93,16 @@ def _as_channel(gate) -> GateChannel:
 
 # The analyzer's two stages; the benchmark's per-layer tracer reads both by name.
 
-def apply_kraus_raw(rho: DensityMatrix, keep: tuple[str, ...], modes: tuple[str, str],
-                    kraus) -> np.ndarray:
-    """Unnormalized state of the ``keep`` modes for every analyzer outcome, in one contraction.
+def apply_kraus_raw(arr: np.ndarray, kraus) -> np.ndarray:
+    """Unnormalized spectator state for every analyzer outcome, over a stack of states.
 
-    Entry [o, a, b] is sum_k <a, o| K_k rho K_k^dag |b, o>, where each K_k acts
-    on ``modes`` and |o> is the product vector of outcome o (outcomes in
-    ``BELL_FOR_PRODUCT`` order). Its trace over (a, b) is the outcome's weight.
+    ``arr`` holds states in analyzer layout [..., keep, (b c), keep, (b c)], of shape
+    (..., s, 4, s, 4). Entry [..., o, a, b] is sum_k <a, o| K_k rho K_k^dag |b, o>, with |o> the
+    product vector of outcome o (in ``BELL_FOR_PRODUCT`` order); its trace is the outcome's weight.
     """
-    # rho as [keep, modes, keep, modes], each part in the given label order
-    n, s = rho.n_qubits, 2 ** len(keep)
-    order = [rho.labels.index(l) for l in keep + modes]
-    arr = rho.entries.reshape((2,) * 2 * n).transpose(order + [n + k for k in order])
     # row <o| K_k for every outcome o and Kraus operator K_k
     rows = np.einsum("oi,kij->okj", _PRODUCT_VECTORS.conj(), np.array(kraus))
-    return np.einsum("okj,ajbl,okl->oab", rows, arr.reshape(s, 4, s, 4), rows.conj())
+    return np.einsum("okj,...ajbl,okl->...oab", rows, arr, rows.conj())
 
 
 def condition_on_outcome(raw: np.ndarray, weight: float,
@@ -116,6 +111,17 @@ def condition_on_outcome(raw: np.ndarray, weight: float,
     if not keep or weight <= 1e-15:
         return None
     return _computed(raw / weight, keep)
+
+
+def _outcomes(raw: np.ndarray, keep: tuple[str, ...]) -> list[BsaOutcome]:
+    """The four outcomes of one analyzer contraction (4, s, s) on the ``keep`` modes."""
+    weights = np.real(np.einsum("oaa->o", raw)).tolist()
+    success = sum(weights)
+    if success < 1e-15:
+        raise ZeroSuccessError(f"total success probability {success} below threshold")
+    return [BsaOutcome(bell_label=bell, product_result=result, probability=max(weight, 0.0),
+                       state=condition_on_outcome(mat, weight, keep))
+            for (result, bell), weight, mat in zip(BELL_FOR_PRODUCT.items(), weights, raw)]
 
 
 def bsa(rho: DensityMatrix, modes: tuple[str, str], gate=1.0) -> list[BsaOutcome]:
@@ -132,33 +138,37 @@ def bsa(rho: DensityMatrix, modes: tuple[str, str], gate=1.0) -> list[BsaOutcome
             raise KeyError(f"mode {m!r} not present in state labels {rho.labels}")
     if b == c:
         raise ValueError(f"analyzer modes must differ, got {modes}")
-    channel = _as_channel(gate)
     keep = tuple(l for l in rho.labels if l not in (b, c))
-    raw = apply_kraus_raw(rho, keep, (b, c), channel.kraus)
-    weights = np.real(np.einsum("oaa->o", raw)).tolist()
-    success = sum(weights)
-    if success < 1e-15:
-        raise ZeroSuccessError(f"total success probability {success} below threshold")
-    return [BsaOutcome(bell_label=bell, product_result=result, probability=max(weight, 0.0),
-                       state=condition_on_outcome(mat, weight, keep))
-            for (result, bell), weight, mat in zip(BELL_FOR_PRODUCT.items(), weights, raw)]
+    # rho as [keep, (b c), keep, (b c)], each part in the given label order
+    n, s = rho.n_qubits, 2 ** len(keep)
+    order = [rho.labels.index(l) for l in keep + (b, c)]
+    arr = rho.entries.reshape((2,) * 2 * n).transpose(order + [n + k for k in order])
+    return _outcomes(apply_kraus_raw(arr.reshape(s, 4, s, 4), _as_channel(gate).kraus), keep)
+
+
+def teleport_raw(pair: np.ndarray, inputs: np.ndarray, kraus) -> np.ndarray:
+    """Unnormalized mode-a states (..., 4, 2, 2) of mode-c inputs (..., 2, 2) via pair (a, b)."""
+    joint = np.einsum("abAB,...cC->...abcABC", pair.reshape(2, 2, 2, 2), inputs)
+    return apply_kraus_raw(joint.reshape(inputs.shape[:-2] + (2, 4, 2, 4)), kraus)
+
+
+def correct_frames(rho: np.ndarray) -> np.ndarray:
+    """U rho U^dag over the outcome axis of ``rho`` (..., 4, 2, 2), U the outcome's correction."""
+    return CORRECTIONS @ rho @ CORRECTIONS.conj().swapaxes(-1, -2)
 
 
 def teleport(input_state: DensityMatrix, pair: DensityMatrix, gate=1.0,
              correct: bool = True) -> ProtocolResult:
     """Teleport the mode-c state onto mode a through a (b, c) analysis.
 
-    With ``correct`` each outcome's state is rotated by its entry of
-    ``CORRECTIONS``, mirroring corrections applied on the data rather than
+    With ``correct`` each unnormalized outcome state is rotated by its entry
+    of ``CORRECTIONS``, mirroring corrections applied on the data rather than
     in the optics. A Bell pair leaves no outcome without a state.
     """
     if input_state.n_qubits != 1 or pair.n_qubits != 2:
         raise ValueError("teleport needs a 1-qubit input and a 2-qubit pair")
-    joint = kron(pair.with_labels(("a", "b")), input_state.with_labels(("c",)))
-    outcomes = tuple(
-        replace(o, state=_computed(u @ o.state.entries @ u.conj().T, o.state.labels))
-        if correct and o.state is not None else o
-        for o, u in zip(bsa(joint, ("b", "c"), gate), CORRECTIONS))
+    raw = teleport_raw(pair.entries, input_state.entries, _as_channel(gate).kraus)
+    outcomes = tuple(_outcomes(correct_frames(raw) if correct else raw, ("a",)))
     return ProtocolResult(outcomes, sum(o.probability for o in outcomes))
 
 

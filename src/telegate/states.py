@@ -58,7 +58,7 @@ class PureState:
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        n = int(np.log2(len(amps)))
+        n = len(amps).bit_length() - 1
         if 2**n != len(amps):
             raise ValueError(f"length {len(amps)} is not a power of two")
         norm = np.linalg.norm(amps)
@@ -97,10 +97,10 @@ class DensityMatrix:
         m = np.asarray(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"entries must be square, got {m.shape}")
-        n = int(np.log2(m.shape[0]))
+        n = m.shape[0].bit_length() - 1
         if 2**n != m.shape[0]:
             raise ValueError(f"dimension {m.shape[0]} is not a power of two")
-        if not np.allclose(m, m.conj().T, atol=ATOL):
+        if not np.abs(m - m.conj().T).max() <= ATOL:
             raise ValueError("matrix is not Hermitian")
         tr = np.trace(m)
         if abs(tr - 1.0) > ATOL:

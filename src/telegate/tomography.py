@@ -122,6 +122,13 @@ def _projector_stack(n: int, settings: tuple[str, ...], outcomes: tuple[str, ...
     return projs
 
 
+@lru_cache(maxsize=32)
+def _basis_masks(settings: tuple[str, ...], outcomes: tuple[str, ...]) -> np.ndarray:
+    """Shared masks [sign, cell, basis] of a 1-qubit table: where Tr[P sigma_b] is +1 and -1."""
+    signs = np.real(np.einsum("oij,bji->ob", _projector_stack(1, settings, outcomes), _BLOCH_AXES))
+    return np.array([signs > 0.5, signs < -0.5], dtype=float)
+
+
 def _table_projectors(counts: "CountTable") -> np.ndarray:
     """The projectors of a table's cells, once its outcomes and corrected counts are valid."""
     n = len(counts.modes)
@@ -211,13 +218,8 @@ def _exact_fit_1q(counts: "CountTable", projs: np.ndarray, weights: np.ndarray,
     a_b log(1 + r) + c_b log(1 - r) - lam r^2 for the multiplier lam > 0
     that makes sum_b r_b^2 = 1.
     """
-    plus = dict.fromkeys(BASIS_VECTORS, 0.0)
-    minus = dict.fromkeys(BASIS_VECTORS, 0.0)
-    cells = weights.reshape(len(counts.settings), len(counts.outcomes)).tolist()
-    for basis, row in zip(counts.settings, cells):
-        for outcome, w in zip(counts.outcomes, row):
-            (plus if outcome == "+" else minus)[basis] += w
-    pairs = [(plus[b], minus[b]) for b in BASIS_VECTORS]
+    plus, minus = (weights @ _basis_masks(tuple(counts.settings), tuple(counts.outcomes))).tolist()
+    pairs = list(zip(plus, minus))
     r = [(a - c) / (a + c) if a + c > 0.0 else 0.0 for a, c in pairs]
     if math.fsum(x * x for x in r) > 1.0:
         lam = _sphere_multiplier(pairs)
@@ -373,11 +375,9 @@ class ProcessMatrix:
         m = np.asarray(self.entries, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"process matrix must be 4x4, got {m.shape}")
-        if not np.allclose(m, m.conj().T, atol=ATOL):
+        if not np.abs(m - m.conj().T).max() <= ATOL:
             raise ValueError("process matrix is not Hermitian")
-        m = np.ascontiguousarray(m)
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "entries", _freeze(m))
 
     def trace(self) -> float:
         return float(np.real(np.trace(self.entries)))
@@ -394,9 +394,7 @@ _DESIGN_INV = _freeze(np.linalg.inv(_DESIGN))
 
 
 def identity_process() -> ProcessMatrix:
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = 1.0
-    return ProcessMatrix(m)
+    return ProcessMatrix(np.diag([1.0, 0.0, 0.0, 0.0]))
 
 
 def process_tomo(outputs) -> ProcessMatrix:

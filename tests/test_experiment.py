@@ -323,6 +323,27 @@ class TestRunExperiment:
         assert fidelity_pure(rho, target) >= 0.999
 
 
+class TestOffIdealConvergence:
+    """Teleport runs at a million counts per setting land on the exact figures away from v = 1."""
+
+    POINTS = ((0.672, 0.192, 0.140), (0.748, 0.106, 0.237), (0.962, 0.053, 0.196),
+              (0.719, 0.290, 0.276))
+
+    @pytest.mark.parametrize("seed, point", list(zip(range(100, 104), POINTS)))
+    def test_teleport_within_six_error_bars(self, seed, point):
+        v, lp, li = point
+        res = run_experiment(ExperimentConfig(
+            protocol="teleport", overlap=v, pair_mixedness=lp, input_mixedness=li,
+            counts_per_setting=10**6, seed=seed)).results
+        exact = teleport_summary(v, lp, li)
+        figures = [(f"F_{name}", blk["fidelity"], blk["fidelity_err"])
+                   for name, blk in res["inputs"].items()]
+        figures.append(("F_p", res["process_fidelity"], res["process_fidelity_err"]))
+        for key, value, err in figures:
+            assert 0.0 < err <= 0.01, (key, err)
+            assert abs(value - exact[key]) <= 6.0 * err, (key, value, exact[key], err)
+
+
 class TestTeleportEstimatorAudit:
     """The teleport figures and their bootstrap errors over 20 seeded runs, against the exact truth.
 

@@ -8,6 +8,7 @@ from telegate.protocols import (
     BELL_FOR_PRODUCT,
     CORRECTION_FOR_BELL,
     CORRECTION_MATRICES,
+    CORRECTIONS,
     PRODUCT_FOR_BELL,
     TELEPORT_PAIR_TARGET,
     TILDE_LABELS,
@@ -298,6 +299,47 @@ class TestTeleport:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             teleport(make_pair(PairSpec()), make_pair(PairSpec()))
+
+
+class TestTeleportOracle:
+    """teleport() against bsa on the labeled joint (a, b) x c state, analyzed on (b, c)."""
+
+    @staticmethod
+    def assert_matches_bsa(chi, pair, channel, correct):
+        res = teleport(chi, pair, channel, correct=correct)
+        joint = kron(pair.with_labels(("a", "b")), chi.with_labels(("c",)))
+        reference = bsa(joint, ("b", "c"), channel)
+        assert ([(o.bell_label, o.product_result) for o in res.outcomes]
+                == [(o.bell_label, o.product_result) for o in reference])
+        for o, r, u in zip(res.outcomes, reference, CORRECTIONS):
+            assert o.probability == pytest.approx(r.probability, rel=0, abs=1e-14)
+            if r.state is None:
+                assert o.state is None
+                continue
+            expected = u @ r.state.entries @ u.conj().T if correct else r.state.entries
+            assert o.state.labels == ("a",)
+            assert np.allclose(o.state.entries, expected, rtol=0, atol=1e-14)
+        assert res.success_probability == pytest.approx(sum(r.probability for r in reference),
+                                                         rel=0, abs=1e-14)
+        return res
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.floats(0.0, 1.0), st.integers(0, 2**32), st.booleans())
+    def test_equals_bsa_on_joint_state(self, v, seed, correct):
+        rng = np.random.default_rng(seed)
+        pair, chi = ginibre_dm(2, rng), ginibre_dm(1, rng)
+        self.assert_matches_bsa(chi, pair, gate_channel(v), correct)
+
+    @pytest.mark.parametrize("correct", [False, True])
+    def test_zero_probability_outcomes(self, correct):
+        # b = H and c = - pass the gate unchanged; the analyzer never reads + on c
+        pair = kron(single_qubit_state("+", "a").density(), single_qubit_state("H", "b").density())
+        chi = single_qubit_state("-", "c").density()
+        res = self.assert_matches_bsa(chi, pair, gate_channel(1.0), correct)
+        for o in res.outcomes:
+            vanishes = o.bell_label in ("phi+", "phi-")
+            assert o.probability == pytest.approx(0.0 if vanishes else 1 / 18, rel=0, abs=1e-15)
+            assert (o.state is None) == vanishes
 
 
 class TestSwap:

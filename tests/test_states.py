@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -39,6 +41,20 @@ class TestValidation:
     def test_density_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
+
+    def test_density_hermitian_to_absolute_tolerance(self):
+        # 2e-6 off, far above ATOL though within numpy's default relative tolerance
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityMatrix([[0.5, 0.3 + 2e-6], [0.3, 0.5]])
+
+    @pytest.mark.parametrize("make", [lambda: PureState(np.zeros(0)),
+                                      lambda: DensityMatrix(np.zeros((0, 0)))],
+                             ids=["pure", "density"])
+    def test_empty_state(self, make):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="power of two"):
+                make()
 
     def test_density_trace(self):
         with pytest.raises(ValueError, match="trace"):

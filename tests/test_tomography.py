@@ -548,6 +548,15 @@ class TestProcessTomo:
 
 
 class TestProcessFidelity:
+    def test_hermitian_to_absolute_tolerance(self):
+        from telegate.tomography import ProcessMatrix
+
+        # 1e-6 off, far above ATOL though within numpy's default relative tolerance
+        m = np.diag([0.7, 0.1, 0.1, 0.1]).astype(complex)
+        m[0, 3], m[3, 0] = 0.2 + 1e-6, 0.2
+        with pytest.raises(ValueError, match="not Hermitian"):
+            ProcessMatrix(m)
+
     def test_ideal_is_one(self):
         assert process_fidelity(identity_process(), identity_process()) == pytest.approx(1.0)
 
