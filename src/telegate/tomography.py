@@ -11,11 +11,12 @@ respectively 4 counts per setting. Two reconstructions are provided:
   One qubit is fitted exactly: the likelihood splits by Pauli basis, so the
   maximum is the linearly inverted Bloch vector when that lies in the Bloch
   ball, and otherwise the point on the sphere fixed by one Lagrange
-  multiplier, a scalar root. Two qubits are fitted by L-BFGS over a complex
-  factor, rho = A A^dag / Tr[A A^dag], which reaches every state and starts
-  from the maximally mixed one; the likelihood is concave in rho, so every
-  local maximum of the factored problem is global (Journee, Bach, Absil &
-  Sepulchre, SIAM J. Optim. 20, 2327, 2010). Only this fit imports scipy.
+  multiplier, a scalar root. Two qubits are fitted by a dense BFGS over a
+  complex factor, rho = A A^dag / Tr[A A^dag], which reaches every state and
+  starts from the maximally mixed one; the likelihood is concave in rho, so
+  every local maximum of the factored problem is global (Journee, Bach,
+  Absil & Sepulchre, SIAM J. Optim. 20, 2327, 2010). With 2 d^2 = 32 real
+  parameters the 32 x 32 inverse-Hessian update is a few array products.
 
 Process tomography expands a single-qubit channel in the Pauli operator
 basis, E(rho) = sum_mn M[m, n] sigma_m rho sigma_n. Its outputs on the four
@@ -66,6 +67,12 @@ _TINY = 1e-12
 #: Iteration cap of the scalar root search; bisection alone needs about 60.
 _ROOT_STEPS = 200
 
+#: Iteration cap of the two-qubit factor fit.
+_MAX_ITERS = 10_000
+
+#: Step halvings after which the factor fit's line search has found no decrease.
+_LINE_STEPS = 30
+
 
 class FitError(RuntimeError):
     """Maximum-likelihood fit did not converge; carries the best iterate."""
@@ -108,8 +115,8 @@ def settings_2q() -> list[MeasurementSetting]:
 
 
 @lru_cache(maxsize=32)
-def _projector_stack(n: int, settings: tuple[str, ...], outcomes: tuple[str, ...]) -> np.ndarray:
-    """Read-only projectors of every (setting, outcome) cell, in row-major order."""
+def _ket_stack(n: int, settings: tuple[str, ...], outcomes: tuple[str, ...]) -> np.ndarray:
+    """Read-only analyzer kets of every (setting, outcome) cell, one per row, in row-major order."""
     if n not in _SETTING_IDS:
         raise ValueError(f"tomography analyzes 1 or 2 modes, got {n}")
     for setting_id in settings:
@@ -117,9 +124,14 @@ def _projector_stack(n: int, settings: tuple[str, ...], outcomes: tuple[str, ...
             raise ValueError(f"unknown setting {setting_id!r}")
     rows = [_SETTING_IDS[n].index(setting_id) for setting_id in settings]
     cols = [_OUTCOMES[n].index(outcome) for outcome in outcomes]
-    projs = _PROJECTORS[n][np.ix_(rows, cols)].reshape(-1, 2**n, 2**n)
-    projs.setflags(write=False)
-    return projs
+    return _freeze(_KETS[n][np.ix_(rows, cols)].reshape(-1, 2**n))
+
+
+@lru_cache(maxsize=32)
+def _projector_stack(n: int, settings: tuple[str, ...], outcomes: tuple[str, ...]) -> np.ndarray:
+    """Read-only projectors |k><k| of the same cells."""
+    kets = _ket_stack(n, settings, outcomes)
+    return _freeze(kets[:, :, None] * kets[:, None, :].conj())
 
 
 @lru_cache(maxsize=32)
@@ -192,8 +204,9 @@ def mle_fit(counts: "CountTable", dim: int | None = None,
     Maximizes the multinomial log likelihood sum_o c_o log p_o of the
     corrected counts. A one-qubit table is fitted exactly
     (:func:`_exact_fit_1q`) and never raises :class:`FitError`; a two-qubit
-    table is fitted by L-BFGS over a complex factor (:func:`_factor_fit`),
-    which raises it, carrying the best iterate, when it does not converge.
+    table is fitted by a dense BFGS over a complex factor
+    (:func:`_factor_fit`), which raises it, carrying the best iterate, when
+    it does not converge.
     ``trace_nll``, if given, collects the per-count negative log likelihood
     at the maximally mixed state and then at every accepted iterate; the
     exact fit has one iterate, its solution.
@@ -201,7 +214,8 @@ def mle_fit(counts: "CountTable", dim: int | None = None,
     projs, weights = _fit_inputs(counts, dim)
     if len(counts.modes) == 1:
         return _exact_fit_1q(counts, projs, weights, trace_nll)
-    return _factor_fit(counts.modes, projs, weights, trace_nll)
+    kets = _ket_stack(2, tuple(counts.settings), tuple(counts.outcomes))
+    return _factor_fit(counts.modes, kets, weights, trace_nll)
 
 
 def _exact_fit_1q(counts: "CountTable", projs: np.ndarray, weights: np.ndarray,
@@ -302,63 +316,87 @@ def _decreasing_root(f, lo: float, hi: float, x: float, ftol: float) -> float:
     return x
 
 
-def _factor_nll(x: np.ndarray, projs: np.ndarray, weights: np.ndarray) -> tuple[float, np.ndarray]:
-    """Per-count negative log likelihood of rho = A A^dag / Tr[A A^dag], and its gradient.
+def _factor_nll(a: np.ndarray, kets: np.ndarray, weights: np.ndarray) -> tuple[float, np.ndarray]:
+    """Per-count negative log likelihood of rho = A A^dag / Tr[A A^dag], and twice its A* derivative.
 
-    A = (x[:d^2] + i x[d^2:]).reshape(d, d). With p_o = Tr[P_o rho] and
-    R = sum_o (w_o / p_o) P_o, the derivative in A* is (A - R A)/Tr[A A^dag]
-    (the weights sum to one), and the gradient in x is twice its real and
-    imaginary parts.
+    With u = K^dag A, row o being <k_o| A, p_o = |u_o|^2 / Tr[A A^dag]. The
+    derivative in A* is (A - K diag(w / p) u) / Tr[A A^dag] (the weights sum
+    to one); twice it holds the gradient in the real and imaginary parts of A.
     """
-    d = projs.shape[-1]
-    a = (x[:d * d] + 1j * x[d * d:]).reshape(d, d)
-    s = a @ a.conj().T
-    z = float(np.real(np.trace(s)))
-    p = np.clip(np.real(np.einsum("oij,ji->o", projs, s)) / z, _TINY, None)
-    g = 2.0 * (a - np.einsum("o,oij->ij", weights / p, projs) @ a) / z
-    return -float(weights @ np.log(p)), np.concatenate([g.real.ravel(), g.imag.ravel()])
+    u = kets.conj() @ a
+    z = float(np.vdot(a, a).real)
+    p = np.maximum((u.real**2 + u.imag**2).sum(axis=1) / z, _TINY)
+    g = 2.0 * (a - kets.T @ ((weights / p)[:, None] * u)) / z
+    return -float(weights @ np.log(p)), g
 
 
-def _factor_fit(modes: tuple[str, ...], projs: np.ndarray, weights: np.ndarray,
+def _factor_fit(modes: tuple[str, ...], kets: np.ndarray, weights: np.ndarray,
                 trace_nll: list | None) -> DensityMatrix:
-    """L-BFGS maximum likelihood over rho = A A^dag / Tr[A A^dag], from A = I / sqrt(d).
+    """Dense BFGS maximum likelihood over rho = A A^dag / Tr[A A^dag], from A = I / sqrt(d).
 
+    Works in the 2 d^2 real coordinates of A: the first direction is the
+    normalized steepest descent, later ones -H g, with Armijo backtracking
+    from the full step and H reset to the identity when -H g is not a
+    descent direction. The first curvature pair seeds H with the scale
+    s.y / y.y; a pair with s.y <= 1e-12 |s| |y| leaves H as it is. The fit
+    stops when max|g| <= 1e-10, when a full step gains at most
+    1e-14 max(|f|, 1), or when the line search finds no decrease.
     Convergence is declared when the last accepted step improves the log
     likelihood by less than 1e-9 or the gradient norm drops below 1e-7,
     with an iteration cap of 10^4; anything else raises :class:`FitError`
     carrying the best iterate.
     """
-    from scipy.optimize import minimize
-
-    d = projs.shape[-1]
-    x0 = np.concatenate([np.eye(d).ravel() / np.sqrt(d), np.zeros(d * d)])
-    history: list[float] = [_factor_nll(x0, projs, weights)[0]]
-
-    # scipy passes the iterate's OptimizeResult to a callback whose one
-    # parameter has this name, so the accepted value is not recomputed
-    def record(intermediate_result):
-        history.append(intermediate_result.fun)
-
-    res = minimize(
-        _factor_nll,
-        x0,
-        args=(projs, weights),
-        jac=True,
-        method="L-BFGS-B",
-        callback=record,
-        options={"maxiter": 10_000, "ftol": 1e-14, "gtol": 1e-10},
-    )
-    a = (res.x[:d * d] + 1j * res.x[d * d:]).reshape(d, d)
-    s = a @ a.conj().T
-    state = _computed(s / np.real(np.trace(s)), _check_labels(modes, len(modes)))
+    d = kets.shape[-1]
+    a = np.eye(d, dtype=complex) / np.sqrt(d)
+    f, g = _factor_nll(a, kets, weights)
+    history = [f]
+    # interleaved real and imaginary parts: views, not copies
+    x, gx = a.view(float).ravel(), g.view(float).ravel()
+    h = None
+    for _ in range(_MAX_ITERS):
+        if np.abs(gx).max() <= 1e-10:
+            break
+        step = -gx / np.linalg.norm(gx) if h is None else -(h @ gx)
+        slope = gx @ step
+        if not slope < 0.0:
+            h = np.eye(x.size)
+            step, slope = -gx, -(gx @ gx)
+        t = 1.0
+        for _ in range(_LINE_STEPS):
+            x_new = x + t * step
+            f_new, g_new = _factor_nll(x_new.view(complex).reshape(d, d), kets, weights)
+            if f_new <= f + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        else:
+            break
+        gx_new = g_new.view(float).ravel()
+        s, y = x_new - x, gx_new - gx
+        sy, yy = s @ y, y @ y
+        if sy > 1e-12 * math.sqrt((s @ s) * yy):
+            if h is None:
+                h = (sy / yy) * np.eye(x.size)
+            # H + (s v^T + v s^T) / s.y, v = (1 + y.Hy / s.y) s / 2 - Hy, is the BFGS update
+            hy = h @ y
+            v = (0.5 + 0.5 * (y @ hy) / sy) * s - hy
+            sv = s[:, None] * v
+            h += (sv + sv.T) / sy
+        full_step_stalled = t == 1.0 and f - f_new <= 1e-14 * max(abs(f), 1.0)
+        x, f, gx = x_new, f_new, gx_new
+        history.append(f)
+        if full_step_stalled:
+            break
+    a = x.view(complex).reshape(d, d)
+    aa = a @ a.conj().T
+    state = _computed(aa / np.real(np.trace(aa)), _check_labels(modes, len(modes)))
 
     if trace_nll is not None:
         trace_nll.extend(history)
-    grad_norm = float(np.linalg.norm(res.jac))
+    grad_norm = float(np.linalg.norm(gx))
     last_improvement = abs(history[-2] - history[-1]) if len(history) >= 2 else 0.0
     if grad_norm > 1e-7 and not last_improvement < 1e-9:
         raise FitError(
-            f"no convergence after {res.nit} iterations "
+            f"no convergence after {len(history) - 1} iterations "
             f"(grad {grad_norm:.2e}, last step {last_improvement:.2e})",
             best_state=state,
         )

@@ -94,8 +94,9 @@ def reference_chsh_correlators(dists) -> np.ndarray:
 
 
 # The package's earlier reconstructions, kept as references: the Stokes loop
-# that linear_inversion replaced by one least-squares solve, and the
-# Cholesky-parameterized L-BFGS fit that the complex-factor fit replaced.
+# that linear_inversion replaced by one least-squares solve, the
+# Cholesky-parameterized L-BFGS fit that the complex-factor fit replaced, and
+# scipy's L-BFGS-B over the complex factor that the package's BFGS replaced.
 
 def reference_linear_inversion(counts) -> np.ndarray:
     """Stokes reconstruction: each Pauli word's mean over the settings that measure it."""
@@ -144,32 +145,16 @@ def _grad_to_real(g: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def _cholesky_fit(modes: tuple[str, ...], projs: np.ndarray, weights: np.ndarray,
-                  trace_nll: list | None) -> DensityMatrix:
-    """L-BFGS maximum likelihood over rho = T^dag T / Tr[T^dag T], T lower triangular.
+def _lbfgs_fit(modes: tuple[str, ...], negloglik, x0: np.ndarray, unpack,
+               trace_nll: list | None) -> DensityMatrix:
+    """scipy's L-BFGS-B on a factored likelihood, rho = T^dag T / Tr[T^dag T] with T = unpack(x).
 
-    The reference of the exact one-qubit fit and of the two-qubit factor fit.
     Convergence is declared when the last accepted step improves the log
     likelihood by less than 1e-9 or the gradient norm drops below 1e-7,
     with an iteration cap of 10^4; anything else raises :class:`FitError`
     carrying the best iterate.
     """
-    d = projs.shape[-1]
-
-    def negloglik(theta):
-        t = _unpack_cholesky(theta, d)
-        s = t.conj().T @ t
-        z = float(np.real(np.trace(s)))
-        p = np.real(np.einsum("oij,ji->o", projs, s)) / z
-        p = np.clip(p, _TINY, None)
-        nll = -float(weights @ np.log(p))
-        r = np.einsum("o,oij->ij", weights / p, projs)
-        grad_conj = -(t @ r - t) / z
-        return nll, _grad_to_real(grad_conj, d)
-
-    theta0 = np.zeros(d * d)
-    theta0[:d] = 1.0 / np.sqrt(d)
-    history: list[float] = [negloglik(theta0)[0]]
+    history: list[float] = [negloglik(x0)[0]]
 
     # scipy passes the iterate's OptimizeResult to a callback whose one
     # parameter has this name, so the accepted value is not recomputed
@@ -178,13 +163,13 @@ def _cholesky_fit(modes: tuple[str, ...], projs: np.ndarray, weights: np.ndarray
 
     res = minimize(
         negloglik,
-        theta0,
+        x0,
         jac=True,
         method="L-BFGS-B",
         callback=record,
         options={"maxiter": 10_000, "ftol": 1e-14, "gtol": 1e-10},
     )
-    t = _unpack_cholesky(res.x, d)
+    t = unpack(res.x)
     s = t.conj().T @ t
     state = _computed(s / np.real(np.trace(s)), _check_labels(modes, len(modes)))
 
@@ -201,7 +186,64 @@ def _cholesky_fit(modes: tuple[str, ...], projs: np.ndarray, weights: np.ndarray
     return state
 
 
+def _cholesky_fit(modes: tuple[str, ...], projs: np.ndarray, weights: np.ndarray,
+                  trace_nll: list | None) -> DensityMatrix:
+    """L-BFGS maximum likelihood over rho = T^dag T / Tr[T^dag T], T lower triangular.
+
+    The reference of the exact one-qubit fit and of the two-qubit factor fit.
+    """
+    d = projs.shape[-1]
+
+    def negloglik(theta):
+        t = _unpack_cholesky(theta, d)
+        s = t.conj().T @ t
+        z = float(np.real(np.trace(s)))
+        p = np.real(np.einsum("oij,ji->o", projs, s)) / z
+        p = np.clip(p, _TINY, None)
+        nll = -float(weights @ np.log(p))
+        r = np.einsum("o,oij->ij", weights / p, projs)
+        grad_conj = -(t @ r - t) / z
+        return nll, _grad_to_real(grad_conj, d)
+
+    theta0 = np.zeros(d * d)
+    theta0[:d] = 1.0 / np.sqrt(d)
+    return _lbfgs_fit(modes, negloglik, theta0, lambda theta: _unpack_cholesky(theta, d),
+                      trace_nll)
+
+
+def _factor_lbfgs_fit(modes: tuple[str, ...], projs: np.ndarray, weights: np.ndarray,
+                      trace_nll: list | None) -> DensityMatrix:
+    """L-BFGS-B maximum likelihood over rho = A A^dag / Tr[A A^dag], from A = I / sqrt(d).
+
+    A = (x[:d^2] + i x[d^2:]).reshape(d, d). With p_o = Tr[P_o rho] and
+    R = sum_o (w_o / p_o) P_o, the derivative in A* is (A - R A)/Tr[A A^dag],
+    and the gradient in x is twice its real and imaginary parts.
+    """
+    d = projs.shape[-1]
+
+    def unpack(x):
+        return (x[:d * d] + 1j * x[d * d:]).reshape(d, d)
+
+    def negloglik(x):
+        a = unpack(x)
+        s = a @ a.conj().T
+        z = float(np.real(np.trace(s)))
+        p = np.clip(np.real(np.einsum("oij,ji->o", projs, s)) / z, _TINY, None)
+        g = 2.0 * (a - np.einsum("o,oij->ij", weights / p, projs) @ a) / z
+        return -float(weights @ np.log(p)), np.concatenate([g.real.ravel(), g.imag.ravel()])
+
+    x0 = np.concatenate([np.eye(d).ravel() / np.sqrt(d), np.zeros(d * d)])
+    # rho = A A^dag = T^dag T with T = A^dag
+    return _lbfgs_fit(modes, negloglik, x0, lambda x: unpack(x).conj().T, trace_nll)
+
+
 def cholesky_reference(table) -> DensityMatrix:
     """The Cholesky-parameterized L-BFGS fit on any table."""
     projs, weights = _fit_inputs(table, None)
     return _cholesky_fit(table.modes, projs, weights, None)
+
+
+def factor_lbfgs_reference(table) -> DensityMatrix:
+    """scipy's L-BFGS-B over the complex factor on any table."""
+    projs, weights = _fit_inputs(table, None)
+    return _factor_lbfgs_fit(table.modes, projs, weights, None)

@@ -509,9 +509,19 @@ class TestCli:
         cfg.write_text("protocol: teleport\n")
         assert cli.main(["run", str(cfg)]) == 3
 
-    def test_scipy_is_loaded_by_two_qubit_fits_only(self, tmp_path):
+    def test_fit_iteration_cap_exit_code(self, tmp_path, monkeypatch, capsys):
+        from telegate import tomography
+
+        monkeypatch.setattr(tomography, "_MAX_ITERS", 2)
         cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("protocol: teleport\ncounts_per_setting: 100\n")
+        cfg.write_text("protocol: swap\ncounts_per_setting: 1000\n")
+        assert cli.main(["run", str(cfg)]) == 3
+        assert "no convergence after 2 iterations" in capsys.readouterr().err
+
+    def test_runs_and_fits_never_load_scipy(self, tmp_path):
+        teleport, swap = tmp_path / "teleport.yaml", tmp_path / "swap.yaml"
+        teleport.write_text("protocol: teleport\ncounts_per_setting: 100\n")
+        swap.write_text("protocol: swap\ncounts_per_setting: 100\n")
         code = "\n".join([
             "import contextlib, io, sys",
             "import numpy as np",
@@ -520,11 +530,12 @@ class TestCli:
             "from telegate.tomography import mle_fit, settings_2q",
             "with contextlib.redirect_stdout(io.StringIO()):",
             "    assert cli.main(['gate-table', '--format', 'csv']) == 0",
-            f"    assert cli.main(['run', {str(cfg)!r}]) == 0",
-            "assert 'scipy' not in sys.modules, 'scipy loaded without a two-qubit fit'",
+            f"    assert cli.main(['run', {str(teleport)!r}]) == 0",
+            f"    assert cli.main(['run', {str(swap)!r}]) == 0",
             "ids = tuple(s.id for s in settings_2q())",
-            "mle_fit(CountTable(('a', 'd'), ids, ('++', '+-', '-+', '--'), np.ones((9, 4))))",
-            "assert 'scipy' in sys.modules",
+            "raw = np.arange(36.0).reshape(9, 4)",
+            "mle_fit(CountTable(('a', 'd'), ids, ('++', '+-', '-+', '--'), raw))",
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)",
         ])
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 from telegate.experiment import CountTable, simulate_counts
 from telegate.protocols import tilde_bell
 from telegate.sources import TOMOGRAPHIC_PROBES, InputSpec, make_input, single_qubit_state
+from telegate import tomography
 from telegate.states import DensityMatrix, PAULI
 from telegate.tomography import (
     BASIS_VECTORS,
@@ -15,6 +16,7 @@ from telegate.tomography import (
     _DESIGN_INV,
     _factor_nll,
     _fit_inputs,
+    _ket_stack,
     _projector_stack,
     identity_process,
     linear_inversion,
@@ -28,6 +30,7 @@ from conftest import (
     _grad_to_real,
     _unpack_cholesky,
     cholesky_reference,
+    factor_lbfgs_reference,
     ginibre_dm,
     reference_linear_inversion,
     reference_projectors,
@@ -400,13 +403,19 @@ class TestFactorFit:
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(two_qubit_tables(), st.integers(0, 2**32 - 1))
     def test_gradient_matches_finite_differences(self, table, seed):
-        projs, weights = _fit_inputs(table, None)
+        # the objective's gradient in the real and imaginary parts of A
+        _, weights = _fit_inputs(table, None)
+        kets = _ket_stack(2, table.settings, table.outcomes)
+
+        def nll(x):
+            return _factor_nll((x[:16] + 1j * x[16:]).reshape(4, 4), kets, weights)
+
         x = np.random.default_rng(seed).normal(size=32)
-        grad = _factor_nll(x, projs, weights)[1]
+        g = nll(x)[1]
         eps = 1e-6
-        fd = [(_factor_nll(x + eps * e, projs, weights)[0]
-               - _factor_nll(x - eps * e, projs, weights)[0]) / (2 * eps) for e in np.eye(32)]
-        assert np.allclose(grad, fd, rtol=1e-5, atol=1e-7)
+        fd = [(nll(x + eps * e)[0] - nll(x - eps * e)[0]) / (2 * eps) for e in np.eye(32)]
+        assert np.allclose(np.concatenate([g.real.ravel(), g.imag.ravel()]), fd,
+                           rtol=1e-5, atol=1e-7)
 
     def test_trace_starts_mixed_and_ends_at_the_fit(self):
         table = sampled_table(ginibre_dm(2, np.random.default_rng(3)), ("a", "d"), 2000, seed=6)
@@ -416,6 +425,35 @@ class TestFactorFit:
         assert all(d <= 1e-12 for d in np.diff(trace))
         assert trace[-1] == pytest.approx(-loglikelihood(table, rho) / table.corrected.sum(),
                                           abs=1e-12)
+
+    def test_uniform_table_stops_at_the_start(self):
+        # the gradient vanishes at the maximally mixed start: no step is taken
+        table = CountTable(("a", "d"), tuple(s.id for s in settings_2q()),
+                           ("++", "+-", "-+", "--"), np.ones((9, 4)))
+        trace = []
+        rho = mle_fit(table, trace_nll=trace)
+        assert np.allclose(rho.entries, np.eye(4) / 4, rtol=0.0, atol=1e-12)
+        assert len(trace) == 1
+
+    def test_pure_product_table_with_empty_cells_converges(self):
+        state = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
+        table = sampled_table(state, ("a", "d"), 1000, seed=2)
+        assert (table.raw == 0).sum() >= 9
+        rho = mle_fit(table)  # a FitError fails the test
+        assert np.linalg.eigvalsh(rho.entries).min() >= -1e-12
+        assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-12)
+
+    def test_iteration_cap_raises_with_the_best_iterate(self, monkeypatch):
+        monkeypatch.setattr(tomography, "_MAX_ITERS", 2)
+        table = sampled_table(ginibre_dm(2, np.random.default_rng(3)), ("a", "d"), 2000, seed=6)
+        trace = []
+        with pytest.raises(FitError, match="after 2 iterations") as info:
+            mle_fit(table, trace_nll=trace)
+        best = info.value.best_state
+        DensityMatrix(best.entries, best.labels)  # checks Hermitian, trace one, positive
+        assert len(trace) == 3 and trace[-1] == min(trace) < trace[0]
+        assert -loglikelihood(table, best) / table.corrected.sum() == pytest.approx(
+            trace[-1], abs=1e-12)
 
 
 @st.composite
@@ -443,7 +481,8 @@ class TestLinearInversionSolve:
 
 
 class TestOutcomeLabels:
-    @pytest.mark.parametrize("fit", [linear_inversion, mle_fit, cholesky_reference])
+    @pytest.mark.parametrize("fit", [linear_inversion, mle_fit, cholesky_reference,
+                                     factor_lbfgs_reference])
     @pytest.mark.parametrize("modes, outcomes, bad", [
         (("a",), ("+", "x"), "'x'"),
         (("a",), ("+", "--"), "'--'"),
