@@ -1,6 +1,6 @@
 """Command-line front end: run experiments, calibrate, print the gate table.
 
-Exit codes: 0 success, 2 configuration problems, 3 numerical failures.
+Exit codes: 0 success, 1 stdout closed, 2 configuration problems, 3 numerical failures.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -27,6 +28,7 @@ from .gate import ZeroSuccessError, gate_channel
 from .tomography import FitError
 
 EXIT_OK = 0
+EXIT_CLOSED_STDOUT = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
@@ -136,11 +138,11 @@ def _cmd_calibrate(args) -> int:
         for key in sorted(result.predictions):
             lines.append(f"prediction.{key},{result.predictions[key]!r}")
         text = "\n".join(lines)
-    print(text)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
             fh.write("\n")
+    print(text)
     return EXIT_OK
 
 
@@ -175,12 +177,15 @@ def _cmd_gate_table(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    commands = {"run": _cmd_run, "calibrate": _cmd_calibrate, "gate-table": _cmd_gate_table}
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "calibrate":
-            return _cmd_calibrate(args)
-        return _cmd_gate_table(args)
+        code = commands[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send the rest of the output, and the exit-time flush, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

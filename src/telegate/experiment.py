@@ -44,9 +44,9 @@ from .protocols import (
     TILDE_LABELS,
     _as_channel,
     correct_frames,
+    pair_raw,
     swap,
     teleport,  # unused here, but a name the benchmark's tracer patches in this module
-    teleport_raw,
     tilde_bell,
 )
 from .sources import (
@@ -322,7 +322,7 @@ def _teleport_conditionals(channel, pair_target: str, pair_mixedness: float,
     """The grid's joint probabilities (probes x outcomes) and uncorrected 2 x 2 mode-a states."""
     pair = make_pair(PairSpec(pair_target, pair_mixedness), ("a", "b"))
     inputs = [make_input(spec, "c").entries for spec in tomographic_input_set(input_mixedness)]
-    raw = teleport_raw(pair.entries, np.array(inputs), channel.kraus)
+    raw = pair_raw(pair.entries, np.array(inputs), channel.kraus)
     weights = np.real(np.einsum("...aa->...", raw))
     states = raw / weights[..., None, None]
     # exactly Hermitian, as the package's computed states are

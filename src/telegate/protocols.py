@@ -11,11 +11,13 @@ Gate failure (no coincidence) is not an outcome; the four joint outcome
 probabilities plus the failure mass sum to one, and ideally each outcome
 carries 1/4 x 1/9 = 1/36.
 
-Teleportation feeds mode c and half of an entangled (a, b) pair into the
-analyzer on (b, c). With the pair aligned to the analyzer basis (target
-"phi+~") the conditional state in mode a equals the input up to one of the
-four Pauli-frame corrections below; the tests derive the table by brute
-force and check it against the frozen copy here.
+Teleportation feeds mode c, and swapping half of a second pair (c, d), with
+half of an entangled (a, b) pair into the analyzer on (b, c); both are one
+``pair_raw`` call. ``pair_raw`` and ``bsa`` read the analyzer through one
+contraction, ``apply_kraus_raw``. With the pair aligned to the analyzer
+basis (target "phi+~") the teleported state in mode a equals the input up
+to one of the four Pauli-frame corrections below; the tests derive the
+table by brute force and check it against the frozen copy here.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .gate import GateChannel, ZeroSuccessError, gate_channel
 from .sources import SINGLE_QUBIT_AMPLITUDES, bell_state
-from .states import DensityMatrix, PureState, _computed, kron, I2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .states import DensityMatrix, PureState, _computed, I2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 TILDE_LABELS = ("phi+", "psi+", "phi-", "psi-")
 
@@ -93,16 +95,21 @@ def _as_channel(gate) -> GateChannel:
 
 # The analyzer's two stages; the benchmark's per-layer tracer reads both by name.
 
-def apply_kraus_raw(arr: np.ndarray, kraus) -> np.ndarray:
-    """Unnormalized spectator state for every analyzer outcome, over a stack of states.
+def apply_kraus_raw(joint: np.ndarray, b: int, c: int, kraus) -> np.ndarray:
+    """Unnormalized spectator states (..., 4, s, s) of a stack with qubits ``b``, ``c`` analyzed.
 
-    ``arr`` holds states in analyzer layout [..., keep, (b c), keep, (b c)], of shape
-    (..., s, 4, s, 4). Entry [..., o, a, b] is sum_k <a, o| K_k rho K_k^dag |b, o>, with |o> the
-    product vector of outcome o (in ``BELL_FOR_PRODUCT`` order); its trace is the outcome's weight.
+    ``joint`` holds n-qubit states (..., 2^n, 2^n), qubit 0 most significant. Entry [..., o, i, j]
+    is sum_k <i, o| K_k rho K_k^dag |j, o>, |o> the product vector on (b, c) of outcome o (in
+    ``BELL_FOR_PRODUCT`` order), i and j over the other qubits; its trace is the outcome's weight.
     """
+    n = joint.shape[-1].bit_length() - 1
+    # the analyzer layout [..., keep, (b c), keep, (b c)], keep in the given qubit order
+    arr = np.moveaxis(joint.reshape(joint.shape[:-2] + (2,) * 2 * n),
+                      (b - 2 * n, c - 2 * n, b - n, c - n), (-n - 2, -n - 1, -2, -1))
     # row <o| K_k for every outcome o and Kraus operator K_k
     rows = np.einsum("oi,kij->okj", _PRODUCT_VECTORS.conj(), np.array(kraus))
-    return np.einsum("okj,...ajbl,okl->...oab", rows, arr, rows.conj())
+    return np.einsum("okj,...ajbl,okl->...oab", rows,
+                     arr.reshape(joint.shape[:-2] + (2 ** (n - 2), 4) * 2), rows.conj())
 
 
 def condition_on_outcome(raw: np.ndarray, weight: float,
@@ -113,15 +120,17 @@ def condition_on_outcome(raw: np.ndarray, weight: float,
     return _computed(raw / weight, keep)
 
 
-def _outcomes(raw: np.ndarray, keep: tuple[str, ...]) -> list[BsaOutcome]:
+def _result(raw: np.ndarray, keep: tuple[str, ...]) -> ProtocolResult:
     """The four outcomes of one analyzer contraction (4, s, s) on the ``keep`` modes."""
     weights = np.real(np.einsum("oaa->o", raw)).tolist()
     success = sum(weights)
     if success < 1e-15:
         raise ZeroSuccessError(f"total success probability {success} below threshold")
-    return [BsaOutcome(bell_label=bell, product_result=result, probability=max(weight, 0.0),
-                       state=condition_on_outcome(mat, weight, keep))
-            for (result, bell), weight, mat in zip(BELL_FOR_PRODUCT.items(), weights, raw)]
+    outcomes = tuple(BsaOutcome(bell_label=bell, product_result=result,
+                                probability=max(weight, 0.0),
+                                state=condition_on_outcome(mat, weight, keep))
+                     for (result, bell), weight, mat in zip(BELL_FOR_PRODUCT.items(), weights, raw))
+    return ProtocolResult(outcomes, sum(o.probability for o in outcomes))
 
 
 def bsa(rho: DensityMatrix, modes: tuple[str, str], gate=1.0) -> list[BsaOutcome]:
@@ -139,17 +148,13 @@ def bsa(rho: DensityMatrix, modes: tuple[str, str], gate=1.0) -> list[BsaOutcome
     if b == c:
         raise ValueError(f"analyzer modes must differ, got {modes}")
     keep = tuple(l for l in rho.labels if l not in (b, c))
-    # rho as [keep, (b c), keep, (b c)], each part in the given label order
-    n, s = rho.n_qubits, 2 ** len(keep)
-    order = [rho.labels.index(l) for l in keep + (b, c)]
-    arr = rho.entries.reshape((2,) * 2 * n).transpose(order + [n + k for k in order])
-    return _outcomes(apply_kraus_raw(arr.reshape(s, 4, s, 4), _as_channel(gate).kraus), keep)
+    raw = apply_kraus_raw(rho.entries, *map(rho.labels.index, modes), _as_channel(gate).kraus)
+    return list(_result(raw, keep).outcomes)
 
 
-def teleport_raw(pair: np.ndarray, inputs: np.ndarray, kraus) -> np.ndarray:
-    """Unnormalized mode-a states (..., 4, 2, 2) of mode-c inputs (..., 2, 2) via pair (a, b)."""
-    joint = np.einsum("abAB,...cC->...abcABC", pair.reshape(2, 2, 2, 2), inputs)
-    return apply_kraus_raw(joint.reshape(inputs.shape[:-2] + (2, 4, 2, 4)), kraus)
+def pair_raw(pair: np.ndarray, right: np.ndarray, kraus) -> np.ndarray:
+    """Spectator states (..., 4, s, s) of pair (a, b) x ``right`` (..., 2^m, 2^m) read on (b, c)."""
+    return apply_kraus_raw(np.kron(pair, right), 1, 2, kraus)
 
 
 def correct_frames(rho: np.ndarray) -> np.ndarray:
@@ -167,9 +172,8 @@ def teleport(input_state: DensityMatrix, pair: DensityMatrix, gate=1.0,
     """
     if input_state.n_qubits != 1 or pair.n_qubits != 2:
         raise ValueError("teleport needs a 1-qubit input and a 2-qubit pair")
-    raw = teleport_raw(pair.entries, input_state.entries, _as_channel(gate).kraus)
-    outcomes = tuple(_outcomes(correct_frames(raw) if correct else raw, ("a",)))
-    return ProtocolResult(outcomes, sum(o.probability for o in outcomes))
+    raw = pair_raw(pair.entries, input_state.entries, _as_channel(gate).kraus)
+    return _result(correct_frames(raw) if correct else raw, ("a",))
 
 
 def swap(pair_ab: DensityMatrix, pair_cd: DensityMatrix, gate=1.0) -> ProtocolResult:
@@ -180,6 +184,4 @@ def swap(pair_ab: DensityMatrix, pair_cd: DensityMatrix, gate=1.0) -> ProtocolRe
     """
     if pair_ab.n_qubits != 2 or pair_cd.n_qubits != 2:
         raise ValueError("swap needs two 2-qubit pairs")
-    joint = kron(pair_ab.with_labels(("a", "b")), pair_cd.with_labels(("c", "d")))
-    raw = bsa(joint, ("b", "c"), gate)
-    return ProtocolResult(tuple(raw), sum(o.probability for o in raw))
+    return _result(pair_raw(pair_ab.entries, pair_cd.entries, _as_channel(gate).kraus), ("a", "d"))

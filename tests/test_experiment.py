@@ -324,7 +324,7 @@ class TestRunExperiment:
 
 
 class TestOffIdealConvergence:
-    """Teleport runs at a million counts per setting land on the exact figures away from v = 1."""
+    """Teleport and swap runs, 1e6 counts per setting, land on the exact figures away from v = 1."""
 
     POINTS = ((0.672, 0.192, 0.140), (0.748, 0.106, 0.237), (0.962, 0.053, 0.196),
               (0.719, 0.290, 0.276))
@@ -342,6 +342,25 @@ class TestOffIdealConvergence:
         for key, value, err in figures:
             assert 0.0 < err <= 0.01, (key, err)
             assert abs(value - exact[key]) <= 6.0 * err, (key, value, exact[key], err)
+
+    # entangled points: a separable state's log negativity is a clamped 0 with no error bar
+    @pytest.mark.parametrize("seed, point", [(201, (0.85, 0.05)), (202, (0.90, 0.12))])
+    def test_swap_within_six_error_bars(self, seed, point):
+        v, lp = point
+        res = run_experiment(ExperimentConfig(
+            protocol="swap", overlap=v, pair_mixedness=lp, counts_per_setting=10**6,
+            seed=seed)).results
+        exact = swap_summary(v, lp)
+        assert all(o["log_negativity"] > 0 for o in exact["outcomes"].values())
+        figures = [(f"{bell}/{key}", blk[key], blk[f"{key}_err"], exact["outcomes"][bell][key])
+                   for bell, blk in res["outcomes"].items()
+                   for key in ("fidelity", "chsh", "log_negativity")]
+        figures += [(key, res[key], res[f"{key}_err"], exact[name])
+                    for key, name in (("average_fidelity", "F_avg"),
+                                      ("average_chsh_abs", "S_abs_avg"))]
+        for key, value, err, truth in figures:
+            assert 0.0 < err <= 0.01, (key, err)
+            assert abs(value - truth) <= 6.0 * err, (key, value, truth, err)
 
 
 class TestTeleportEstimatorAudit:
@@ -542,6 +561,36 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("command, config, out, written", [
+        ("calibrate", "targets: {F_H: 0.93, F_p: 0.75}\ngrid:\n  overlap: [0.9, 1.0, 2]\n"
+         "  pair_mixedness: [0.0, 0.1, 2]\n  input_mixedness: [0.0, 0.1, 2]\n",
+         "cal.csv", "cal.csv"),
+        ("run", "protocol: gate-only\ncounts_per_setting: 100\nseed: 1\n", "rep", "rep.counts.csv"),
+    ], ids=["calibrate", "run"])
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_quietly(self, command, config, out, written, unbuffered,
+                                         tmp_path):
+        # block-buffered stdout fails at the final flush, unbuffered at the first write
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(config)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the child writes
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "telegate.cli", command, str(cfg), "--format", "csv",
+                 "--out", str(tmp_path / out)],
+                stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=300)
+        finally:
+            os.close(write)
+        assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr, proc.stderr
+        assert proc.returncode == cli.EXIT_CLOSED_STDOUT == 1, proc.stderr
+        assert (tmp_path / written).stat().st_size > 0
 
     @pytest.mark.parametrize("protocol", ["teleport", "swap"])
     def test_count_starved_run_is_a_numerical_failure(self, protocol, tmp_path, capsys):

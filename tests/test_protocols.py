@@ -302,7 +302,10 @@ class TestTeleport:
 
 
 class TestTeleportOracle:
-    """teleport() against bsa on the labeled joint (a, b) x c state, analyzed on (b, c)."""
+    """teleport() and swap() against bsa on the labeled joint state, analyzed on (b, c).
+
+    The joint state is (a, b) x c for teleport and (a, b) x (c, d) for swap.
+    """
 
     @staticmethod
     def assert_matches_bsa(chi, pair, channel, correct):
@@ -329,6 +332,23 @@ class TestTeleportOracle:
         rng = np.random.default_rng(seed)
         pair, chi = ginibre_dm(2, rng), ginibre_dm(1, rng)
         self.assert_matches_bsa(chi, pair, gate_channel(v), correct)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.floats(0.0, 1.0), st.integers(0, 2**32))
+    def test_swap_equals_bsa_on_joint_state(self, v, seed):
+        # swap() skips the labeled joint state; the analysis must not change by a bit
+        rng = np.random.default_rng(seed)
+        p1, p2, channel = ginibre_dm(2, rng), ginibre_dm(2, rng), gate_channel(v)
+        res = swap(p1, p2, channel)
+        joint = kron(p1.with_labels(("a", "b")), p2.with_labels(("c", "d")))
+        reference = bsa(joint, ("b", "c"), channel)
+        assert ([(o.bell_label, o.product_result) for o in res.outcomes]
+                == [(o.bell_label, o.product_result) for o in reference])
+        for o, r in zip(res.outcomes, reference):
+            assert o.probability == r.probability
+            assert o.state.labels == ("a", "d")
+            assert np.array_equal(o.state.entries, r.state.entries)
+        assert res.success_probability == sum(r.probability for r in reference)
 
     @pytest.mark.parametrize("correct", [False, True])
     def test_zero_probability_outcomes(self, correct):
