@@ -12,7 +12,16 @@ telegate run smoke.yaml --format csv > smoke.csv
 python -c "lines = open('smoke.csv').read().splitlines(); assert lines[0] == 'table,modes,setting,outcome,raw,corrected', lines[0]; assert len(lines) == 97, len(lines)"
 
 printf 'targets: {F_H: 0.93, F_p: 0.75}\ngrid:\n  overlap: [0.9, 1.0, 3]\n  pair_mixedness: [0.0, 0.1, 2]\n  input_mixedness: [0.0, 0.1, 2]\n' > calibrate.yaml
-telegate calibrate calibrate.yaml --format csv
+telegate calibrate calibrate.yaml --format csv > calibrate.csv
+python -c "lines = open('calibrate.csv').read().splitlines(); assert lines[0] == 'quantity,value', lines[0]; assert len(lines) == 11, len(lines)"
+telegate calibrate calibrate.yaml > calibrate.json
+python -c "
+import json
+res = json.load(open('calibrate.json'))
+for key in ('overlap', 'pair_mixedness', 'input_mixedness', 'residual'):
+    assert isinstance(res[key], float), (key, res[key])
+assert set(res['predictions']) == {'F_H', 'F_V', 'F_+', 'F_R', 'F_p', 'F_avg'}, res['predictions']
+"
 
 printf 'protocol: swap\ncounts_per_setting: 100\nseed: 1\n' > swap.yaml
 telegate run swap.yaml > swap.json

@@ -58,7 +58,7 @@ from .sources import (
     make_pair,
     tomographic_input_set,
 )
-from .states import DensityMatrix
+from .states import DensityMatrix, _check_labels
 from .tomography import (
     FitError,
     ProcessMatrix,
@@ -108,8 +108,8 @@ class CountTable:
     """Coincidence counts on a settings x outcomes grid, with detector efficiencies.
 
     ``raw[i, j]`` counts outcome ``outcomes[j]`` at setting ``settings[i]``;
-    every setting lists the same outcomes. Derived: ``eta[j]``, the product of
-    outcome j's detector efficiencies, and ``corrected``, which is ``raw / eta``.
+    every setting lists the same outcomes; ``modes`` are checked labels. Derived: ``eta[j]``, the
+    product of outcome j's detector efficiencies, and ``corrected``, which is ``raw / eta``.
     """
 
     modes: tuple[str, ...]
@@ -125,6 +125,7 @@ class CountTable:
         if raw.shape != (len(self.settings), len(self.outcomes)):
             raise ValueError(f"raw counts of shape {raw.shape} do not match "
                              f"{len(self.settings)} settings x {len(self.outcomes)} outcomes")
+        object.__setattr__(self, "modes", _check_labels(self.modes, len(self.modes)))
         object.__setattr__(self, "raw", raw)
         object.__setattr__(self, "eta", _efficiency(self.modes, self.outcomes, self.efficiencies))
         object.__setattr__(self, "corrected", raw / self.eta)
@@ -372,8 +373,9 @@ def teleport_summary(gate, pair_mixedness: float = 0.0, input_mixedness: float =
     return summary
 
 
-#: Each swap outcome's figures, in report order.
+#: Each swap outcome's figures, in report order, and the (a, d) state each heralds.
 _SWAP_FIGURES = ("fidelity", "log_negativity", "chsh", "chsh_abs")
+_SWAP_TARGETS = tuple(tilde_bell(bell, ("a", "d")) for bell in TILDE_LABELS)
 
 
 def _swap_estimate(states: Sequence[DensityMatrix], s_values: Sequence[float]) -> dict[str, float]:
@@ -383,8 +385,8 @@ def _swap_estimate(states: Sequence[DensityMatrix], s_values: Sequence[float]) -
     ``<bell>/<figure>`` per outcome and ``average_<figure>`` over outcomes.
     """
     figures: dict[str, float] = {}
-    for bell, rho, s in zip(TILDE_LABELS, states, s_values):
-        values = (fidelity_pure(rho, tilde_bell(bell, ("a", "d"))), log_negativity(rho), s, abs(s))
+    for bell, target, rho, s in zip(TILDE_LABELS, _SWAP_TARGETS, states, s_values):
+        values = (fidelity_pure(rho, target), log_negativity(rho), s, abs(s))
         figures.update((f"{bell}/{key}", val) for key, val in zip(_SWAP_FIGURES, values))
     for key in ("fidelity", "chsh_abs", "log_negativity"):
         figures[f"average_{key}"] = float(np.mean([figures[f"{b}/{key}"] for b in TILDE_LABELS]))

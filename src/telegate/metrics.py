@@ -94,11 +94,11 @@ def chsh_correlators(grid: np.ndarray) -> np.ndarray:
     """
     grid = np.asarray(grid, dtype=float)
     totals = grid.sum(axis=1)
-    for setting_id, row, total in zip(CHSH_SETTINGS, grid, totals):
-        # written so that NaN fails the check
-        if not (np.all((row >= 0) & (row < np.inf)) and total > 0):
-            raise ValueError(f"setting {setting_id}: weights must be finite and non-negative "
-                             f"with a positive total, got {row.tolist()}")
+    valid = (grid.min(axis=1) >= 0) & (totals > 0) & (totals < np.inf)  # NaN fails the minimum
+    if not valid.all():
+        i = int(np.argmin(valid))
+        raise ValueError(f"setting {list(CHSH_SETTINGS)[i]}: weights must be finite and "
+                         f"non-negative with a positive total, got {grid[i].tolist()}")
     return (grid @ _CHSH_PARITY / totals).reshape(2, 2)
 
 

@@ -101,15 +101,16 @@ def apply_kraus_raw(joint: np.ndarray, b: int, c: int, kraus) -> np.ndarray:
     ``joint`` holds n-qubit states (..., 2^n, 2^n), qubit 0 most significant. Entry [..., o, i, j]
     is sum_k <i, o| K_k rho K_k^dag |j, o>, |o> the product vector on (b, c) of outcome o (in
     ``BELL_FOR_PRODUCT`` order), i and j over the other qubits; its trace is the outcome's weight.
+    All four are Tr_bc[rho (E_o x 1)], one matmul with the effects E_o = sum_k K_k^dag |o><o| K_k.
     """
     n = joint.shape[-1].bit_length() - 1
-    # the analyzer layout [..., keep, (b c), keep, (b c)], keep in the given qubit order
+    # the analyzer layout [..., (b c) bra, (b c) ket, keep ket, keep bra], keep in qubit order
     arr = np.moveaxis(joint.reshape(joint.shape[:-2] + (2,) * 2 * n),
-                      (b - 2 * n, c - 2 * n, b - n, c - n), (-n - 2, -n - 1, -2, -1))
-    # row <o| K_k for every outcome o and Kraus operator K_k
-    rows = np.einsum("oi,kij->okj", _PRODUCT_VECTORS.conj(), np.array(kraus))
-    return np.einsum("okj,...ajbl,okl->...oab", rows,
-                     arr.reshape(joint.shape[:-2] + (2 ** (n - 2), 4) * 2), rows.conj())
+                      (b - n, c - n, b - 2 * n, c - 2 * n), range(-2 * n, 4 - 2 * n))
+    rows = _PRODUCT_VECTORS.conj() @ np.array(kraus)  # [k, o, :] is the row <o| K_k
+    effects = np.einsum("kol,koj->olj", rows.conj(), rows).reshape(4, 16)
+    out = effects @ arr.reshape(joint.shape[:-2] + (16, -1))
+    return out.reshape(out.shape[:-1] + (2 ** (n - 2),) * 2)
 
 
 def condition_on_outcome(raw: np.ndarray, weight: float,
@@ -154,7 +155,8 @@ def bsa(rho: DensityMatrix, modes: tuple[str, str], gate=1.0) -> list[BsaOutcome
 
 def pair_raw(pair: np.ndarray, right: np.ndarray, kraus) -> np.ndarray:
     """Spectator states (..., 4, s, s) of pair (a, b) x ``right`` (..., 2^m, 2^m) read on (b, c)."""
-    return apply_kraus_raw(np.kron(pair, right), 1, 2, kraus)
+    joint = pair[:, None, :, None] * right[..., None, :, None, :]  # np.kron, over the stack
+    return apply_kraus_raw(joint.reshape(right.shape[:-2] + (4 * right.shape[-1],) * 2), 1, 2, kraus)
 
 
 def correct_frames(rho: np.ndarray) -> np.ndarray:

@@ -10,13 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityMatrix, PureState, _computed
+from .states import DensityMatrix, PureState, _check_labels, _computed
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
 # Standard Bell states, plus the same four expressed in the H/V x +/- basis
 # the gate analyzer works in (suffix "~"). phi+~ is phi+ with the second
-# qubit rotated into the diagonal basis.
+# qubit rotated into the diagonal basis. Named densities are built at import.
 BELL_AMPLITUDES = {
     "phi+": np.array([1, 0, 0, 1]) * _SQ2,
     "psi+": np.array([0, 1, 1, 0]) * _SQ2,
@@ -27,6 +27,7 @@ BELL_AMPLITUDES = {
     "phi-~": np.array([1, 1, -1, 1]) * 0.5,
     "psi-~": np.array([1, -1, -1, -1]) * 0.5,
 }
+_BELL_DENSITIES = {t: PureState(a).density().entries for t, a in BELL_AMPLITUDES.items()}
 
 SINGLE_QUBIT_AMPLITUDES = {
     "H": np.array([1, 0], dtype=complex),
@@ -36,6 +37,7 @@ SINGLE_QUBIT_AMPLITUDES = {
     "R": np.array([1, 1j]) * _SQ2,
     "L": np.array([1, -1j]) * _SQ2,
 }
+_INPUT_DENSITIES = {s: PureState(a).density().entries for s, a in SINGLE_QUBIT_AMPLITUDES.items()}
 
 #: The four probe states of process tomography, in the order every consumer reads.
 TOMOGRAPHIC_PROBES = ("H", "V", "+", "R")
@@ -92,16 +94,17 @@ def single_qubit_state(state, label="q0") -> PureState:
 
 def make_pair(spec: PairSpec, labels=("q0", "q1")) -> DensityMatrix:
     """(1 - lambda) |bell><bell| + lambda I/4."""
-    pure = bell_state(spec.target, labels).density()
+    pure = _BELL_DENSITIES[spec.target]
     lam = spec.mixedness
-    return _computed((1.0 - lam) * pure.entries + lam * np.eye(4) / 4.0, pure.labels)
+    return _computed((1.0 - lam) * pure + lam * np.eye(4) / 4.0, _check_labels(labels, 2))
 
 
 def make_input(spec: InputSpec, label="q0") -> DensityMatrix:
     """(1 - lambda) |chi><chi| + lambda I/2."""
-    pure = single_qubit_state(spec.state, label).density()
+    pure = (_INPUT_DENSITIES[spec.state] if isinstance(spec.state, str)
+            else single_qubit_state(spec.state).density().entries)
     lam = spec.mixedness
-    return _computed((1.0 - lam) * pure.entries + lam * np.eye(2) / 2.0, pure.labels)
+    return _computed((1.0 - lam) * pure + lam * np.eye(2) / 2.0, _check_labels((label,), 1))
 
 
 def tomographic_input_set(mixedness: float = 0.0) -> list[InputSpec]:

@@ -125,9 +125,12 @@ class DensityMatrix:
 
 def _computed(m: np.ndarray, labels: tuple[str, ...]) -> DensityMatrix:
     """A state computed from checked ones, with checked labels: made exactly Hermitian, not re-checked."""
+    return _hermitian(0.5 * (m + m.conj().T), labels)
+
+
+def _hermitian(m: np.ndarray, labels: tuple[str, ...]) -> DensityMatrix:
     state = object.__new__(DensityMatrix)
-    object.__setattr__(state, "entries", _freeze(0.5 * (m + m.conj().T)))
-    object.__setattr__(state, "labels", labels)
+    state.__dict__.update(entries=_freeze(m), labels=labels)
     return state
 
 

@@ -37,8 +37,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .sources import SINGLE_QUBIT_AMPLITUDES, TOMOGRAPHIC_PROBES, single_qubit_state
-from .states import ATOL, I2, DensityMatrix, PAULI, _check_labels, _computed, _freeze
+from .sources import _INPUT_DENSITIES, SINGLE_QUBIT_AMPLITUDES, TOMOGRAPHIC_PROBES
+from .states import ATOL, I2, DensityMatrix, PAULI, _computed, _freeze, _hermitian
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .experiment import CountTable
@@ -177,7 +177,7 @@ def linear_inversion(counts: "CountTable") -> DensityMatrix:
     freq = (counts.corrected / totals[:, None]).ravel()
     # Tr[P rho] = sum_ij P*_ij rho_ij for Hermitian P
     rho, *_ = np.linalg.lstsq(projs.conj().reshape(len(freq), -1), freq, rcond=None)
-    return _computed(rho.reshape(2**n, 2**n), _check_labels(counts.modes, n))
+    return _computed(rho.reshape(2**n, 2**n), counts.modes)
 
 
 def _fit_inputs(counts: "CountTable", dim: int | None) -> tuple[np.ndarray, np.ndarray]:
@@ -241,8 +241,8 @@ def _exact_fit_1q(counts: "CountTable", projs: np.ndarray, weights: np.ndarray,
         # unit length to rounding, so the state is positive to rounding
         norm = math.sqrt(math.fsum(x * x for x in r))
         r = [x / norm for x in r]
-    rho = 0.5 * (I2 + sum(x * axis for x, axis in zip(r, _BLOCH_AXES)))
-    state = _computed(rho, _check_labels(counts.modes, 1))
+    # each entry takes one term of the exactly Hermitian axes: symmetrizing would change no bit
+    state = _hermitian(0.5 * (I2 + sum(x * axis for x, axis in zip(r, _BLOCH_AXES))), counts.modes)
     if trace_nll is not None:
         for m in (0.5 * I2, state.entries):
             p = np.clip(np.real(np.einsum("oij,ji->o", projs, m)), _TINY, None)
@@ -388,7 +388,7 @@ def _factor_fit(modes: tuple[str, ...], kets: np.ndarray, weights: np.ndarray,
             break
     a = x.view(complex).reshape(d, d)
     aa = a @ a.conj().T
-    state = _computed(aa / np.real(np.trace(aa)), _check_labels(modes, len(modes)))
+    state = _computed(aa / np.real(np.trace(aa)), modes)
 
     if trace_nll is not None:
         trace_nll.extend(history)
@@ -422,7 +422,7 @@ class ProcessMatrix:
 
 
 _PAULI_STACK = np.array([PAULI[s] for s in "IXYZ"])
-_PROBE_STATES = np.array([single_qubit_state(p).density().entries for p in TOMOGRAPHIC_PROBES])
+_PROBE_STATES = np.array([_INPUT_DENSITIES[p] for p in TOMOGRAPHIC_PROBES])
 
 #: The process-tomography design matrix, of rank 16, and its inverse: row
 #: (probe k, i, j), column (m, n) holds (sigma_m rho_k sigma_n)[i, j].

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import minimize
 
 from telegate.metrics import CHSH_ANGLES, CHSH_SETTINGS
+from telegate.sources import BELL_AMPLITUDES, SINGLE_QUBIT_AMPLITUDES
 from telegate.states import DensityMatrix, PAULI, PureState, _check_labels, _computed, analyzer_eigenvectors
 from telegate.tomography import BASIS_VECTORS, FitError, _TINY, _fit_inputs
 
@@ -54,6 +55,29 @@ def analyzer_observable(theta_deg: float) -> np.ndarray:
     """+/-1 observable P+ - P- of the linear-polarization analyzer at ``theta_deg``."""
     plus, minus = analyzer_eigenvectors(theta_deg)
     return np.outer(plus, plus.conj()) - np.outer(minus, minus.conj())
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same shape and bit pattern: equal entries with equal signs of zero."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(
+        a.view(np.uint8), b.view(np.uint8))
+
+
+# The per-call state builders that make_pair and make_input replaced by
+# mixing import-time constant densities, kept as references.
+
+def reference_pair(target: str, mixedness: float, labels=("q0", "q1")) -> DensityMatrix:
+    """(1 - lambda) |bell><bell| + lambda I/4, the pure state built per call."""
+    pure = PureState(BELL_AMPLITUDES[target], labels).density()
+    return _computed((1.0 - mixedness) * pure.entries + mixedness * np.eye(4) / 4.0, pure.labels)
+
+
+def reference_input(state, mixedness: float, label="q0") -> DensityMatrix:
+    """(1 - lambda) |chi><chi| + lambda I/2, the pure state built per call."""
+    amps = SINGLE_QUBIT_AMPLITUDES[state] if isinstance(state, str) else np.asarray(state, complex)
+    pure = PureState(amps, (label,)).density()
+    return _computed((1.0 - mixedness) * pure.entries + mixedness * np.eye(2) / 2.0, pure.labels)
 
 
 # Per-call builders of the package's fixed measurements, kept as references

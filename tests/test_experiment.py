@@ -77,6 +77,15 @@ class TestSimulateCounts:
         with pytest.raises(ValueError, match=r"efficiency a\+: "):
             CountTable(("a",), ("Z",), ("+", "-"), np.array([[5, 5]]), {"a+": eta})
 
+    def test_modes_are_checked_once_per_layout(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            CountTable(("a", "a"), ("ZZ",), ("++",), np.array([[5]]))
+        table = CountTable(["a"], ("Z", "X", "Y"), ("+", "-"), np.array([[5, 5], [9, 1], [0, 0]]))
+        assert table.modes == ("a",)
+        # resampled tables and fitted states reuse the checked labels as they are
+        assert table.resample(np.random.default_rng(0)).modes is table.modes
+        assert mle_fit(table).labels is table.modes
+
     @pytest.mark.parametrize("n", [0, -3, 2.5, 100.0, float("nan"), True, "100", 10**12 + 1])
     def test_bad_count_scale_is_named(self, n):
         with pytest.raises(ValueError, match="n_per_setting: "):

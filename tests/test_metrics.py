@@ -151,6 +151,18 @@ class TestChsh:
         with pytest.raises(ValueError, match="chsh01"):
             chsh_correlators(grid)
 
+    @pytest.mark.parametrize("first, second", [(np.nan, -1.0), (-np.inf, np.nan), (np.inf, 0.0)])
+    def test_first_bad_setting_is_named(self, first, second):
+        # chsh01 holds one bad weight; chsh11 a bad weight or, at 0.0, a zero total
+        grid = np.full((len(CHSH_SETTINGS), len(CHSH_OUTCOMES)), 5.0)
+        grid[list(CHSH_SETTINGS).index("chsh01"), CHSH_OUTCOMES.index("+-")] = first
+        grid[list(CHSH_SETTINGS).index("chsh11")] = second
+        with pytest.raises(ValueError) as info:
+            chsh_correlators(grid)
+        assert str(info.value) == (
+            "setting chsh01: weights must be finite and non-negative with a positive total, "
+            f"got {grid[list(CHSH_SETTINGS).index('chsh01')].tolist()}")
+
     def test_bad_variant(self):
         with pytest.raises(ValueError):
             ChshSpec(variant="x")

@@ -12,6 +12,7 @@ from telegate.protocols import (
     PRODUCT_FOR_BELL,
     TELEPORT_PAIR_TARGET,
     TILDE_LABELS,
+    apply_kraus_raw,
     bsa,
     swap,
     teleport,
@@ -360,6 +361,67 @@ class TestTeleportOracle:
             vanishes = o.bell_label in ("phi+", "phi-")
             assert o.probability == pytest.approx(0.0 if vanishes else 1 / 18, rel=0, abs=1e-15)
             assert (o.state is None) == vanishes
+
+
+def brute_force_raw(rho: np.ndarray, b: int, c: int, kraus) -> np.ndarray:
+    """sum_k <i, o| K_k rho K_k^dag |j, o> with every bra written out, K_k acting on qubits (b, c)."""
+    n = rho.shape[-1].bit_length() - 1
+    labels = [f"q{q}" for q in range(n)]
+    keep = [l for l in labels if l not in (labels[b], labels[c])]
+    order = [labels[b], labels[c]] + keep
+    fulls = [embed_operator(k, (labels[b], labels[c]), labels) for k in kraus]
+    out = []
+    for sb, sc in BELL_FOR_PRODUCT:
+        vec = np.kron(SINGLE_QUBIT_AMPLITUDES[sb], SINGLE_QUBIT_AMPLITUDES[sc])
+        # row i is the bra <i, o| over all n qubits, i running over the spectators in qubit order
+        bras = np.array([permute_state(np.kron(vec, e), order, labels)
+                         for e in np.eye(2 ** len(keep))]).conj()
+        out.append(sum(bras @ k @ rho @ k.conj().T @ bras.conj().T for k in fulls))
+    return np.moveaxis(np.array(out), 0, -3)
+
+
+@st.composite
+def kraus_sets(draw) -> list[np.ndarray]:
+    """One to three dense complex 4 x 4 operators, scaled so that sum_k K_k^dag K_k <= I."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ops = [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+           for _ in range(draw(st.integers(1, 3)))]
+    scale = np.linalg.eigvalsh(sum(k.conj().T @ k for k in ops)).max()
+    return [k / np.sqrt(scale * draw(st.floats(1.0, 4.0))) for k in ops]
+
+
+class TestAnalyzerKernel:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.sampled_from([3, 4]), st.sampled_from([(), (2,)]), kraus_sets(),
+           st.integers(0, 2**32 - 1))
+    def test_matches_brute_force_sum(self, n, batch, kraus, seed):
+        # the gate's own operators are diagonal; dense ones exercise every effect entry
+        rng = np.random.default_rng(seed)
+        rho = np.array([ginibre_dm(n, rng).entries for _ in range(int(np.prod(batch)))])
+        rho = rho.reshape(batch + rho.shape[-2:])
+        for b in range(n):
+            for c in range(n):
+                if b != c:
+                    raw = apply_kraus_raw(rho, b, c, kraus)
+                    expected = np.array([brute_force_raw(r, b, c, kraus)
+                                         for r in rho.reshape(-1, 2**n, 2**n)])
+                    assert raw.shape == batch + (4, 2 ** (n - 2), 2 ** (n - 2))
+                    assert np.abs(raw - expected.reshape(raw.shape)).max() <= 1e-13, (b, c)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.floats(0.0, 1.0))
+    def test_effects_are_positive_and_sum_to_the_kraus_sum(self, v):
+        kraus = gate_channel(v).kraus
+        # the kernel reads Tr[|j><l| E_o] = E_o[l, j] off the 16 matrix units |j><l|
+        units = np.eye(16).reshape(4, 4, 4, 4)
+        effects = apply_kraus_raw(units, 0, 1, kraus)[..., 0, 0].transpose(2, 1, 0)
+        assert effects.shape == (4, 4, 4)
+        for e in effects:
+            assert np.abs(e - e.conj().T).max() <= 1e-15
+            assert np.linalg.eigvalsh(e).min() >= -1e-15
+        total = sum(k.conj().T @ k for k in kraus)
+        assert np.abs(effects.sum(axis=0) - total).max() <= 1e-15
+        assert np.linalg.eigvalsh(total).max() <= 1.0 + 1e-12
 
 
 class TestSwap:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from telegate.sources import (
+    BELL_AMPLITUDES,
+    SINGLE_QUBIT_AMPLITUDES,
     InputSpec,
     PairSpec,
     bell_state,
@@ -11,7 +13,7 @@ from telegate.sources import (
     tomographic_input_set,
 )
 from telegate.states import SIGMA_Y
-from conftest import partial_trace
+from conftest import partial_trace, reference_input, reference_pair, same_bits
 
 
 def purity(rho) -> float:
@@ -122,3 +124,32 @@ def test_single_qubit_state_names():
     assert np.allclose(plus.amplitudes, np.array([1, 1]) / np.sqrt(2))
     left = single_qubit_state("L")
     assert np.allclose(left.amplitudes, np.array([1, -1j]) / np.sqrt(2))
+
+
+#: Mixednesses for the bit-for-bit comparison with the per-call builders.
+MIXEDNESSES = (0.0, 1e-300, 1e-17, 0.01, 0.14, 1.0 / 3.0, 0.5, 0.9, 1.0 - 1e-16, 1.0)
+
+
+class TestConstantDensities:
+    @pytest.mark.parametrize("target", sorted(BELL_AMPLITUDES))
+    def test_pairs_match_per_call_builder(self, target):
+        for lam in MIXEDNESSES:
+            for labels in (("q0", "q1"), ("a", "b")):
+                rho = make_pair(PairSpec(target, lam), labels)
+                ref = reference_pair(target, lam, labels)
+                assert same_bits(rho.entries, ref.entries), (target, lam)
+                assert rho.labels == ref.labels
+
+    @pytest.mark.parametrize("state", sorted(SINGLE_QUBIT_AMPLITUDES) + [(0.6, 0.8j), (-0.0, 1.0)])
+    def test_inputs_match_per_call_builder(self, state):
+        for lam in MIXEDNESSES:
+            rho = make_input(InputSpec(state, lam), "c")
+            ref = reference_input(state, lam, "c")
+            assert same_bits(rho.entries, ref.entries), (state, lam)
+            assert rho.labels == ref.labels == ("c",)
+
+    def test_labels_are_checked(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            make_pair(PairSpec(), ("a", "a"))
+        with pytest.raises(ValueError, match="expected 2 labels"):
+            make_pair(PairSpec(), ("a", "b", "c"))

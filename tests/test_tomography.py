@@ -28,6 +28,7 @@ from telegate.tomography import (
 )
 from conftest import (
     _grad_to_real,
+    same_bits,
     _unpack_cholesky,
     cholesky_reference,
     factor_lbfgs_reference,
@@ -335,6 +336,16 @@ class TestExactQubitFit:
         assert np.abs(rho.entries - cholesky_reference(table).entries).max() <= 1e-6
         if "Y" not in settings_ or not table.raw[settings_.index("Y")].any():
             assert np.real(np.trace(rho.entries @ PAULI["Y"])) == 0.0
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.one_of(count_tables(qubits=(1,)), near_pure_tables(),
+                     arrays(np.int64, (3, 2), elements=st.integers(0, 3)).map(
+                         lambda raw: CountTable(("a",), ("Z", "X", "Y"), ("+", "-"), raw))))
+    def test_state_is_built_exactly_hermitian(self, table):
+        # symmetrizing the fit would change no bit, signed zeros included
+        assume(table.raw.any())
+        entries = mle_fit(table).entries
+        assert same_bits(entries, 0.5 * (entries + entries.conj().T))
 
     @pytest.mark.parametrize("name", ["H", "V", "+", "R"])
     def test_pure_probe_fits_meet_the_lagrange_condition(self, name):
