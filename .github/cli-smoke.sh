@@ -26,7 +26,18 @@ assert set(res['predictions']) == {'F_H', 'F_V', 'F_+', 'F_R', 'F_p', 'F_avg'}, 
 printf 'protocol: swap\ncounts_per_setting: 100\nseed: 1\n' > swap.yaml
 telegate run swap.yaml > swap.json
 python -c "import json; json.load(open('swap.json'))"
+telegate run swap.yaml --format csv > swap.csv
+python -c "lines = open('swap.csv').read().splitlines(); assert len(lines) == 209, len(lines)"
 
 printf 'protocol: gate-only\ncounts_per_setting: 100\nseed: 1\n' > gate.yaml
 telegate run gate.yaml > gate.json
 python -c "import json; json.load(open('gate.json'))"
+telegate run gate.yaml --format csv > gate.csv
+python -c "lines = open('gate.csv').read().splitlines(); assert len(lines) == 6, len(lines)"
+
+# reports do not depend on the BLAS thread count
+for config in smoke swap; do
+  OPENBLAS_NUM_THREADS=1 telegate run $config.yaml > $config.threads1.json
+  OPENBLAS_NUM_THREADS=2 telegate run $config.yaml > $config.threads2.json
+  cmp $config.threads1.json $config.threads2.json
+done

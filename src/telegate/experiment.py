@@ -62,9 +62,7 @@ from .states import DensityMatrix, _check_labels
 from .tomography import (
     FitError,
     ProcessMatrix,
-    identity_process,
     mle_fit,
-    process_fidelity,
     process_tomo,
     settings_1q,
     settings_2q,
@@ -347,7 +345,8 @@ def _teleport_estimate(probabilities: np.ndarray, rho: np.ndarray
     figures = dict(zip((f"F_{cell}" for cell in TELEPORT_CELLS), fidelities.ravel().tolist()))
     figures.update(zip((f"F_{p}" for p in TOMOGRAPHIC_PROBES),
                        (weights * fidelities).sum(axis=1).tolist()))
-    figures["F_p"] = process_fidelity(matrix, identity_process())
+    # Tr[M_ideal M] against the identity process: the (I, I) entry, real by symmetrization
+    figures["F_p"] = float(matrix.entries[0, 0].real)
     return figures, matrix
 
 

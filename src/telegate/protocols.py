@@ -103,10 +103,13 @@ def apply_kraus_raw(joint: np.ndarray, b: int, c: int, kraus) -> np.ndarray:
     ``BELL_FOR_PRODUCT`` order), i and j over the other qubits; its trace is the outcome's weight.
     All four are Tr_bc[rho (E_o x 1)], one matmul with the effects E_o = sum_k K_k^dag |o><o| K_k.
     """
-    n = joint.shape[-1].bit_length() - 1
-    # the analyzer layout [..., (b c) bra, (b c) ket, keep ket, keep bra], keep in qubit order
-    arr = np.moveaxis(joint.reshape(joint.shape[:-2] + (2,) * 2 * n),
-                      (b - n, c - n, b - 2 * n, c - 2 * n), range(-2 * n, 4 - 2 * n))
+    n, m = joint.shape[-1].bit_length() - 1, joint.ndim - 2
+    keep = [q for q in range(n) if q not in (b, c)]
+    # the analyzer layout [..., (b c) bra, (b c) ket, keep ket, keep bra], keep in qubit order;
+    # qubit q's ket axis is m + q and its bra axis m + n + q
+    qubit_axes = [n + b, n + c, b, c, *keep, *(n + q for q in keep)]
+    arr = joint.reshape(joint.shape[:-2] + (2,) * 2 * n).transpose(
+        *range(m), *(m + axis for axis in qubit_axes))
     rows = _PRODUCT_VECTORS.conj() @ np.array(kraus)  # [k, o, :] is the row <o| K_k
     effects = np.einsum("kol,koj->olj", rows.conj(), rows).reshape(4, 16)
     out = effects @ arr.reshape(joint.shape[:-2] + (16, -1))

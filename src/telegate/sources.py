@@ -28,6 +28,7 @@ BELL_AMPLITUDES = {
     "psi-~": np.array([1, -1, -1, -1]) * 0.5,
 }
 _BELL_DENSITIES = {t: PureState(a).density().entries for t, a in BELL_AMPLITUDES.items()}
+_MIXED_PAIR = np.eye(4) / 4.0
 
 SINGLE_QUBIT_AMPLITUDES = {
     "H": np.array([1, 0], dtype=complex),
@@ -38,6 +39,7 @@ SINGLE_QUBIT_AMPLITUDES = {
     "L": np.array([1, -1j]) * _SQ2,
 }
 _INPUT_DENSITIES = {s: PureState(a).density().entries for s, a in SINGLE_QUBIT_AMPLITUDES.items()}
+_MIXED_INPUT = np.eye(2) / 2.0
 
 #: The four probe states of process tomography, in the order every consumer reads.
 TOMOGRAPHIC_PROBES = ("H", "V", "+", "R")
@@ -96,7 +98,7 @@ def make_pair(spec: PairSpec, labels=("q0", "q1")) -> DensityMatrix:
     """(1 - lambda) |bell><bell| + lambda I/4."""
     pure = _BELL_DENSITIES[spec.target]
     lam = spec.mixedness
-    return _computed((1.0 - lam) * pure + lam * np.eye(4) / 4.0, _check_labels(labels, 2))
+    return _computed((1.0 - lam) * pure + lam * _MIXED_PAIR, _check_labels(labels, 2))
 
 
 def make_input(spec: InputSpec, label="q0") -> DensityMatrix:
@@ -104,7 +106,7 @@ def make_input(spec: InputSpec, label="q0") -> DensityMatrix:
     pure = (_INPUT_DENSITIES[spec.state] if isinstance(spec.state, str)
             else single_qubit_state(spec.state).density().entries)
     lam = spec.mixedness
-    return _computed((1.0 - lam) * pure + lam * np.eye(2) / 2.0, _check_labels((label,), 1))
+    return _computed((1.0 - lam) * pure + lam * _MIXED_INPUT, _check_labels((label,), 1))
 
 
 def tomographic_input_set(mixedness: float = 0.0) -> list[InputSpec]:

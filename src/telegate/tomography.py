@@ -21,8 +21,8 @@ respectively 4 counts per setting. Two reconstructions are provided:
 Process tomography expands a single-qubit channel in the Pauli operator
 basis, E(rho) = sum_mn M[m, n] sigma_m rho sigma_n. Its outputs on the four
 probe states H, V, +, R fix M through a square, invertible design matrix:
-M is one product with its inverse. The setting projectors, the design
-matrix and its inverse are built once, at import. The fit is deliberately
+M is one product with its inverse. The setting kets, the design matrix
+and its inverse are built once, at import. The fit is deliberately
 unconstrained (no CP projection) so that small unphysical entries show up
 rather than being hidden; only Hermiticity is enforced by symmetrization.
 """
@@ -53,14 +53,19 @@ BASIS_VECTORS = {
 _SETTING_IDS = {n: tuple(map("".join, product("ZXY", repeat=n))) for n in (1, 2)}
 _OUTCOMES = {n: tuple(map("".join, product("+-", repeat=n))) for n in (1, 2)}
 
-#: Per qubit count, the analyzer ket and projector of every (setting, outcome)
-#: cell, indexed [setting, outcome] in _SETTING_IDS and _OUTCOMES order.
+#: Per qubit count, the analyzer ket of every (setting, outcome) cell, indexed
+#: [setting, outcome] in _SETTING_IDS and _OUTCOMES order.
 _KETS = {1: np.array([BASIS_VECTORS[b] for b in _SETTING_IDS[1]])}
 _KETS[2] = np.einsum("sai,tbj->stabij", _KETS[1], _KETS[1]).reshape(9, 4, 4)
-_PROJECTORS = {n: _freeze(k[..., :, None] * k[..., None, :].conj()) for n, k in _KETS.items()}
+
+
+def _outer(kets: np.ndarray) -> np.ndarray:
+    """The projectors |k><k| of a stack of kets."""
+    return kets[..., :, None] * kets[..., None, :].conj()
+
 
 #: Each basis's Pauli observable P+ - P-, in Z, X, Y order as in BASIS_VECTORS.
-_BLOCH_AXES = _PROJECTORS[1][:, 0] - _PROJECTORS[1][:, 1]
+_BLOCH_AXES = _outer(_KETS[1][:, 0]) - _outer(_KETS[1][:, 1])
 
 _TINY = 1e-12
 
@@ -99,7 +104,7 @@ class MeasurementSetting:
     def projectors(self) -> list[tuple[str, np.ndarray]]:
         """(outcome string, projector) for every sign combination."""
         n = len(self.bases)
-        return list(zip(_OUTCOMES[n], _PROJECTORS[n][_SETTING_IDS[n].index(self.id)]))
+        return list(zip(_OUTCOMES[n], _outer(_KETS[n][_SETTING_IDS[n].index(self.id)])))
 
     def probabilities(self, rho) -> dict[str, float]:
         mat = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho)
@@ -128,21 +133,15 @@ def _ket_stack(n: int, settings: tuple[str, ...], outcomes: tuple[str, ...]) -> 
 
 
 @lru_cache(maxsize=32)
-def _projector_stack(n: int, settings: tuple[str, ...], outcomes: tuple[str, ...]) -> np.ndarray:
-    """Read-only projectors |k><k| of the same cells."""
-    kets = _ket_stack(n, settings, outcomes)
-    return _freeze(kets[:, :, None] * kets[:, None, :].conj())
-
-
-@lru_cache(maxsize=32)
 def _basis_masks(settings: tuple[str, ...], outcomes: tuple[str, ...]) -> np.ndarray:
-    """Shared masks [sign, cell, basis] of a 1-qubit table: where Tr[P sigma_b] is +1 and -1."""
-    signs = np.real(np.einsum("oij,bji->ob", _projector_stack(1, settings, outcomes), _BLOCH_AXES))
+    """Shared masks [sign, cell, basis] of a 1-qubit table: where <k|sigma_b|k> is +1 and -1."""
+    kets = _ket_stack(1, settings, outcomes)
+    signs = np.real(np.einsum("oi,bij,oj->ob", kets.conj(), _BLOCH_AXES, kets))
     return np.array([signs > 0.5, signs < -0.5], dtype=float)
 
 
-def _table_projectors(counts: "CountTable") -> np.ndarray:
-    """The projectors of a table's cells, once its outcomes and corrected counts are valid."""
+def _table_kets(counts: "CountTable") -> np.ndarray:
+    """The analyzer kets of a table's cells, once its outcomes and corrected counts are valid."""
     n = len(counts.modes)
     for outcome in counts.outcomes:
         if not (isinstance(outcome, str) and len(outcome) == n and set(outcome) <= {"+", "-"}):
@@ -153,7 +152,7 @@ def _table_projectors(counts: "CountTable") -> np.ndarray:
         i = int(np.argmin((np.isfinite(c) & (c >= 0.0)).all(axis=1)))
         raise ValueError(f"setting {counts.settings[i]}: corrected counts {c[i].tolist()} "
                          "are not all finite and non-negative")
-    return _projector_stack(n, tuple(counts.settings), tuple(counts.outcomes))
+    return _ket_stack(n, tuple(counts.settings), tuple(counts.outcomes))
 
 
 def linear_inversion(counts: "CountTable") -> DensityMatrix:
@@ -165,7 +164,7 @@ def linear_inversion(counts: "CountTable") -> DensityMatrix:
     is *not* guaranteed, which is exactly why the statistics pipeline feeds
     :func:`mle_fit` instead.
     """
-    projs = _table_projectors(counts)
+    kets = _table_kets(counts)
     n = len(counts.modes)
     totals = counts.corrected.sum(axis=1)
     for setting_id, total in zip(counts.settings, totals):
@@ -175,13 +174,13 @@ def linear_inversion(counts: "CountTable") -> DensityMatrix:
     if missing:
         raise ValueError(f"missing settings: {sorted(missing)}")
     freq = (counts.corrected / totals[:, None]).ravel()
-    # Tr[P rho] = sum_ij P*_ij rho_ij for Hermitian P
-    rho, *_ = np.linalg.lstsq(projs.conj().reshape(len(freq), -1), freq, rcond=None)
+    # Tr[P rho] = <k|rho|k> = sum_ij k*_i k_j rho_ij
+    rho, *_ = np.linalg.lstsq(_outer(kets).conj().reshape(len(freq), -1), freq, rcond=None)
     return _computed(rho.reshape(2**n, 2**n), counts.modes)
 
 
 def _fit_inputs(counts: "CountTable", dim: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """The table's projector stack, and its corrected counts as weights summing to one.
+    """The table's ket stack, and its corrected counts as weights summing to one.
 
     Per-count weights make the likelihood, and the convergence thresholds
     on it, mean the same thing at any count scale.
@@ -189,12 +188,12 @@ def _fit_inputs(counts: "CountTable", dim: int | None) -> tuple[np.ndarray, np.n
     n = len(counts.modes)
     if dim is not None and dim != 2**n:
         raise ValueError(f"dim {dim} inconsistent with {n} analyzed modes")
-    projs = _table_projectors(counts)
+    kets = _table_kets(counts)
     weights = counts.corrected.ravel()
     total = weights.sum()
     if total <= 0:
         raise ValueError("count table is empty")
-    return projs, weights / total
+    return kets, weights / total
 
 
 def mle_fit(counts: "CountTable", dim: int | None = None,
@@ -211,14 +210,13 @@ def mle_fit(counts: "CountTable", dim: int | None = None,
     at the maximally mixed state and then at every accepted iterate; the
     exact fit has one iterate, its solution.
     """
-    projs, weights = _fit_inputs(counts, dim)
+    kets, weights = _fit_inputs(counts, dim)
     if len(counts.modes) == 1:
-        return _exact_fit_1q(counts, projs, weights, trace_nll)
-    kets = _ket_stack(2, tuple(counts.settings), tuple(counts.outcomes))
+        return _exact_fit_1q(counts, kets, weights, trace_nll)
     return _factor_fit(counts.modes, kets, weights, trace_nll)
 
 
-def _exact_fit_1q(counts: "CountTable", projs: np.ndarray, weights: np.ndarray,
+def _exact_fit_1q(counts: "CountTable", kets: np.ndarray, weights: np.ndarray,
                   trace_nll: list | None) -> DensityMatrix:
     """Exact one-qubit maximum likelihood.
 
@@ -245,7 +243,7 @@ def _exact_fit_1q(counts: "CountTable", projs: np.ndarray, weights: np.ndarray,
     state = _hermitian(0.5 * (I2 + sum(x * axis for x, axis in zip(r, _BLOCH_AXES))), counts.modes)
     if trace_nll is not None:
         for m in (0.5 * I2, state.entries):
-            p = np.clip(np.real(np.einsum("oij,ji->o", projs, m)), _TINY, None)
+            p = np.clip(np.real(np.einsum("oi,ij,oj->o", kets.conj(), m, kets)), _TINY, None)
             trace_nll.append(-float(weights @ np.log(p)))
     return state
 
@@ -416,9 +414,6 @@ class ProcessMatrix:
         if not np.abs(m - m.conj().T).max() <= ATOL:
             raise ValueError("process matrix is not Hermitian")
         object.__setattr__(self, "entries", _freeze(m))
-
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.entries)))
 
 
 _PAULI_STACK = np.array([PAULI[s] for s in "IXYZ"])

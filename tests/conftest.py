@@ -7,7 +7,7 @@ from scipy.optimize import minimize
 from telegate.metrics import CHSH_ANGLES, CHSH_SETTINGS
 from telegate.sources import BELL_AMPLITUDES, SINGLE_QUBIT_AMPLITUDES
 from telegate.states import DensityMatrix, PAULI, PureState, _check_labels, _computed, analyzer_eigenvectors
-from telegate.tomography import BASIS_VECTORS, FitError, _TINY, _fit_inputs
+from telegate.tomography import BASIS_VECTORS, FitError, _TINY, _fit_inputs, _outer
 
 
 def ginibre_dm(n_qubits: int, rng: np.random.Generator) -> DensityMatrix:
@@ -263,11 +263,11 @@ def _factor_lbfgs_fit(modes: tuple[str, ...], projs: np.ndarray, weights: np.nda
 
 def cholesky_reference(table) -> DensityMatrix:
     """The Cholesky-parameterized L-BFGS fit on any table."""
-    projs, weights = _fit_inputs(table, None)
-    return _cholesky_fit(table.modes, projs, weights, None)
+    kets, weights = _fit_inputs(table, None)
+    return _cholesky_fit(table.modes, _outer(kets), weights, None)
 
 
 def factor_lbfgs_reference(table) -> DensityMatrix:
     """scipy's L-BFGS-B over the complex factor on any table."""
-    projs, weights = _fit_inputs(table, None)
-    return _factor_lbfgs_fit(table.modes, projs, weights, None)
+    kets, weights = _fit_inputs(table, None)
+    return _factor_lbfgs_fit(table.modes, _outer(kets), weights, None)

@@ -221,6 +221,22 @@ class TestTeleport:
     def test_correction_table_matches_derivation(self):
         assert derive_correction_table() == CORRECTION_FOR_BELL
 
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.floats(0.5, 1.0), st.floats(0.0, 0.3), st.floats(0.0, 0.3))
+    def test_six_state_average_fidelity_is_two_f_p_plus_one_over_three(self, v, lp, li):
+        # Horodecki, Horodecki & Horodecki, PRA 60, 1888 (1999): the heralded fidelity
+        # averaged over the six Pauli eigenstates, against F_p read off the process matrix
+        channel = gate_channel(v)
+        pair = make_pair(PairSpec(TELEPORT_PAIR_TARGET, lp), ("a", "b"))
+        fidelities = []
+        for name in ("H", "V", "+", "-", "R", "L"):
+            res = teleport(make_input(InputSpec(name, li), "c"), pair, channel, correct=True)
+            chi = single_qubit_state(name)
+            fidelities.append(sum(o.probability * fidelity_pure(o.state, chi)
+                                  for o in res.outcomes) / res.success_probability)
+        f_p = teleport_summary(channel, lp, li)["F_p"]
+        assert np.mean(fidelities) == pytest.approx((2.0 * f_p + 1.0) / 3.0, abs=1e-12)
+
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(st.tuples(*[st.floats(-1.0, 1.0)] * 4))
     def test_ideal_corrected_teleportation_is_identity(self, parts):

@@ -17,7 +17,6 @@ from telegate.tomography import (
     _factor_nll,
     _fit_inputs,
     _ket_stack,
-    _projector_stack,
     identity_process,
     linear_inversion,
     mle_fit,
@@ -520,19 +519,19 @@ class TestBadCounts:
             fit(CountTable(modes, tuple(s.id for s in bases), outcomes, raw))
 
 
-class TestProjectorStack:
+class TestKetStack:
     def test_cached_read_only_and_matches_settings(self):
-        stack = _projector_stack(2, ("ZZ", "XY"), ("++", "+-", "-+", "--"))
-        assert _projector_stack(2, ("ZZ", "XY"), ("++", "+-", "-+", "--")) is stack
+        stack = _ket_stack(2, ("ZZ", "XY"), ("++", "+-", "-+", "--"))
+        assert _ket_stack(2, ("ZZ", "XY"), ("++", "+-", "-+", "--")) is stack
         assert not stack.flags.writeable
         expected = [p for bases in ("ZZ", "XY") for _, p in reference_projectors(bases)]
-        assert np.array_equal(stack, expected)
+        assert np.array_equal(stack[:, :, None] * stack[:, None, :].conj(), expected)
 
     def test_unknown_setting_and_mode_count(self):
         with pytest.raises(ValueError, match="'ZQ'"):
-            _projector_stack(2, ("ZZ", "ZQ"), ("++", "+-", "-+", "--"))
+            _ket_stack(2, ("ZZ", "ZQ"), ("++", "+-", "-+", "--"))
         with pytest.raises(ValueError, match="1 or 2 modes, got 3"):
-            _projector_stack(3, ("ZZZ",), ("+++",))
+            _ket_stack(3, ("ZZZ",), ("+++",))
 
 
 def design_loop(inputs) -> np.ndarray:
