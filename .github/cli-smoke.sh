@@ -41,3 +41,32 @@ for config in smoke swap; do
   OPENBLAS_NUM_THREADS=2 telegate run $config.yaml > $config.threads2.json
   cmp $config.threads1.json $config.threads2.json
 done
+
+# bad input: one line on stderr and its exit code (2 config, 3 numerical), never a traceback
+expect_failure() {  # <exit code> <stderr prefix> <command...>
+  local want=$1 prefix=$2 code=0
+  shift 2
+  "$@" > /dev/null 2> failure.err || code=$?
+  if [ "$code" -ne "$want" ]; then
+    echo "exit $code, expected $want: $*" >&2
+    cat failure.err >&2
+    exit 1
+  fi
+  python -c "
+import sys
+text = open('failure.err').read()
+assert 'Traceback' not in text and len(text.splitlines()) == 1, text
+assert text.startswith(sys.argv[1]), text
+" "$prefix"
+}
+
+printf 'protocol: nope\n' > bad-protocol.yaml
+expect_failure 2 "config error:" telegate run bad-protocol.yaml
+printf 'protocol: teleport\nnope: 1\n' > bad-field.yaml
+expect_failure 2 "config error:" telegate run bad-field.yaml
+expect_failure 2 "config error:" telegate run no-such-config.yaml
+printf 'targets: {F_H: 0.93}\ngrid:\n  overlap: [0.9, 1.0, 1000]\n  pair_mixedness: [0.0, 0.1, 1000]\n  input_mixedness: [0.0, 0.1, 2]\n' > big-grid.yaml
+expect_failure 2 "config error:" telegate calibrate big-grid.yaml
+# one count per setting leaves a CHSH setting without counts
+printf 'protocol: swap\ncounts_per_setting: 1\nseed: 1\n' > starved.yaml
+expect_failure 3 "numerical failure:" telegate run starved.yaml

@@ -107,7 +107,8 @@ class CountTable:
 
     ``raw[i, j]`` counts outcome ``outcomes[j]`` at setting ``settings[i]``;
     every setting lists the same outcomes; ``modes`` are checked labels. Derived: ``eta[j]``, the
-    product of outcome j's detector efficiencies, and ``corrected``, which is ``raw / eta``.
+    product of outcome j's detector efficiencies, and ``corrected``, which is ``raw / eta`` and
+    is checked finite and non-negative once, here.
     """
 
     modes: tuple[str, ...]
@@ -127,11 +128,16 @@ class CountTable:
         object.__setattr__(self, "raw", raw)
         object.__setattr__(self, "eta", _efficiency(self.modes, self.outcomes, self.efficiencies))
         object.__setattr__(self, "corrected", raw / self.eta)
+        valid = (self.corrected >= 0.0) & (self.corrected < np.inf)  # NaN fails both
+        if not valid.all():
+            i = int(np.argmin(valid.all(axis=1)))
+            raise ValueError(f"setting {self.settings[i]}: corrected counts "
+                             f"{self.corrected[i].tolist()} are not all finite and non-negative")
 
     def resample(self, rng: np.random.Generator) -> "CountTable":
         """Poisson-resample the raw counts; layout, efficiencies and ``eta`` carry over."""
         raw = rng.poisson(self.raw)
-        table = object.__new__(CountTable)
+        table = object.__new__(CountTable)  # unchecked: a Poisson draw of valid counts is valid
         table.__dict__.update(self.__dict__, raw=raw, corrected=raw / self.eta)
         return table
 
@@ -176,7 +182,8 @@ def simulate_counts(probabilities: Mapping[str, Mapping[str, float]], n_per_sett
             raise ValueError(f"setting {setting_id}: invalid distribution {dict(dist)}")
     p = np.array([list(dist.values()) for dist in probabilities.values()], dtype=float)
     eta = _efficiency(modes, outcomes, efficiencies)
-    lam = n_per_setting * np.maximum(p.reshape(len(settings), len(outcomes)), 0.0) * eta
+    # below 1e-15 a probability is an exact zero plus rounding noise, and draws nothing
+    lam = n_per_setting * np.where(p < 1e-15, 0.0, p).reshape(len(settings), len(outcomes)) * eta
     raw = np.random.default_rng(seed).poisson(lam)
     return CountTable(tuple(modes), settings, outcomes, raw, dict(efficiencies))
 

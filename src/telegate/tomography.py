@@ -124,6 +124,10 @@ def _ket_stack(n: int, settings: tuple[str, ...], outcomes: tuple[str, ...]) -> 
     """Read-only analyzer kets of every (setting, outcome) cell, one per row, in row-major order."""
     if n not in _SETTING_IDS:
         raise ValueError(f"tomography analyzes 1 or 2 modes, got {n}")
+    # the one check of a table's labels: once per layout, which the cache then serves
+    for outcome in outcomes:
+        if outcome not in _OUTCOMES[n]:
+            raise ValueError(f"outcome {outcome!r} is not a string of {n} '+'/'-' signs")
     for setting_id in settings:
         if setting_id not in _SETTING_IDS[n]:
             raise ValueError(f"unknown setting {setting_id!r}")
@@ -140,21 +144,6 @@ def _basis_masks(settings: tuple[str, ...], outcomes: tuple[str, ...]) -> np.nda
     return np.array([signs > 0.5, signs < -0.5], dtype=float)
 
 
-def _table_kets(counts: "CountTable") -> np.ndarray:
-    """The analyzer kets of a table's cells, once its outcomes and corrected counts are valid."""
-    n = len(counts.modes)
-    for outcome in counts.outcomes:
-        if not (isinstance(outcome, str) and len(outcome) == n and set(outcome) <= {"+", "-"}):
-            raise ValueError(f"outcome {outcome!r} is not a string of {n} '+'/'-' signs")
-    c = counts.corrected
-    # two reductions, as every fit pays them; NaN fails the first
-    if not (c.min(initial=0.0) >= 0.0 and c.max(initial=0.0) < np.inf):
-        i = int(np.argmin((np.isfinite(c) & (c >= 0.0)).all(axis=1)))
-        raise ValueError(f"setting {counts.settings[i]}: corrected counts {c[i].tolist()} "
-                         "are not all finite and non-negative")
-    return _ket_stack(n, tuple(counts.settings), tuple(counts.outcomes))
-
-
 def linear_inversion(counts: "CountTable") -> DensityMatrix:
     """Least-squares solution of the Born rule f = Tr[P rho] on per-setting frequencies.
 
@@ -164,8 +153,8 @@ def linear_inversion(counts: "CountTable") -> DensityMatrix:
     is *not* guaranteed, which is exactly why the statistics pipeline feeds
     :func:`mle_fit` instead.
     """
-    kets = _table_kets(counts)
     n = len(counts.modes)
+    kets = _ket_stack(n, tuple(counts.settings), tuple(counts.outcomes))
     totals = counts.corrected.sum(axis=1)
     for setting_id, total in zip(counts.settings, totals):
         if total <= 0.0:
@@ -188,7 +177,7 @@ def _fit_inputs(counts: "CountTable", dim: int | None) -> tuple[np.ndarray, np.n
     n = len(counts.modes)
     if dim is not None and dim != 2**n:
         raise ValueError(f"dim {dim} inconsistent with {n} analyzed modes")
-    kets = _table_kets(counts)
+    kets = _ket_stack(n, tuple(counts.settings), tuple(counts.outcomes))
     weights = counts.corrected.ravel()
     total = weights.sum()
     if total <= 0:

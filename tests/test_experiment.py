@@ -25,6 +25,7 @@ from telegate.experiment import (
     swap_summary,
     teleport_summary,
 )
+from telegate.metrics import CHSH_OUTCOMES, CHSH_SETTINGS
 from telegate.sources import InputSpec, make_input
 from telegate.tomography import mle_fit, settings_1q
 
@@ -85,6 +86,26 @@ class TestSimulateCounts:
         # resampled tables and fitted states reuse the checked labels as they are
         assert table.resample(np.random.default_rng(0)).modes is table.modes
         assert mle_fit(table).labels is table.modes
+
+    @pytest.mark.parametrize("modes, setting_ids, outcomes, bad", [
+        (("a", "d"), tuple(CHSH_SETTINGS), CHSH_OUTCOMES, float("nan")),
+        (("a", "d"), tuple(CHSH_SETTINGS), CHSH_OUTCOMES, float("inf")),
+        (("b", "c"), ("coinc",), ("HH", "HV", "VH", "VV", "00"), -1.0),
+    ])
+    def test_bad_counts_are_rejected_when_built(self, modes, setting_ids, outcomes, bad):
+        # layouts no fit reads: the table itself names the first bad setting
+        raw = np.full((len(setting_ids), len(outcomes)), 10.0)
+        raw[-1, 1] = bad
+        with pytest.raises(ValueError, match=f"setting {setting_ids[-1]}: corrected counts"):
+            CountTable(modes, setting_ids, outcomes, raw)
+
+    def test_rounding_noise_about_a_zero_draws_nothing(self):
+        # a probability below 1e-15 leaves the stream as an exact zero does
+        def draw(noise):
+            probs = {"Z": {"+": 1.0, "-": noise}, "X": {"+": 0.5, "-": 0.5},
+                     "Y": {"+": 0.5, "-": 0.5}}
+            return simulate_counts(probs, 1000, {}, seed=5, modes=("a",)).raw
+        assert draw(3e-17).tolist() == draw(0.0).tolist()
 
     @pytest.mark.parametrize("n", [0, -3, 2.5, 100.0, float("nan"), True, "100", 10**12 + 1])
     def test_bad_count_scale_is_named(self, n):

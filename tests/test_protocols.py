@@ -18,7 +18,7 @@ from telegate.protocols import (
     teleport,
     tilde_bell,
 )
-from telegate.experiment import teleport_summary
+from telegate.experiment import swap_summary, teleport_summary
 from telegate.sources import (
     BELL_AMPLITUDES,
     SINGLE_QUBIT_AMPLITUDES,
@@ -30,7 +30,7 @@ from telegate.sources import (
     single_qubit_state,
     tomographic_input_set,
 )
-from telegate.states import DensityMatrix, PureState, kron
+from telegate.states import PAULI, DensityMatrix, PureState, kron
 from conftest import ginibre_dm, partial_trace, partial_trace_raw, random_pure
 
 
@@ -236,6 +236,49 @@ class TestTeleport:
                                   for o in res.outcomes) / res.success_probability)
         f_p = teleport_summary(channel, lp, li)["F_p"]
         assert np.mean(fidelities) == pytest.approx((2.0 * f_p + 1.0) / 3.0, abs=1e-12)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.tuples(*[st.floats(-1.0, 1.0)] * 4))
+    def test_process_matrix_is_the_linear_map_through_the_probes(self, v, lp, li, parts):
+        # the process matrix maps each pure probe to its heralded output; at v = 1 the four
+        # effects sum to I/9, so the heralded map is linear and it predicts every input
+        def heralded_and_predicted(overlap, pure):
+            channel = gate_channel(overlap)
+            m = teleport_summary(channel, lp, li)["process_matrix"].entries
+            pair = make_pair(PairSpec(TELEPORT_PAIR_TARGET, lp), ("a", "b"))
+            res = teleport(DensityMatrix((1.0 - li) * pure + li * np.eye(2) / 2.0, ("c",)),
+                           pair, channel, correct=True)
+            heralded = sum(o.probability * o.state.entries for o in res.outcomes)
+            return heralded / res.success_probability, sum(
+                m[i, j] * PAULI[a] @ pure @ PAULI[b]
+                for i, a in enumerate("IXYZ") for j, b in enumerate("IXYZ"))
+
+        amps = np.array(parts[:2]) + 1j * np.array(parts[2:])
+        assume(np.linalg.norm(amps) > 1e-3)
+        for pure in [single_qubit_state(p).density().entries for p in TOMOGRAPHIC_PROBES]:
+            heralded, predicted = heralded_and_predicted(v, pure)
+            assert np.abs(heralded - predicted).max() <= 1e-12
+        heralded, predicted = heralded_and_predicted(
+            1.0, PureState(amps / np.linalg.norm(amps)).density().entries)
+        assert np.abs(heralded - predicted).max() <= 1e-12
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.integers(0, 2**32 - 1))
+    def test_success_probability_closed_form(self, v, lp, li, seed):
+        # the four effects sum to sum_k K_k^dag K_k = (I + 4(1 - v^2)|VV><VV|)/9 on (b, c),
+        # which sees the pair's b marginal times the input
+        rng = np.random.default_rng(seed)
+        pair = DensityMatrix((1.0 - lp) * random_pure(2, rng).density().entries
+                             + lp * np.eye(4) / 4.0, ("a", "b"))
+        rho_c = DensityMatrix((1.0 - li) * random_pure(1, rng).density().entries
+                              + li * np.eye(2) / 2.0, ("c",))
+        rho_b = partial_trace_raw(pair.entries, pair.labels, ("b",))
+        effects = (np.eye(4) + 4.0 * (1.0 - v**2) * np.diag([0.0, 0.0, 0.0, 1.0])) / 9.0
+        expected = np.real(np.trace(effects @ np.kron(rho_b, rho_c.entries)))
+        res = teleport(rho_c, pair, gate_channel(v), correct=True)
+        assert res.success_probability == pytest.approx(expected, rel=0, abs=1e-14)
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(st.tuples(*[st.floats(-1.0, 1.0)] * 4))
@@ -477,6 +520,30 @@ class TestSwap:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             swap(make_input(InputSpec("H")), make_pair(PairSpec()))
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(st.floats(0.0, 1.0))
+    def test_white_noise_visibilities_multiply(self, lam):
+        # at v = 1 two Werner pairs of visibility 1 - lam swap into one of visibility (1 - lam)^2
+        assert swap_summary(1.0, lam)["S_abs_avg"] == pytest.approx(
+            2.0 * np.sqrt(2.0) * (1.0 - lam) ** 2, rel=0, abs=1e-12)
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_chsh_within_horodecki_bound(self, v, lam):
+        # |S| <= 2 sqrt(t1 + t2), t1 and t2 the two largest eigenvalues of T^T T, with
+        # T[i, j] = Tr[rho sigma_i x sigma_j] (Horodecki, Horodecki & Horodecki, Phys. Lett. A
+        # 200, 340, 1995); at v = 1 the standard angles reach it
+        def abs_s_and_bound(overlap):
+            for o in swap_summary(overlap, lam)["outcomes"].values():
+                t = np.real([[np.trace(o["state"].entries @ np.kron(PAULI[i], PAULI[j]))
+                              for j in "XYZ"] for i in "XYZ"])
+                yield o["chsh_abs"], 2.0 * np.sqrt(np.linalg.eigvalsh(t.T @ t)[1:].sum())
+
+        for s_abs, bound in abs_s_and_bound(v):
+            assert s_abs <= bound + 1e-12
+        for s_abs, bound in abs_s_and_bound(1.0):
+            assert s_abs == pytest.approx(bound, rel=0, abs=1e-12)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
