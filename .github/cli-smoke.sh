@@ -23,6 +23,17 @@ for key in ('overlap', 'pair_mixedness', 'input_mixedness', 'residual'):
 assert set(res['predictions']) == {'F_H', 'F_V', 'F_+', 'F_R', 'F_p', 'F_avg'}, res['predictions']
 "
 
+# swap targets: calibrate's swap side, one stacked evaluation of the pair grid per overlap
+printf 'targets: {F_H: 0.93, F_p: 0.75, F_swap_avg: 0.773, S_abs_avg: 2.14}\ngrid:\n  overlap: [0.9, 1.0, 3]\n  pair_mixedness: [0.0, 0.1, 2]\n  input_mixedness: [0.0, 0.1, 2]\n' > calibrate-swap.yaml
+telegate calibrate calibrate-swap.yaml --format csv > calibrate-swap.csv
+python -c "lines = open('calibrate-swap.csv').read().splitlines(); assert lines[0] == 'quantity,value', lines[0]; assert len(lines) == 13, len(lines)"
+telegate calibrate calibrate-swap.yaml > calibrate-swap.json
+python -c "
+import json
+res = json.load(open('calibrate-swap.json'))
+assert set(res['predictions']) == {'F_H', 'F_V', 'F_+', 'F_R', 'F_p', 'F_avg', 'F_swap_avg', 'S_abs_avg'}, res['predictions']
+"
+
 printf 'protocol: swap\ncounts_per_setting: 100\nseed: 1\n' > swap.yaml
 telegate run swap.yaml > swap.json
 python -c "import json; json.load(open('swap.json'))"

@@ -30,8 +30,7 @@ from .metrics import (
     CHSH_OUTCOMES,
     CHSH_SETTINGS,
     CHSH_VARIANT_FOR_BELL,
-    ChshSpec,
-    chsh,
+    chsh,  # unused here, but a name the benchmark's tracer patches in this module
     chsh_correlators,
     chsh_distributions,
     chsh_from_correlators,
@@ -54,11 +53,13 @@ from .sources import (
     PairSpec,
     SINGLE_QUBIT_AMPLITUDES,
     TOMOGRAPHIC_PROBES,
-    make_input,
+    _BELL_DENSITIES,
+    _PROBE_DENSITIES,
+    _mix,
+    make_input,  # unused here, but a name the benchmark's tracer patches in this module
     make_pair,
-    tomographic_input_set,
 )
-from .states import DensityMatrix, _check_labels
+from .states import _check_labels, _hermitian
 from .tomography import (
     FitError,
     ProcessMatrix,
@@ -314,9 +315,28 @@ def load_config(path: str) -> ExperimentConfig:
 
 # -- exact (count-free) protocol summaries ------------------------------------
 
+def _unit_interval(name: str, values: Sequence[float]) -> list[float]:
+    """``values`` as floats, each checked to lie in [0, 1] (NaN fails); ``name`` is their axis."""
+    values = [float(x) for x in values]
+    for x in values:
+        if not 0.0 <= x <= 1.0:
+            raise ValueError(f"{name}: must lie in [0, 1], got {x!r}")
+    return values
+
+
+def _normalized(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Joint probabilities (..., 4) and normalized states of analyzer contractions ``raw``."""
+    weights = np.real(np.einsum("...aa->...", raw))
+    states = raw / weights[..., None, None]
+    # exactly Hermitian, as the package's computed states are
+    return np.maximum(weights, 0.0), 0.5 * (states + states.conj().swapaxes(-1, -2))
+
+
 #: The teleport grid's cells, probe-major (rows TOMOGRAPHIC_PROBES, columns TILDE_LABELS):
 #: a teleport run's count tables and, prefixed with "F_", its per-outcome fidelities.
 TELEPORT_CELLS = tuple(f"{probe}/{bell}" for probe in TOMOGRAPHIC_PROBES for bell in TILDE_LABELS)
+_CELL_KEYS = tuple(f"F_{cell}" for cell in TELEPORT_CELLS)
+_PROBE_KEYS = tuple(f"F_{probe}" for probe in TOMOGRAPHIC_PROBES)
 
 #: Each grid row's probe |chi>, as kets (probes, 1, 2, 1) and bras (probes, 1, 1, 2).
 _PROBE_KETS = np.array([SINGLE_QUBIT_AMPLITUDES[p] for p in TOMOGRAPHIC_PROBES])[:, None, :, None]
@@ -326,13 +346,8 @@ _PROBE_BRAS = _PROBE_KETS.conj().swapaxes(-1, -2)
 def _teleport_conditionals(channel, pair_target: str, pair_mixedness: float,
                            input_mixedness: float) -> tuple[np.ndarray, np.ndarray]:
     """The grid's joint probabilities (probes x outcomes) and uncorrected 2 x 2 mode-a states."""
-    pair = make_pair(PairSpec(pair_target, pair_mixedness), ("a", "b"))
-    inputs = [make_input(spec, "c").entries for spec in tomographic_input_set(input_mixedness)]
-    raw = pair_raw(pair.entries, np.array(inputs), channel.kraus)
-    weights = np.real(np.einsum("...aa->...", raw))
-    states = raw / weights[..., None, None]
-    # exactly Hermitian, as the package's computed states are
-    return np.maximum(weights, 0.0), 0.5 * (states + states.conj().swapaxes(-1, -2))
+    pair = _mix(_BELL_DENSITIES[pair_target], pair_mixedness)
+    return _normalized(pair_raw(pair, _mix(_PROBE_DENSITIES, input_mixedness), channel.kraus))
 
 
 def _teleport_estimate(probabilities: np.ndarray, rho: np.ndarray
@@ -349,9 +364,8 @@ def _teleport_estimate(probabilities: np.ndarray, rho: np.ndarray
     fidelities = np.real(_PROBE_BRAS @ corrected @ _PROBE_KETS)[..., 0, 0]
     weights = probabilities / probabilities.sum(axis=1, keepdims=True)
     matrix = process_tomo((weights[..., None, None] * corrected).sum(axis=1))
-    figures = dict(zip((f"F_{cell}" for cell in TELEPORT_CELLS), fidelities.ravel().tolist()))
-    figures.update(zip((f"F_{p}" for p in TOMOGRAPHIC_PROBES),
-                       (weights * fidelities).sum(axis=1).tolist()))
+    figures = dict(zip(_CELL_KEYS, fidelities.ravel().tolist()))
+    figures.update(zip(_PROBE_KEYS, (weights * fidelities).sum(axis=1).tolist()))
     # Tr[M_ideal M] against the identity process: the (I, I) entry, real by symmetrization
     figures["F_p"] = float(matrix.entries[0, 0].real)
     return figures, matrix
@@ -364,55 +378,69 @@ def teleport_summary(gate, pair_mixedness: float = 0.0, input_mixedness: float =
     over the four analyzer outcomes with their joint probabilities; the
     process matrix treats the nominal pure probes as the channel inputs.
     """
-    probabilities, states = _teleport_conditionals(
-        _as_channel(gate), TELEPORT_PAIR_TARGET, pair_mixedness, input_mixedness)
+    lp, li = _unit_interval("pair_mixedness", (pair_mixedness,)) + _unit_interval(
+        "input_mixedness", (input_mixedness,))
+    probabilities, states = _teleport_conditionals(_as_channel(gate), TELEPORT_PAIR_TARGET, lp, li)
     figures, matrix = _teleport_estimate(probabilities, states)
-    summary: dict = {f"F_{name}": figures[f"F_{name}"] for name in TOMOGRAPHIC_PROBES}
+    summary: dict = {key: figures[key] for key in _PROBE_KEYS}
     summary["per_outcome"] = {
         name: {bell: {"probability": p, "fidelity": figures[f"F_{name}/{bell}"]}
                for bell, p in zip(TILDE_LABELS, row)}
         for name, row in zip(TOMOGRAPHIC_PROBES, probabilities.tolist())
     }
-    summary["F_avg"] = float(np.mean([summary[f"F_{name}"] for name in TOMOGRAPHIC_PROBES]))
+    # summed left to right, as numpy's mean of four values is
+    summary["F_avg"] = sum(figures[key] for key in _PROBE_KEYS) / len(_PROBE_KEYS)
     summary["F_p"] = figures["F_p"]
     summary["process_matrix"] = matrix
     return summary
 
 
-#: Each swap outcome's figures, in report order, and the (a, d) state each heralds.
+#: Each swap outcome's figures, in report order, and each outcome's target state and CHSH variant.
 _SWAP_FIGURES = ("fidelity", "log_negativity", "chsh", "chsh_abs")
-_SWAP_TARGETS = tuple(tilde_bell(bell, ("a", "d")) for bell in TILDE_LABELS)
+_SWAP_TARGETS = np.array([tilde_bell(bell).amplitudes for bell in TILDE_LABELS])
+_SWAP_VARIANTS = np.array([CHSH_VARIANT_FOR_BELL[bell] for bell in TILDE_LABELS])
 
 
-def _swap_estimate(states: Sequence[DensityMatrix], s_values: Sequence[float]) -> dict[str, float]:
-    """Swap figures from the four (a, d) states and their signed CHSH values.
+def _swap_estimate(states: np.ndarray, chsh_grids: np.ndarray) -> dict:
+    """Swap figures from (a, d) states (..., 4, 4, 4) and their CHSH grids (..., 4, 4, 4).
 
-    Both come in TILDE_LABELS order, the order bsa reports. Returns
-    ``<bell>/<figure>`` per outcome and ``average_<figure>`` over outcomes.
+    The outcome axis is in TILDE_LABELS order, the order bsa reports; a grid
+    holds probabilities or counts. Returns ``<bell>/<figure>`` per outcome and
+    ``average_<figure>`` over outcomes: floats for one set of four, lists over a stack.
     """
-    figures: dict[str, float] = {}
-    for bell, target, rho, s in zip(TILDE_LABELS, _SWAP_TARGETS, states, s_values):
-        values = (fidelity_pure(rho, target), log_negativity(rho), s, abs(s))
-        figures.update((f"{bell}/{key}", val) for key, val in zip(_SWAP_FIGURES, values))
+    s_values = chsh_from_correlators(chsh_correlators(chsh_grids), _SWAP_VARIANTS)
+    values = dict(zip(_SWAP_FIGURES, (fidelity_pure(states, _SWAP_TARGETS), log_negativity(states),
+                                      s_values, np.abs(s_values))))
+    figures = {f"{bell}/{key}": val[..., o].tolist()
+               for o, bell in enumerate(TILDE_LABELS) for key, val in values.items()}
     for key in ("fidelity", "chsh_abs", "log_negativity"):
-        figures[f"average_{key}"] = float(np.mean([figures[f"{b}/{key}"] for b in TILDE_LABELS]))
+        figures[f"average_{key}"] = values[key].mean(axis=-1).tolist()
     return figures
+
+
+def _swap_grid(channel, pair_mixedness) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Swapping of two phi+ pairs over a stack of pair mixednesses (...).
+
+    Returns the joint probabilities (..., 4), the (a, d) states (..., 4, 4, 4)
+    and their ``_swap_estimate`` figures.
+    """
+    pairs = _mix(_BELL_DENSITIES["phi+"], np.asarray(pair_mixedness)[..., None, None])
+    probabilities, states = _normalized(pair_raw(pairs, pairs, channel.kraus))
+    return probabilities, states, _swap_estimate(states, chsh_distributions(states))
 
 
 def swap_summary(gate, pair_mixedness: float = 0.0) -> dict:
     """Exact entanglement-swapping figures for the four analyzer outcomes, from phi+ pairs."""
-    pair = make_pair(PairSpec("phi+", pair_mixedness))
-    res = swap(pair, pair, _as_channel(gate))
-    variants = [CHSH_VARIANT_FOR_BELL[o.bell_label] for o in res.outcomes]
-    figures = _swap_estimate([o.state for o in res.outcomes],
-                             [chsh(o.state, ChshSpec(v)) for o, v in zip(res.outcomes, variants)])
+    (lp,) = _unit_interval("pair_mixedness", (pair_mixedness,))
+    probabilities, states, figures = _swap_grid(_as_channel(gate), lp)
+    probabilities = probabilities.tolist()
     return {
         "outcomes": {
-            o.bell_label: {"probability": o.probability, "chsh_variant": v,
-                           **{k: figures[f"{o.bell_label}/{k}"] for k in _SWAP_FIGURES},
-                           "state": o.state}
-            for o, v in zip(res.outcomes, variants)},
-        "success_probability": res.success_probability,
+            bell: {"probability": p, "chsh_variant": CHSH_VARIANT_FOR_BELL[bell],
+                   **{k: figures[f"{bell}/{k}"] for k in _SWAP_FIGURES},
+                   "state": _hermitian(rho, ("a", "d"))}
+            for bell, p, rho in zip(TILDE_LABELS, probabilities, states)},
+        "success_probability": sum(probabilities),
         "F_avg": figures["average_fidelity"], "N_avg": figures["average_log_negativity"],
         "S_abs_avg": figures["average_chsh_abs"],
     }
@@ -437,7 +465,7 @@ PAPER_TELEPORT_TARGETS = {"F_H": 0.93, "F_V": 0.75, "F_+": 0.79, "F_R": 0.84, "F
 PAPER_SWAP_TARGETS = {"F_swap_avg": 0.773, "S_abs_avg": 2.14}
 
 _TELEPORT_KEYS = ("F_H", "F_V", "F_+", "F_R", "F_p", "F_avg")
-_SWAP_KEYS = {"F_swap_avg": "F_avg", "S_abs_avg": "S_abs_avg"}
+_SWAP_KEYS = {"F_swap_avg": "average_fidelity", "S_abs_avg": "average_chsh_abs"}
 
 
 def calibrate(targets: Mapping[str, float],
@@ -452,6 +480,10 @@ def calibrate(targets: Mapping[str, float],
     mixedness nearly degenerate (both degrade the teleported qubit the same
     way); adding the swap-average targets resolves it, since swapping uses
     the pair twice and the input photon not at all.
+
+    Grid values lie in [0, 1]. Points are scanned in (overlap, pair, input) order, a later one
+    winning only by a residual lower by more than 1e-15. ``teleport_summary`` runs once per
+    point, the swap side once per overlap on the stack of the whole pair grid.
     """
     for key, target in targets.items():
         if key not in _TELEPORT_KEYS and key not in _SWAP_KEYS:
@@ -460,29 +492,27 @@ def calibrate(targets: Mapping[str, float],
                 f"{_TELEPORT_KEYS + tuple(_SWAP_KEYS)}")
         if not _is_real(target) or not np.isfinite(target):
             raise ValueError(f"calibration target {key!r} must be a finite number, got {target!r}")
-    if not len(overlap_grid) or not len(pair_grid) or not len(input_grid):
+    overlaps, pairs, inputs = (_unit_interval(name, grid) for name, grid in (
+        ("overlap_grid", overlap_grid), ("pair_grid", pair_grid), ("input_grid", input_grid)))
+    if not overlaps or not pairs or not inputs:
         raise ValueError("calibration grids must be non-empty")
     swap_targets = {k: v for k, v in targets.items() if k in _SWAP_KEYS}
     tele_targets = {k: v for k, v in targets.items() if k not in _SWAP_KEYS}
     best = None
-    for v in overlap_grid:
-        channel = gate_channel(round(float(v), 12))
-        for lp in pair_grid:
-            swap_pred = {}
-            swap_residual = 0.0
-            if swap_targets:
-                sw = swap_summary(channel, float(lp))
-                for key, target in swap_targets.items():
-                    swap_pred[key] = sw[_SWAP_KEYS[key]]
-                    swap_residual += (swap_pred[key] - target) ** 2
-            for li in input_grid:
-                pred = teleport_summary(channel, float(lp), float(li))
+    for v in overlaps:
+        channel = gate_channel(round(v, 12))
+        swap_figures = _swap_grid(channel, pairs)[2] if swap_targets else {}
+        for j, lp in enumerate(pairs):
+            swap_pred = {k: swap_figures[_SWAP_KEYS[k]][j] for k in swap_targets}
+            swap_residual = sum((swap_pred[k] - t) ** 2 for k, t in swap_targets.items())
+            for li in inputs:
+                pred = teleport_summary(channel, lp, li)
                 residual = swap_residual + sum(
                     (pred[k] - t) ** 2 for k, t in tele_targets.items())
                 if best is None or residual < best[0] - 1e-15:
                     predictions = {k: pred[k] for k in _TELEPORT_KEYS}
                     predictions.update(swap_pred)
-                    best = (residual, float(v), float(lp), float(li), predictions)
+                    best = (residual, v, lp, li, predictions)
     residual, v, lp, li, pred = best
     return CalibrationResult(v, lp, li, residual, pred)
 
@@ -655,11 +685,9 @@ def _run_swap(config: ExperimentConfig, channel) -> tuple[dict, dict]:
             for setting, row in zip(CHSH_SETTINGS, chsh_distributions(o.state).tolist())})
 
     def estimate(tabs: Mapping[str, CountTable]) -> Estimate:
-        fitted = [mle_fit(tabs[f"{o.bell_label}/tomo"]) for o in outcomes]
-        s_values = [chsh_from_correlators(chsh_correlators(tabs[f"{o.bell_label}/chsh"].corrected),
-                                          CHSH_VARIANT_FOR_BELL[o.bell_label])
-                    for o in outcomes]
-        return Estimate(_swap_estimate(fitted, s_values), fitted)
+        fitted = [mle_fit(tabs[f"{bell}/tomo"]) for bell in TILDE_LABELS]
+        grids = np.array([tabs[f"{bell}/chsh"].corrected for bell in TILDE_LABELS])
+        return Estimate(_swap_estimate(np.array([f.entries for f in fitted]), grids), fitted)
 
     tables, values, errors = _measure(config, distributions, estimate)
     results: dict = {"outcomes": {}}

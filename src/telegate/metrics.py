@@ -1,4 +1,4 @@
-"""Figures of merit: state fidelity, logarithmic negativity, CHSH values."""
+"""Figures of merit, of a DensityMatrix (a float) or of a stack of entries (an array)."""
 
 from __future__ import annotations
 
@@ -18,28 +18,35 @@ CHSH_VARIANT_FOR_BELL = {"phi+": "+", "psi+": "-", "phi-": "-", "psi-": "+"}
 CHSH_SIGN_FOR_BELL = {"phi+": -1.0, "psi+": +1.0, "phi-": -1.0, "psi-": +1.0}
 
 
-def fidelity_pure(rho: DensityMatrix, target: PureState) -> float:
-    """<chi| rho |chi>, the overlap with a pure target state."""
-    if rho.dim != target.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {target.dim}")
-    val = float(np.real(target.amplitudes.conj() @ rho.entries @ target.amplitudes))
-    return min(max(val, 0.0), 1.0)
+def _float_or_stack(values: np.ndarray):
+    return float(values) if values.ndim == 0 else values
 
 
-def partial_transpose(rho: DensityMatrix) -> np.ndarray:
+def fidelity_pure(rho, target):
+    """<chi| rho |chi>, the overlap with a PureState or a stack of amplitudes (..., d)."""
+    entries = np.asarray(getattr(rho, "entries", rho))
+    amps = np.asarray(getattr(target, "amplitudes", target))
+    if entries.shape[-1] != amps.shape[-1]:
+        raise ValueError(f"dimension mismatch: {entries.shape[-1]} vs {amps.shape[-1]}")
+    val = np.real(amps.conj()[..., None, :] @ entries @ amps[..., None])[..., 0, 0]
+    return _float_or_stack(np.clip(val, 0.0, 1.0))
+
+
+def partial_transpose(rho) -> np.ndarray:
     """Transpose the second qubit of a two-qubit state (entanglement witness)."""
-    if rho.dim != 4:
+    entries = np.asarray(getattr(rho, "entries", rho))
+    if entries.shape[-1] != 4:
         raise ValueError("partial transpose implemented for two qubits")
-    return np.transpose(rho.entries.reshape(2, 2, 2, 2), (0, 3, 2, 1)).reshape(4, 4)
+    return np.swapaxes(entries.reshape(entries.shape[:-2] + (2,) * 4), -3, -1).reshape(entries.shape)
 
 
-def log_negativity(rho: DensityMatrix) -> float:
+def log_negativity(rho):
     """log2 of the trace norm of the partial transpose.
 
     Zero for separable two-qubit states, one for maximally entangled ones.
     """
-    value = float(np.log2(trace_norm(partial_transpose(rho))))
-    return max(value, 0.0) if value > -1e-10 else value
+    value = np.log2(trace_norm(partial_transpose(rho)))
+    return _float_or_stack(np.where(value > -1e-10, np.maximum(value, 0.0), value))
 
 
 #: Analyzer angles (degrees) of the CHSH settings, the standard quadruple: the
@@ -81,30 +88,33 @@ _CHSH_BRAS = _CHSH_KETS.conj().swapaxes(-1, -2)
 _CHSH_PARITY = np.array([1.0, -1.0, -1.0, 1.0])
 
 
-def chsh_distributions(rho: DensityMatrix) -> np.ndarray:
-    """Outcome probabilities of a two-qubit state on the CHSH grid (settings x outcomes)."""
-    return np.maximum(np.real(_CHSH_BRAS @ rho.entries @ _CHSH_KETS)[..., 0, 0], 0.0)
+def chsh_distributions(rho) -> np.ndarray:
+    """Outcome probabilities of a two-qubit state on the CHSH grid (..., settings, outcomes)."""
+    entries = np.asarray(getattr(rho, "entries", rho))[..., None, None, :, :]
+    return np.maximum(np.real(_CHSH_BRAS @ entries @ _CHSH_KETS)[..., 0, 0], 0.0)
 
 
 def chsh_correlators(grid: np.ndarray) -> np.ndarray:
-    """E[i, j] from the outcome weights of a CHSH grid.
+    """E[..., i, j] from the outcome weights of a CHSH grid (..., settings, outcomes).
 
     The weights may be probabilities or (corrected) counts, finite and
     non-negative; each setting is normalized by its own positive total.
     """
     grid = np.asarray(grid, dtype=float)
-    totals = grid.sum(axis=1)
-    valid = (grid.min(axis=1) >= 0) & (totals > 0) & (totals < np.inf)  # NaN fails the minimum
+    totals = grid.sum(axis=-1)
+    valid = (grid.min(axis=-1) >= 0) & (totals > 0) & (totals < np.inf)  # NaN fails the minimum
     if not valid.all():
-        i = int(np.argmin(valid))
-        raise ValueError(f"setting {list(CHSH_SETTINGS)[i]}: weights must be finite and "
-                         f"non-negative with a positive total, got {grid[i].tolist()}")
-    return (grid @ _CHSH_PARITY / totals).reshape(2, 2)
+        i = int(np.argmin(valid.ravel()))
+        row = grid.reshape(-1, grid.shape[-1])[i]
+        raise ValueError(f"setting {list(CHSH_SETTINGS)[i % len(CHSH_SETTINGS)]}: weights must be "
+                         f"finite and non-negative with a positive total, got {row.tolist()}")
+    return (grid @ _CHSH_PARITY / totals).reshape(grid.shape[:-2] + (2, 2))
 
 
-def chsh_from_correlators(e: np.ndarray, variant: str) -> float:
-    sign = 1.0 if variant == "+" else -1.0
-    return float(sign * e[1, 0] - sign * e[1, 1] + e[0, 0] + e[0, 1])
+def chsh_from_correlators(e: np.ndarray, variant):
+    """S from correlators E (..., 2, 2) under ``variant``, "+" or "-" or a stack of them."""
+    sign = np.where(np.asarray(variant) == "+", 1.0, -1.0)
+    return _float_or_stack(sign * e[..., 1, 0] - sign * e[..., 1, 1] + e[..., 0, 0] + e[..., 0, 1])
 
 
 def chsh(rho: DensityMatrix, spec: ChshSpec = ChshSpec()) -> float:

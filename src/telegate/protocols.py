@@ -35,9 +35,9 @@ TILDE_LABELS = ("phi+", "psi+", "phi-", "psi-")
 PRODUCT_FOR_BELL = {"phi+": "++", "psi+": "+-", "phi-": "-+", "psi-": "--"}
 BELL_FOR_PRODUCT = {v: k for k, v in PRODUCT_FOR_BELL.items()}
 
-#: Product vector |s_b s_c> of each analyzer outcome, in BELL_FOR_PRODUCT order.
-_PRODUCT_VECTORS = np.array([np.kron(SINGLE_QUBIT_AMPLITUDES[sb], SINGLE_QUBIT_AMPLITUDES[sc])
-                             for sb, sc in BELL_FOR_PRODUCT])
+#: Product bra <s_b s_c| of each analyzer outcome, in BELL_FOR_PRODUCT order.
+_PRODUCT_BRAS = np.array([np.kron(SINGLE_QUBIT_AMPLITUDES[sb], SINGLE_QUBIT_AMPLITUDES[sc])
+                          for sb, sc in BELL_FOR_PRODUCT]).conj()
 
 # Pauli-frame correction restoring the teleported state for each analyzer
 # outcome (derived once by brute force and frozen).
@@ -52,6 +52,7 @@ CORRECTION_MATRICES = {
 #: The correction unitaries in TILDE_LABELS order, the order bsa reports its
 #: outcomes: a conditional state rho becomes U rho U^dag.
 CORRECTIONS = np.array([CORRECTION_MATRICES[CORRECTION_FOR_BELL[bell]] for bell in TILDE_LABELS])
+_CORRECTIONS_DAG = CORRECTIONS.conj().swapaxes(-1, -2)
 
 #: Pair target whose Pauli-frame corrections are exact: the phi+ pair with
 #: the analyzer-side qubit rotated into the diagonal basis.
@@ -110,7 +111,7 @@ def apply_kraus_raw(joint: np.ndarray, b: int, c: int, kraus) -> np.ndarray:
     qubit_axes = [n + b, n + c, b, c, *keep, *(n + q for q in keep)]
     arr = joint.reshape(joint.shape[:-2] + (2,) * 2 * n).transpose(
         *range(m), *(m + axis for axis in qubit_axes))
-    rows = _PRODUCT_VECTORS.conj() @ np.array(kraus)  # [k, o, :] is the row <o| K_k
+    rows = _PRODUCT_BRAS @ np.array(kraus)  # [k, o, :] is the row <o| K_k
     effects = np.einsum("kol,koj->olj", rows.conj(), rows).reshape(4, 16)
     out = effects @ arr.reshape(joint.shape[:-2] + (16, -1))
     return out.reshape(out.shape[:-1] + (2 ** (n - 2),) * 2)
@@ -157,14 +158,17 @@ def bsa(rho: DensityMatrix, modes: tuple[str, str], gate=1.0) -> list[BsaOutcome
 
 
 def pair_raw(pair: np.ndarray, right: np.ndarray, kraus) -> np.ndarray:
-    """Spectator states (..., 4, s, s) of pair (a, b) x ``right`` (..., 2^m, 2^m) read on (b, c)."""
-    joint = pair[:, None, :, None] * right[..., None, :, None, :]  # np.kron, over the stack
-    return apply_kraus_raw(joint.reshape(right.shape[:-2] + (4 * right.shape[-1],) * 2), 1, 2, kraus)
+    """Spectator states (..., 4, s, s) of pair (a, b) x ``right`` read on (b, c).
+
+    ``pair`` (..., 4, 4) and ``right`` (..., 2^m, 2^m) are stacks that broadcast together.
+    """
+    joint = pair[..., :, None, :, None] * right[..., None, :, None, :]  # np.kron, over the stacks
+    return apply_kraus_raw(joint.reshape(joint.shape[:-4] + (4 * right.shape[-1],) * 2), 1, 2, kraus)
 
 
 def correct_frames(rho: np.ndarray) -> np.ndarray:
     """U rho U^dag over the outcome axis of ``rho`` (..., 4, 2, 2), U the outcome's correction."""
-    return CORRECTIONS @ rho @ CORRECTIONS.conj().swapaxes(-1, -2)
+    return CORRECTIONS @ rho @ _CORRECTIONS_DAG
 
 
 def teleport(input_state: DensityMatrix, pair: DensityMatrix, gate=1.0,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityMatrix, PureState, _check_labels, _computed
+from .states import DensityMatrix, PureState, _check_labels, _computed, _freeze
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -28,7 +28,6 @@ BELL_AMPLITUDES = {
     "psi-~": np.array([1, -1, -1, -1]) * 0.5,
 }
 _BELL_DENSITIES = {t: PureState(a).density().entries for t, a in BELL_AMPLITUDES.items()}
-_MIXED_PAIR = np.eye(4) / 4.0
 
 SINGLE_QUBIT_AMPLITUDES = {
     "H": np.array([1, 0], dtype=complex),
@@ -39,10 +38,18 @@ SINGLE_QUBIT_AMPLITUDES = {
     "L": np.array([1, -1j]) * _SQ2,
 }
 _INPUT_DENSITIES = {s: PureState(a).density().entries for s, a in SINGLE_QUBIT_AMPLITUDES.items()}
-_MIXED_INPUT = np.eye(2) / 2.0
+#: The maximally mixed state I/d of a qubit and of a pair, by dimension d.
+_WHITE = {d: np.eye(d, dtype=complex) / d for d in (2, 4)}
 
-#: The four probe states of process tomography, in the order every consumer reads.
+#: The four probe states of process tomography, in the order every consumer reads, and
+#: their pure densities as one (4, 2, 2) stack.
 TOMOGRAPHIC_PROBES = ("H", "V", "+", "R")
+_PROBE_DENSITIES = _freeze([_INPUT_DENSITIES[p] for p in TOMOGRAPHIC_PROBES])
+
+
+def _mix(pure: np.ndarray, mixedness) -> np.ndarray:
+    """(1 - lambda) pure + lambda I/d, the admixture of every source; either may be a stack."""
+    return (1.0 - mixedness) * pure + mixedness * _WHITE[pure.shape[-1]]
 
 
 @dataclass(frozen=True)
@@ -96,17 +103,14 @@ def single_qubit_state(state, label="q0") -> PureState:
 
 def make_pair(spec: PairSpec, labels=("q0", "q1")) -> DensityMatrix:
     """(1 - lambda) |bell><bell| + lambda I/4."""
-    pure = _BELL_DENSITIES[spec.target]
-    lam = spec.mixedness
-    return _computed((1.0 - lam) * pure + lam * _MIXED_PAIR, _check_labels(labels, 2))
+    return _computed(_mix(_BELL_DENSITIES[spec.target], spec.mixedness), _check_labels(labels, 2))
 
 
 def make_input(spec: InputSpec, label="q0") -> DensityMatrix:
     """(1 - lambda) |chi><chi| + lambda I/2."""
     pure = (_INPUT_DENSITIES[spec.state] if isinstance(spec.state, str)
             else single_qubit_state(spec.state).density().entries)
-    lam = spec.mixedness
-    return _computed((1.0 - lam) * pure + lam * _MIXED_INPUT, _check_labels((label,), 1))
+    return _computed(_mix(pure, spec.mixedness), _check_labels((label,), 1))
 
 
 def tomographic_input_set(mixedness: float = 0.0) -> list[InputSpec]:

@@ -162,9 +162,10 @@ def analyzer_eigenvectors(theta_deg: float) -> tuple[np.ndarray, np.ndarray]:
     return plus, minus
 
 
-def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values; for a Hermitian matrix, the sum of its eigenvalues' moduli."""
+def trace_norm(m: np.ndarray):
+    """Sum of singular values, per matrix of a stack; for a Hermitian one, of |eigenvalues|."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"matrix must be square, got {m.shape}")
-    return float(np.linalg.svd(m, compute_uv=False).sum())
+    norms = np.linalg.svd(m, compute_uv=False).sum(axis=-1)
+    return float(norms) if m.ndim == 2 else norms

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .sources import _INPUT_DENSITIES, SINGLE_QUBIT_AMPLITUDES, TOMOGRAPHIC_PROBES
+from .sources import SINGLE_QUBIT_AMPLITUDES, _PROBE_DENSITIES
 from .states import ATOL, I2, DensityMatrix, PAULI, _computed, _freeze, _hermitian
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -406,11 +406,10 @@ class ProcessMatrix:
 
 
 _PAULI_STACK = np.array([PAULI[s] for s in "IXYZ"])
-_PROBE_STATES = np.array([_INPUT_DENSITIES[p] for p in TOMOGRAPHIC_PROBES])
 
 #: The process-tomography design matrix, of rank 16, and its inverse: row
 #: (probe k, i, j), column (m, n) holds (sigma_m rho_k sigma_n)[i, j].
-_DESIGN = _freeze(np.einsum("mip,kpq,nqj->kijmn", _PAULI_STACK, _PROBE_STATES,
+_DESIGN = _freeze(np.einsum("mip,kpq,nqj->kijmn", _PAULI_STACK, _PROBE_DENSITIES,
                             _PAULI_STACK).reshape(-1, 16))
 _DESIGN_INV = _freeze(np.linalg.inv(_DESIGN))
 
@@ -425,7 +424,9 @@ def process_tomo(outputs) -> ProcessMatrix:
     if rho_out.shape != (4, 2, 2):
         raise ValueError(f"need the 2 x 2 outputs of the 4 probes, got shape {rho_out.shape}")
     m = (_DESIGN_INV @ rho_out.reshape(-1)).reshape(4, 4)
-    return ProcessMatrix(0.5 * (m + m.conj().T))
+    matrix = object.__new__(ProcessMatrix)  # Hermitian by symmetrization: not re-checked
+    matrix.__dict__["entries"] = _freeze(0.5 * (m + m.conj().T))
+    return matrix
 
 
 def process_fidelity(m_exp: ProcessMatrix, m_theo: ProcessMatrix) -> float:

@@ -5,7 +5,9 @@ import pytest
 from scipy.optimize import minimize
 
 from telegate.metrics import CHSH_ANGLES, CHSH_SETTINGS
-from telegate.sources import BELL_AMPLITUDES, SINGLE_QUBIT_AMPLITUDES
+from telegate.protocols import pair_raw
+from telegate.sources import (BELL_AMPLITUDES, SINGLE_QUBIT_AMPLITUDES, PairSpec, make_input,
+                              make_pair, tomographic_input_set)
 from telegate.states import DensityMatrix, PAULI, PureState, _check_labels, _computed, analyzer_eigenvectors
 from telegate.tomography import BASIS_VECTORS, FitError, _TINY, _fit_inputs, _outer
 
@@ -78,6 +80,21 @@ def reference_input(state, mixedness: float, label="q0") -> DensityMatrix:
     amps = SINGLE_QUBIT_AMPLITUDES[state] if isinstance(state, str) else np.asarray(state, complex)
     pure = PureState(amps, (label,)).density()
     return _computed((1.0 - mixedness) * pure.entries + mixedness * np.eye(2) / 2.0, pure.labels)
+
+
+def reference_teleport_conditionals(channel, pair_target: str, pair_mixedness: float,
+                                    input_mixedness: float) -> tuple[np.ndarray, np.ndarray]:
+    """The teleport grid's probabilities and uncorrected states from checked source objects.
+
+    The pair and the four probes are built as DensityMatrix values, one
+    InputSpec per probe, where the package mixes its constant densities.
+    """
+    pair = make_pair(PairSpec(pair_target, pair_mixedness), ("a", "b"))
+    inputs = [make_input(spec, "c").entries for spec in tomographic_input_set(input_mixedness)]
+    raw = pair_raw(pair.entries, np.array(inputs), channel.kraus)
+    weights = np.real(np.einsum("...aa->...", raw))
+    states = raw / weights[..., None, None]
+    return np.maximum(weights, 0.0), 0.5 * (states + states.conj().swapaxes(-1, -2))
 
 
 # Per-call builders of the package's fixed measurements, kept as references

@@ -25,9 +25,11 @@ from telegate.experiment import (
     swap_summary,
     teleport_summary,
 )
+from telegate.gate import gate_channel
 from telegate.metrics import CHSH_OUTCOMES, CHSH_SETTINGS
-from telegate.sources import InputSpec, make_input
+from telegate.sources import BELL_AMPLITUDES, InputSpec, make_input
 from telegate.tomography import mle_fit, settings_1q
+from conftest import reference_teleport_conditionals, same_bits
 
 
 class TestSimulateCounts:
@@ -467,6 +469,89 @@ class TestCalibrate:
         with pytest.raises(ValueError, match="calibration target 'F_V'"):
             calibrate({"F_H": 0.9, "F_V": bad}, overlap_grid=(1.0,))
 
+    @pytest.mark.parametrize("axis", ["overlap_grid", "pair_grid", "input_grid"])
+    @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
+    def test_grid_values_outside_the_unit_interval_name_the_axis(self, axis, bad):
+        grids = {"overlap_grid": (0.9, 1.0), "pair_grid": (0.0, 0.1), "input_grid": (0.0, 0.1)}
+        grids[axis] = (0.5, bad)
+        with pytest.raises(ValueError, match=f"{axis}: must lie in \\[0, 1\\], got {bad}"):
+            calibrate({"F_H": 0.9, "F_swap_avg": 0.8}, **grids)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
+    def test_summaries_check_their_mixednesses(self, bad):
+        for summary, args in ((teleport_summary, (bad, 0.0)), (teleport_summary, (0.0, bad)),
+                              (swap_summary, (bad,))):
+            with pytest.raises(ValueError, match="mixedness: must lie in"):
+                summary(0.9, *args)
+
+
+class TestExactGrids:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.floats(0.0, 1.0), st.sampled_from(sorted(BELL_AMPLITUDES)), st.floats(0.0, 1.0),
+           st.floats(0.0, 1.0))
+    def test_teleport_conditionals_match_checked_sources(self, v, target, lp, li):
+        channel = gate_channel(v)
+        got = experiment._teleport_conditionals(channel, target, lp, li)
+        want = reference_teleport_conditionals(channel, target, lp, li)
+        assert all(same_bits(a, b) for a, b in zip(got, want))
+
+    def test_calibrate_swap_predictions_are_swap_summaries(self):
+        # targets at each (overlap, pair) point pick it out of the grid, whose swap figures
+        # come from one stacked evaluation per overlap
+        overlaps, pairs = (0.86, 0.93, 1.0), tuple(np.linspace(0.0, 0.2, 6).tolist())
+        for v, lp in itertools.product(overlaps, pairs):
+            exact = swap_summary(v, lp)
+            targets = {"F_swap_avg": exact["F_avg"], "S_abs_avg": exact["S_abs_avg"]}
+            res = calibrate(targets, overlaps, pairs)
+            assert (res.overlap, res.pair_mixedness) == (v, lp)
+            assert abs(res.predictions["F_swap_avg"] - exact["F_avg"]) <= 1e-15
+            assert abs(res.predictions["S_abs_avg"] - exact["S_abs_avg"]) <= 1e-15
+
+
+class TestCalibrateScan:
+    """Points are scanned in (overlap, pair, input) order; a later point wins only by > 1e-15."""
+
+    @staticmethod
+    def midway(key, first, second):
+        # a target halfway between two points' values: their residuals tie to rounding
+        return {key: 0.5 * (teleport_summary(*first)[key] + teleport_summary(*second)[key])}
+
+    def test_overlap_is_the_outer_axis(self):
+        # (1.0, 0.1) precedes (0.95, 0.0) in (overlap, pair) order, not in (pair, overlap) order
+        targets = self.midway("F_V", (1.0, 0.1, 0.0), (0.95, 0.0, 0.0))
+        res = calibrate(targets, (1.0, 0.95), (0.0, 0.1), (0.0,))
+        assert (res.overlap, res.pair_mixedness, res.input_mixedness) == (1.0, 0.1, 0.0)
+        res = calibrate(targets, (0.95, 1.0), (0.0, 0.1), (0.0,))
+        assert (res.overlap, res.pair_mixedness, res.input_mixedness) == (0.95, 0.0, 0.0)
+
+    def test_pair_is_outside_input(self):
+        # at v = 1 the two mixednesses degrade the teleported qubit alike: (0, 0.1) ties (0.1, 0)
+        targets = {key: teleport_summary(1.0, 0.0, 0.1)[key] for key in PAPER_TELEPORT_TARGETS}
+        res = calibrate(targets, (1.0,), (0.0, 0.1), (0.0, 0.1))
+        assert (res.pair_mixedness, res.input_mixedness) == (0.0, 0.1)
+        res = calibrate(targets, (1.0,), (0.1, 0.0), (0.1, 0.0))
+        assert (res.pair_mixedness, res.input_mixedness) == (0.1, 0.0)
+
+    def test_duplicated_values_keep_the_first_point(self):
+        targets = dict(PAPER_TELEPORT_TARGETS, **PAPER_SWAP_TARGETS)
+        single = calibrate(targets, (0.93,), (0.01,), (0.14,))
+        res = calibrate(targets, (0.93, 0.93), (0.01, 0.01, 0.01), (0.14, 0.14))
+        assert res == single
+
+    def test_ties_hold_within_1e_15(self):
+        # the second overlap matches F_V exactly; the first misses it by 1.9e-9 (residual
+        # 3.6e-18) and keeps its place, while a 1.9e-6 miss (residual 3.6e-12) does not
+        for step, winner in ((1e-9, 0.9), (1e-6, 0.9 + 1e-6)):
+            targets = {"F_V": teleport_summary(0.9 + step)["F_V"]}
+            assert calibrate(targets, (0.9, 0.9 + step)).overlap == winner
+
+    def test_teleport_targets_predict_the_six_teleport_keys(self):
+        res = calibrate(PAPER_TELEPORT_TARGETS, (0.9, 1.0), (0.0, 0.1), (0.0, 0.1))
+        assert list(res.predictions) == ["F_H", "F_V", "F_+", "F_R", "F_p", "F_avg"]
+        res = calibrate(dict(PAPER_TELEPORT_TARGETS, **PAPER_SWAP_TARGETS), (0.9, 1.0))
+        assert list(res.predictions) == ["F_H", "F_V", "F_+", "F_R", "F_p", "F_avg",
+                                         "F_swap_avg", "S_abs_avg"]
+
 
 class TestCli:
     def test_gate_table_text(self, capsys):
@@ -666,6 +751,19 @@ class TestCli:
             cfg.write_text(text)
             assert cli.main(["calibrate", str(cfg)]) == 2, text
             assert field_name in capsys.readouterr().err, text
+
+    @pytest.mark.parametrize("axis", ["overlap", "pair_mixedness", "input_mixedness"])
+    @pytest.mark.parametrize("bad", [".nan", "-0.1", "1.5"])
+    def test_calibrate_grid_outside_the_unit_interval_exit_code(self, axis, bad, tmp_path,
+                                                                  capsys):
+        grid = {"overlap": "[0.9, 1.0, 2]", "pair_mixedness": "[0, 0.1, 2]",
+                "input_mixedness": "[0, 0.1, 2]"}
+        grid[axis] = f"[0.05, {bad}, 2]"
+        cfg = tmp_path / "cal.yaml"
+        cfg.write_text("targets: {F_H: 0.9, F_swap_avg: 0.8}\ngrid: {"
+                       + ", ".join(f"{k}: {v}" for k, v in grid.items()) + "}\n")
+        assert cli.main(["calibrate", str(cfg)]) == 2
+        assert f"grid.{axis}" in capsys.readouterr().err
 
     def test_calibration_grid_total_is_bounded(self, tmp_path, capsys):
         cfg = tmp_path / "cal.yaml"

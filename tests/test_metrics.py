@@ -214,6 +214,41 @@ class TestFixedMeasurements:
         assert abs(s_val) >= max(abs(chsh_from_correlators(e, v)) for v in "+-") - 1e-15
 
 
+class TestStacks:
+    """Every figure of a stack of states is the figure of each state, bit for bit."""
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(st.sampled_from([(1,), (3,), (2, 4)]), st.integers(0, 2**32 - 1))
+    def test_stack_is_per_state_calls(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        states = [ginibre_dm(2, rng) for _ in range(int(np.prod(shape)))]
+        targets = [random_pure(2, rng) for _ in states]
+        variants = rng.choice(["+", "-"], size=len(states))
+        stack = np.array([rho.entries for rho in states]).reshape(shape + (4, 4))
+        amps = np.array([t.amplitudes for t in targets]).reshape(shape + (4,))
+        e = chsh_correlators(chsh_distributions(stack))
+        values = [fidelity_pure(stack, amps), log_negativity(stack), partial_transpose(stack),
+                  chsh_distributions(stack), e,
+                  chsh_from_correlators(e, variants.reshape(shape))]
+        for got in values:
+            assert got.shape[:len(shape)] == shape
+        for k, (rho, target, variant) in enumerate(zip(states, targets, variants)):
+            e_k = chsh_correlators(chsh_distributions(rho))
+            expected = [fidelity_pure(rho, target), log_negativity(rho), partial_transpose(rho),
+                        chsh_distributions(rho), e_k, chsh_from_correlators(e_k, variant)]
+            for got, want in zip(values, expected):
+                assert np.array_equal(got.reshape((-1,) + got.shape[len(shape):])[k], want)
+        assert isinstance(fidelity_pure(states[0], targets[0]), float)
+        assert isinstance(log_negativity(states[0]), float)
+
+    def test_first_bad_setting_of_a_stack_is_named(self):
+        grids = np.full((3, len(CHSH_SETTINGS), len(CHSH_OUTCOMES)), 5.0)
+        grids[1, list(CHSH_SETTINGS).index("chsh11"), 0] = np.nan
+        grids[2, 0, 0] = -1.0
+        with pytest.raises(ValueError, match="setting chsh11: .* got \\[nan, 5.0, 5.0, 5.0\\]"):
+            chsh_correlators(grids)
+
+
 def flat_table(count: int, n_cells: int = 4) -> CountTable:
     return CountTable(("m",), ("s",), tuple(f"o{k}" for k in range(n_cells)),
                       np.full((1, n_cells), count))

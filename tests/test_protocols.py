@@ -14,6 +14,7 @@ from telegate.protocols import (
     TILDE_LABELS,
     apply_kraus_raw,
     bsa,
+    pair_raw,
     swap,
     teleport,
     tilde_bell,
@@ -31,7 +32,7 @@ from telegate.sources import (
     tomographic_input_set,
 )
 from telegate.states import PAULI, DensityMatrix, PureState, kron
-from conftest import ginibre_dm, partial_trace, partial_trace_raw, random_pure
+from conftest import ginibre_dm, partial_trace, partial_trace_raw, random_pure, same_bits
 
 
 # -- brute-force reference: every operator embedded in the full label space ---
@@ -466,6 +467,20 @@ class TestAnalyzerKernel:
                                          for r in rho.reshape(-1, 2**n, 2**n)])
                     assert raw.shape == batch + (4, 2 ** (n - 2), 2 ** (n - 2))
                     assert np.abs(raw - expected.reshape(raw.shape)).max() <= 1e-13, (b, c)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.floats(0.0, 1.0), st.integers(1, 6), st.sampled_from([1, 2]), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_pair_raw_over_a_stack_is_per_pair_calls(self, v, size, m, stacked, seed):
+        # a stack of left pairs against one right state or against a stack of them
+        rng = np.random.default_rng(seed)
+        kraus = gate_channel(v).kraus
+        pairs = np.array([ginibre_dm(2, rng).entries for _ in range(size)])
+        rights = np.array([ginibre_dm(m, rng).entries for _ in range(size if stacked else 1)])
+        raw = pair_raw(pairs, rights if stacked else rights[0], kraus)
+        assert raw.shape == (size, 4, 2**m, 2**m)
+        for k, pair in enumerate(pairs):
+            assert same_bits(raw[k], pair_raw(pair, rights[k if stacked else 0], kraus))
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(st.floats(0.0, 1.0))
