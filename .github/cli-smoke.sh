@@ -46,11 +46,13 @@ python -c "import json; json.load(open('gate.json'))"
 telegate run gate.yaml --format csv > gate.csv
 python -c "lines = open('gate.csv').read().splitlines(); assert len(lines) == 6, len(lines)"
 
-# reports do not depend on the BLAS thread count
-for config in smoke swap; do
-  OPENBLAS_NUM_THREADS=1 telegate run $config.yaml > $config.threads1.json
-  OPENBLAS_NUM_THREADS=2 telegate run $config.yaml > $config.threads2.json
-  cmp $config.threads1.json $config.threads2.json
+# reports and calibrations do not depend on the BLAS thread count; the channel's stored
+# analyzer effects feed every analyzer matmul
+for command in "run smoke" "run swap" "calibrate calibrate-swap"; do
+  set -- $command
+  OPENBLAS_NUM_THREADS=1 telegate "$1" "$2.yaml" > "$2.threads1.json"
+  OPENBLAS_NUM_THREADS=2 telegate "$1" "$2.yaml" > "$2.threads2.json"
+  cmp "$2.threads1.json" "$2.threads2.json"
 done
 
 # bad input: one line on stderr and its exit code (2 config, 3 numerical), never a traceback

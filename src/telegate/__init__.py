@@ -32,7 +32,6 @@ from .sources import (
     make_input,
     make_pair,
     single_qubit_state,
-    tomographic_input_set,
 )
 from .protocols import (
     BsaOutcome,

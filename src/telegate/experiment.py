@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ._version import __version__
-from .gate import gate_channel
+from .gate import ZeroSuccessError, gate_channel
 from .metrics import (
     CHSH_OUTCOMES,
     CHSH_SETTINGS,
@@ -325,18 +325,24 @@ def _unit_interval(name: str, values: Sequence[float]) -> list[float]:
 
 
 def _normalized(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Joint probabilities (..., 4) and normalized states of analyzer contractions ``raw``."""
-    weights = np.real(np.einsum("...aa->...", raw))
+    """Joint probabilities (..., 4) and normalized states of analyzer contractions ``raw``;
+    the first cell (in index order) of weight at most 1e-15 raises ZeroSuccessError."""
+    weights = np.einsum("...aa->...", raw).real
+    if weights.min() <= 1e-15:
+        cell = tuple(np.argwhere(weights <= 1e-15)[0].tolist())
+        raise ZeroSuccessError(f"analyzer cell {cell} (outcome {TILDE_LABELS[cell[-1]]}) "
+                               f"has weight {float(weights[cell])!r}, at most 1e-15")
     states = raw / weights[..., None, None]
     # exactly Hermitian, as the package's computed states are
-    return np.maximum(weights, 0.0), 0.5 * (states + states.conj().swapaxes(-1, -2))
+    return weights, 0.5 * (states + states.conj().swapaxes(-1, -2))
 
 
 #: The teleport grid's cells, probe-major (rows TOMOGRAPHIC_PROBES, columns TILDE_LABELS):
 #: a teleport run's count tables and, prefixed with "F_", its per-outcome fidelities.
 TELEPORT_CELLS = tuple(f"{probe}/{bell}" for probe in TOMOGRAPHIC_PROBES for bell in TILDE_LABELS)
-_CELL_KEYS = tuple(f"F_{cell}" for cell in TELEPORT_CELLS)
 _PROBE_KEYS = tuple(f"F_{probe}" for probe in TOMOGRAPHIC_PROBES)
+#: A teleport run's estimated figures, in the order _teleport_estimate returns them.
+_FIGURE_KEYS = (*(f"F_{cell}" for cell in TELEPORT_CELLS), *_PROBE_KEYS, "F_p")
 
 #: Each grid row's probe |chi>, as kets (probes, 1, 2, 1) and bras (probes, 1, 1, 2).
 _PROBE_KETS = np.array([SINGLE_QUBIT_AMPLITUDES[p] for p in TOMOGRAPHIC_PROBES])[:, None, :, None]
@@ -347,28 +353,25 @@ def _teleport_conditionals(channel, pair_target: str, pair_mixedness: float,
                            input_mixedness: float) -> tuple[np.ndarray, np.ndarray]:
     """The grid's joint probabilities (probes x outcomes) and uncorrected 2 x 2 mode-a states."""
     pair = _mix(_BELL_DENSITIES[pair_target], pair_mixedness)
-    return _normalized(pair_raw(pair, _mix(_PROBE_DENSITIES, input_mixedness), channel.kraus))
+    return _normalized(pair_raw(pair, _mix(_PROBE_DENSITIES, input_mixedness), channel.effects))
 
 
 def _teleport_estimate(probabilities: np.ndarray, rho: np.ndarray
-                       ) -> tuple[dict[str, float], ProcessMatrix]:
+                       ) -> tuple[np.ndarray, np.ndarray, float, ProcessMatrix]:
     """Teleport figures from the grid's joint probabilities and uncorrected states.
 
     Each state gets its outcome's Pauli-frame correction. A probe's output
     is the mean of its corrected states weighted by the row-normalized
     probabilities, and the four outputs feed process tomography. Returns the
-    fidelities with the probe per cell (``F_<probe>/<bell>``) and per probe
-    (``F_<probe>``), the process fidelity ``F_p``, and the process matrix.
+    fidelities with the probe per cell (probes x outcomes) and per probe,
+    the process fidelity ``F_p``, and the process matrix.
     """
     corrected = correct_frames(rho)
-    fidelities = np.real(_PROBE_BRAS @ corrected @ _PROBE_KETS)[..., 0, 0]
+    fidelities = (_PROBE_BRAS @ corrected @ _PROBE_KETS).real[..., 0, 0]
     weights = probabilities / probabilities.sum(axis=1, keepdims=True)
     matrix = process_tomo((weights[..., None, None] * corrected).sum(axis=1))
-    figures = dict(zip(_CELL_KEYS, fidelities.ravel().tolist()))
-    figures.update(zip(_PROBE_KEYS, (weights * fidelities).sum(axis=1).tolist()))
     # Tr[M_ideal M] against the identity process: the (I, I) entry, real by symmetrization
-    figures["F_p"] = float(matrix.entries[0, 0].real)
-    return figures, matrix
+    return fidelities, (weights * fidelities).sum(axis=1), float(matrix.entries[0, 0].real), matrix
 
 
 def teleport_summary(gate, pair_mixedness: float = 0.0, input_mixedness: float = 0.0) -> dict:
@@ -381,16 +384,15 @@ def teleport_summary(gate, pair_mixedness: float = 0.0, input_mixedness: float =
     lp, li = _unit_interval("pair_mixedness", (pair_mixedness,)) + _unit_interval(
         "input_mixedness", (input_mixedness,))
     probabilities, states = _teleport_conditionals(_as_channel(gate), TELEPORT_PAIR_TARGET, lp, li)
-    figures, matrix = _teleport_estimate(probabilities, states)
-    summary: dict = {key: figures[key] for key in _PROBE_KEYS}
+    fidelities, probe_fidelities, f_p, matrix = _teleport_estimate(probabilities, states)
+    probe_fidelities = probe_fidelities.tolist()
+    summary: dict = dict(zip(_PROBE_KEYS, probe_fidelities))
     summary["per_outcome"] = {
-        name: {bell: {"probability": p, "fidelity": figures[f"F_{name}/{bell}"]}
-               for bell, p in zip(TILDE_LABELS, row)}
-        for name, row in zip(TOMOGRAPHIC_PROBES, probabilities.tolist())
-    }
+        name: {bell: {"probability": p, "fidelity": f} for bell, p, f in zip(TILDE_LABELS, ps, fs)}
+        for name, ps, fs in zip(TOMOGRAPHIC_PROBES, probabilities.tolist(), fidelities.tolist())}
     # summed left to right, as numpy's mean of four values is
-    summary["F_avg"] = sum(figures[key] for key in _PROBE_KEYS) / len(_PROBE_KEYS)
-    summary["F_p"] = figures["F_p"]
+    summary["F_avg"] = sum(probe_fidelities) / len(probe_fidelities)
+    summary["F_p"] = f_p
     summary["process_matrix"] = matrix
     return summary
 
@@ -425,7 +427,7 @@ def _swap_grid(channel, pair_mixedness) -> tuple[np.ndarray, np.ndarray, dict]:
     and their ``_swap_estimate`` figures.
     """
     pairs = _mix(_BELL_DENSITIES["phi+"], np.asarray(pair_mixedness)[..., None, None])
-    probabilities, states = _normalized(pair_raw(pairs, pairs, channel.kraus))
+    probabilities, states = _normalized(pair_raw(pairs, pairs, channel.effects))
     return probabilities, states, _swap_estimate(states, chsh_distributions(states))
 
 
@@ -642,8 +644,9 @@ def _run_teleport(config: ExperimentConfig, channel) -> tuple[dict, dict]:
 
     def estimate(tabs: Mapping[str, CountTable]) -> Estimate:
         rho = np.array([mle_fit(tabs[cell]).entries for cell in TELEPORT_CELLS]).reshape(states.shape)
-        figures, matrix = _teleport_estimate(probabilities, rho)
-        return Estimate(figures, (rho, matrix))
+        fidelities, probe_fidelities, f_p, matrix = _teleport_estimate(probabilities, rho)
+        figures = [*fidelities.ravel().tolist(), *probe_fidelities.tolist(), f_p]
+        return Estimate(dict(zip(_FIGURE_KEYS, figures)), (rho, matrix))
 
     tables, values, errors = _measure(config, distributions, estimate)
     rho, matrix = values.fitted

@@ -30,11 +30,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
 import numpy as np
+
+from .sources import SINGLE_QUBIT_AMPLITUDES
 
 # Spatial mode codes. 0 and 1 are the live gate arms; each attenuator
 # reflects into its own terminal sink so norm accounting stays exact.
@@ -215,16 +217,31 @@ def coincidence_distribution(state: FockState) -> np.ndarray:
     return probs
 
 
+#: The Bell-state analyzer's outcomes: both gate outputs detected in the +/-45 degree basis.
+ANALYZER_OUTCOMES = ("++", "+-", "-+", "--")
+#: Product bra <s_0 s_1| of each analyzer outcome, in ANALYZER_OUTCOMES order.
+_PRODUCT_BRAS = np.array([np.kron(SINGLE_QUBIT_AMPLITUDES[s0], SINGLE_QUBIT_AMPLITUDES[s1])
+                          for s0, s1 in ANALYZER_OUTCOMES]).conj()
+
+
 @dataclass(frozen=True)
 class GateChannel:
     """Post-selected action of the gate as a completely positive map.
 
     Success probability for an input rho is sum_k Tr[K rho K^dag]; the
     Kraus sum is strictly below identity because most amplitude leaves
-    through the non-coincidence and sink terms.
+    through the non-coincidence and sink terms. ``effects`` are the analyzer's E_o =
+    sum_k K_k^dag |o><o| K_k, formed once: row o (ANALYZER_OUTCOMES order) is E_o[l, j] at 4l + j.
     """
 
     kraus: tuple[np.ndarray, ...]
+    effects: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows = _PRODUCT_BRAS @ np.array(self.kraus)  # [k, o, :] is the row <o| K_k
+        effects = np.einsum("kol,koj->olj", rows.conj(), rows).reshape(4, 16)
+        effects.setflags(write=False)
+        object.__setattr__(self, "effects", effects)
 
     def success_probability(self, rho: np.ndarray) -> float:
         return float(np.real(sum(np.trace(k @ rho @ k.conj().T) for k in self.kraus)))

@@ -14,7 +14,8 @@ carries 1/4 x 1/9 = 1/36.
 Teleportation feeds mode c, and swapping half of a second pair (c, d), with
 half of an entangled (a, b) pair into the analyzer on (b, c); both are one
 ``pair_raw`` call. ``pair_raw`` and ``bsa`` read the analyzer through one
-contraction, ``apply_kraus_raw``. With the pair aligned to the analyzer
+contraction, ``apply_kraus_raw``, against the effects the channel holds
+(``GateChannel.effects``). With the pair aligned to the analyzer
 basis (target "phi+~") the teleported state in mode a equals the input up
 to one of the four Pauli-frame corrections below; the tests derive the
 table by brute force and check it against the frozen copy here.
@@ -26,33 +27,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gate import GateChannel, ZeroSuccessError, gate_channel
-from .sources import SINGLE_QUBIT_AMPLITUDES, bell_state
-from .states import DensityMatrix, PureState, _computed, I2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .gate import ANALYZER_OUTCOMES, GateChannel, ZeroSuccessError, gate_channel
+from .sources import bell_state
+from .states import DensityMatrix, PureState, _computed
 
 TILDE_LABELS = ("phi+", "psi+", "phi-", "psi-")
 
-PRODUCT_FOR_BELL = {"phi+": "++", "psi+": "+-", "phi-": "-+", "psi-": "--"}
-BELL_FOR_PRODUCT = {v: k for k, v in PRODUCT_FOR_BELL.items()}
-
-#: Product bra <s_b s_c| of each analyzer outcome, in BELL_FOR_PRODUCT order.
-_PRODUCT_BRAS = np.array([np.kron(SINGLE_QUBIT_AMPLITUDES[sb], SINGLE_QUBIT_AMPLITUDES[sc])
-                          for sb, sc in BELL_FOR_PRODUCT]).conj()
+BELL_FOR_PRODUCT = dict(zip(ANALYZER_OUTCOMES, TILDE_LABELS))
+PRODUCT_FOR_BELL = {v: k for k, v in BELL_FOR_PRODUCT.items()}
 
 # Pauli-frame correction restoring the teleported state for each analyzer
 # outcome (derived once by brute force and frozen).
 CORRECTION_FOR_BELL = {"phi+": "I", "psi+": "Z", "phi-": "X", "psi-": "iY"}
-CORRECTION_MATRICES = {
-    "I": I2,
-    "X": SIGMA_X,
-    "Z": SIGMA_Z,
-    "iY": 1j * SIGMA_Y,
-}
-
-#: The correction unitaries in TILDE_LABELS order, the order bsa reports its
-#: outcomes: a conditional state rho becomes U rho U^dag.
-CORRECTIONS = np.array([CORRECTION_MATRICES[CORRECTION_FOR_BELL[bell]] for bell in TILDE_LABELS])
-_CORRECTIONS_DAG = CORRECTIONS.conj().swapaxes(-1, -2)
+# U rho U^dag for each outcome's correction U, a signed permutation: over the flat (outcome,
+# 2 x 2) entries in TILDE_LABELS order, entry e is entry _FRAME_ORDER[e] times _FRAME_SIGNS[e].
+# X and iY swap 00 <-> 11 and 01 <-> 10; Z and iY negate 01 and 10.
+_FRAME_ORDER = np.array([0, 1, 2, 3, 4, 5, 6, 7, 11, 10, 9, 8, 15, 14, 13, 12])
+_FRAME_SIGNS = np.array([1, 1, 1, 1, 1, -1, -1, 1, 1, 1, 1, 1, 1, -1, -1, 1], dtype=complex)
 
 #: Pair target whose Pauli-frame corrections are exact: the phi+ pair with
 #: the analyzer-side qubit rotated into the diagonal basis.
@@ -96,23 +87,20 @@ def _as_channel(gate) -> GateChannel:
 
 # The analyzer's two stages; the benchmark's per-layer tracer reads both by name.
 
-def apply_kraus_raw(joint: np.ndarray, b: int, c: int, kraus) -> np.ndarray:
+def apply_kraus_raw(joint: np.ndarray, b: int, c: int, effects: np.ndarray) -> np.ndarray:
     """Unnormalized spectator states (..., 4, s, s) of a stack with qubits ``b``, ``c`` analyzed.
 
     ``joint`` holds n-qubit states (..., 2^n, 2^n), qubit 0 most significant. Entry [..., o, i, j]
     is sum_k <i, o| K_k rho K_k^dag |j, o>, |o> the product vector on (b, c) of outcome o (in
     ``BELL_FOR_PRODUCT`` order), i and j over the other qubits; its trace is the outcome's weight.
-    All four are Tr_bc[rho (E_o x 1)], one matmul with the effects E_o = sum_k K_k^dag |o><o| K_k.
+    All four are Tr_bc[rho (E_o x 1)], one matmul with a channel's (4, 16) ``effects``.
     """
     n, m = joint.shape[-1].bit_length() - 1, joint.ndim - 2
-    keep = [q for q in range(n) if q not in (b, c)]
     # the analyzer layout [..., (b c) bra, (b c) ket, keep ket, keep bra], keep in qubit order;
     # qubit q's ket axis is m + q and its bra axis m + n + q
-    qubit_axes = [n + b, n + c, b, c, *keep, *(n + q for q in keep)]
+    keep = [m + q for q in range(n) if q != b and q != c]
     arr = joint.reshape(joint.shape[:-2] + (2,) * 2 * n).transpose(
-        *range(m), *(m + axis for axis in qubit_axes))
-    rows = _PRODUCT_BRAS @ np.array(kraus)  # [k, o, :] is the row <o| K_k
-    effects = np.einsum("kol,koj->olj", rows.conj(), rows).reshape(4, 16)
+        *range(m), m + n + b, m + n + c, m + b, m + c, *keep, *[n + k for k in keep])
     out = effects @ arr.reshape(joint.shape[:-2] + (16, -1))
     return out.reshape(out.shape[:-1] + (2 ** (n - 2),) * 2)
 
@@ -153,35 +141,36 @@ def bsa(rho: DensityMatrix, modes: tuple[str, str], gate=1.0) -> list[BsaOutcome
     if b == c:
         raise ValueError(f"analyzer modes must differ, got {modes}")
     keep = tuple(l for l in rho.labels if l not in (b, c))
-    raw = apply_kraus_raw(rho.entries, *map(rho.labels.index, modes), _as_channel(gate).kraus)
+    raw = apply_kraus_raw(rho.entries, *map(rho.labels.index, modes), _as_channel(gate).effects)
     return list(_result(raw, keep).outcomes)
 
 
-def pair_raw(pair: np.ndarray, right: np.ndarray, kraus) -> np.ndarray:
-    """Spectator states (..., 4, s, s) of pair (a, b) x ``right`` read on (b, c).
+def pair_raw(pair: np.ndarray, right: np.ndarray, effects: np.ndarray) -> np.ndarray:
+    """Spectator states (..., 4, s, s) of pair (a, b) x ``right`` read on (b, c) by ``effects``.
 
     ``pair`` (..., 4, 4) and ``right`` (..., 2^m, 2^m) are stacks that broadcast together.
     """
     joint = pair[..., :, None, :, None] * right[..., None, :, None, :]  # np.kron, over the stacks
-    return apply_kraus_raw(joint.reshape(joint.shape[:-4] + (4 * right.shape[-1],) * 2), 1, 2, kraus)
+    return apply_kraus_raw(joint.reshape(joint.shape[:-4] + (4 * right.shape[-1],) * 2), 1, 2, effects)
 
 
 def correct_frames(rho: np.ndarray) -> np.ndarray:
     """U rho U^dag over the outcome axis of ``rho`` (..., 4, 2, 2), U the outcome's correction."""
-    return CORRECTIONS @ rho @ _CORRECTIONS_DAG
+    flat = rho.reshape(rho.shape[:-3] + (16,))
+    return (flat[..., _FRAME_ORDER] * _FRAME_SIGNS).reshape(rho.shape)
 
 
 def teleport(input_state: DensityMatrix, pair: DensityMatrix, gate=1.0,
              correct: bool = True) -> ProtocolResult:
     """Teleport the mode-c state onto mode a through a (b, c) analysis.
 
-    With ``correct`` each unnormalized outcome state is rotated by its entry
-    of ``CORRECTIONS``, mirroring corrections applied on the data rather than
+    With ``correct`` each unnormalized outcome state is rotated by its
+    outcome's correction, mirroring corrections applied on the data rather than
     in the optics. A Bell pair leaves no outcome without a state.
     """
     if input_state.n_qubits != 1 or pair.n_qubits != 2:
         raise ValueError("teleport needs a 1-qubit input and a 2-qubit pair")
-    raw = pair_raw(pair.entries, input_state.entries, _as_channel(gate).kraus)
+    raw = pair_raw(pair.entries, input_state.entries, _as_channel(gate).effects)
     return _result(correct_frames(raw) if correct else raw, ("a",))
 
 
@@ -193,4 +182,4 @@ def swap(pair_ab: DensityMatrix, pair_cd: DensityMatrix, gate=1.0) -> ProtocolRe
     """
     if pair_ab.n_qubits != 2 or pair_cd.n_qubits != 2:
         raise ValueError("swap needs two 2-qubit pairs")
-    return _result(pair_raw(pair_ab.entries, pair_cd.entries, _as_channel(gate).kraus), ("a", "d"))
+    return _result(pair_raw(pair_ab.entries, pair_cd.entries, _as_channel(gate).effects), ("a", "d"))

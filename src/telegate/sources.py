@@ -42,7 +42,8 @@ _INPUT_DENSITIES = {s: PureState(a).density().entries for s, a in SINGLE_QUBIT_A
 _WHITE = {d: np.eye(d, dtype=complex) / d for d in (2, 4)}
 
 #: The four probe states of process tomography, in the order every consumer reads, and
-#: their pure densities as one (4, 2, 2) stack.
+#: their pure densities as one (4, 2, 2) stack. Their Bloch vectors (z, -z, x, y) span the
+#: qubit operator space, which is what makes process reconstruction from them possible.
 TOMOGRAPHIC_PROBES = ("H", "V", "+", "R")
 _PROBE_DENSITIES = _freeze([_INPUT_DENSITIES[p] for p in TOMOGRAPHIC_PROBES])
 
@@ -111,12 +112,3 @@ def make_input(spec: InputSpec, label="q0") -> DensityMatrix:
     pure = (_INPUT_DENSITIES[spec.state] if isinstance(spec.state, str)
             else single_qubit_state(spec.state).density().entries)
     return _computed(_mix(pure, spec.mixedness), _check_labels((label,), 1))
-
-
-def tomographic_input_set(mixedness: float = 0.0) -> list[InputSpec]:
-    """The four probe states H, V, +, R, in that order.
-
-    Their Bloch vectors (z, -z, x, y) span the qubit operator space, which
-    is what makes process reconstruction from these four inputs possible.
-    """
-    return [InputSpec(name, mixedness) for name in TOMOGRAPHIC_PROBES]

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from telegate.metrics import CHSH_ANGLES, CHSH_SETTINGS
-from telegate.protocols import pair_raw
-from telegate.sources import (BELL_AMPLITUDES, SINGLE_QUBIT_AMPLITUDES, PairSpec, make_input,
-                              make_pair, tomographic_input_set)
-from telegate.states import DensityMatrix, PAULI, PureState, _check_labels, _computed, analyzer_eigenvectors
-from telegate.tomography import BASIS_VECTORS, FitError, _TINY, _fit_inputs, _outer
+from telegate.experiment import _swap_estimate
+from telegate.metrics import CHSH_ANGLES, CHSH_SETTINGS, CHSH_VARIANT_FOR_BELL, chsh_distributions
+from telegate.protocols import (BELL_FOR_PRODUCT, CORRECTION_FOR_BELL, TELEPORT_PAIR_TARGET,
+                                TILDE_LABELS, _as_channel, pair_raw)
+from telegate.sources import (BELL_AMPLITUDES, SINGLE_QUBIT_AMPLITUDES, TOMOGRAPHIC_PROBES,
+                              InputSpec, PairSpec, make_input, make_pair)
+from telegate.states import (DensityMatrix, I2, PAULI, PureState, SIGMA_X, SIGMA_Y, SIGMA_Z,
+                            _check_labels, _computed, _hermitian, analyzer_eigenvectors)
+from telegate.tomography import BASIS_VECTORS, FitError, _TINY, _fit_inputs, _outer, process_tomo
 
 
 def ginibre_dm(n_qubits: int, rng: np.random.Generator) -> DensityMatrix:
@@ -82,19 +85,95 @@ def reference_input(state, mixedness: float, label="q0") -> DensityMatrix:
     return _computed((1.0 - mixedness) * pure.entries + mixedness * np.eye(2) / 2.0, pure.labels)
 
 
+def tomographic_input_set(mixedness: float = 0.0) -> list[InputSpec]:
+    """The four probe states H, V, +, R as checked specs, in that order."""
+    return [InputSpec(name, mixedness) for name in TOMOGRAPHIC_PROBES]
+
+
 def reference_teleport_conditionals(channel, pair_target: str, pair_mixedness: float,
                                     input_mixedness: float) -> tuple[np.ndarray, np.ndarray]:
     """The teleport grid's probabilities and uncorrected states from checked source objects.
 
     The pair and the four probes are built as DensityMatrix values, one
-    InputSpec per probe, where the package mixes its constant densities.
+    InputSpec per probe, where the package mixes its constant densities; the
+    analyzer effects are built from the Kraus operators, where the channel holds them.
     """
     pair = make_pair(PairSpec(pair_target, pair_mixedness), ("a", "b"))
     inputs = [make_input(spec, "c").entries for spec in tomographic_input_set(input_mixedness)]
-    raw = pair_raw(pair.entries, np.array(inputs), channel.kraus)
+    return _reference_normalized(pair_raw(pair.entries, np.array(inputs),
+                                          reference_effects(channel.kraus)))
+
+
+def _reference_normalized(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     weights = np.real(np.einsum("...aa->...", raw))
     states = raw / weights[..., None, None]
     return np.maximum(weights, 0.0), 0.5 * (states + states.conj().swapaxes(-1, -2))
+
+
+# The per-call exact path that the channel's stored effects, the signed-permutation
+# frames and the array-built summaries replaced, kept as references.
+
+def reference_effects(kraus) -> np.ndarray:
+    """The analyzer effects E_o = sum_k K_k^dag |o><o| K_k as (4, 16), built per call."""
+    bras = np.array([np.kron(SINGLE_QUBIT_AMPLITUDES[sb], SINGLE_QUBIT_AMPLITUDES[sc])
+                     for sb, sc in BELL_FOR_PRODUCT]).conj()
+    rows = bras @ np.array(kraus)  # [k, o, :] is the row <o| K_k
+    return np.einsum("kol,koj->olj", rows.conj(), rows).reshape(4, 16)
+
+
+#: The Pauli-frame correction unitaries by name, and stacked in TILDE_LABELS order, the order
+#: bsa reports its outcomes: a conditional state rho becomes U rho U^dag.
+CORRECTION_MATRICES = {"I": I2, "X": SIGMA_X, "Z": SIGMA_Z, "iY": 1j * SIGMA_Y}
+CORRECTIONS = np.array([CORRECTION_MATRICES[CORRECTION_FOR_BELL[bell]] for bell in TILDE_LABELS])
+
+
+def reference_correct_frames(rho: np.ndarray) -> np.ndarray:
+    """U rho U^dag over the outcome axis of ``rho`` (..., 4, 2, 2), as two matmuls."""
+    return CORRECTIONS @ rho @ CORRECTIONS.conj().swapaxes(-1, -2)
+
+
+def reference_teleport_summary(gate, pair_mixedness: float, input_mixedness: float) -> dict:
+    """teleport_summary with every figure read back from one flat dict of named keys."""
+    probabilities, rho = reference_teleport_conditionals(
+        _as_channel(gate), TELEPORT_PAIR_TARGET, pair_mixedness, input_mixedness)
+    corrected = reference_correct_frames(rho)
+    kets = np.array([SINGLE_QUBIT_AMPLITUDES[p] for p in TOMOGRAPHIC_PROBES])[:, None, :, None]
+    fidelities = np.real(kets.conj().swapaxes(-1, -2) @ corrected @ kets)[..., 0, 0]
+    weights = probabilities / probabilities.sum(axis=1, keepdims=True)
+    matrix = process_tomo((weights[..., None, None] * corrected).sum(axis=1))
+    cells = [f"F_{probe}/{bell}" for probe in TOMOGRAPHIC_PROBES for bell in TILDE_LABELS]
+    figures = dict(zip(cells, fidelities.ravel().tolist()))
+    figures.update(zip((f"F_{p}" for p in TOMOGRAPHIC_PROBES),
+                       (weights * fidelities).sum(axis=1).tolist()))
+    summary: dict = {f"F_{p}": figures[f"F_{p}"] for p in TOMOGRAPHIC_PROBES}
+    summary["per_outcome"] = {
+        name: {bell: {"probability": p, "fidelity": figures[f"F_{name}/{bell}"]}
+               for bell, p in zip(TILDE_LABELS, row)}
+        for name, row in zip(TOMOGRAPHIC_PROBES, probabilities.tolist())}
+    summary["F_avg"] = sum(figures[f"F_{p}"] for p in TOMOGRAPHIC_PROBES) / 4
+    summary["F_p"] = float(matrix.entries[0, 0].real)
+    summary["process_matrix"] = matrix
+    return summary
+
+
+def reference_swap_summary(gate, pair_mixedness: float) -> dict:
+    """swap_summary from a checked pair and effects built from the Kraus operators."""
+    pair = make_pair(PairSpec("phi+", pair_mixedness)).entries
+    probabilities, states = _reference_normalized(
+        pair_raw(pair, pair, reference_effects(_as_channel(gate).kraus)))
+    figures = _swap_estimate(states, chsh_distributions(states))
+    probabilities = probabilities.tolist()
+    return {
+        "outcomes": {
+            bell: {"probability": p, "chsh_variant": CHSH_VARIANT_FOR_BELL[bell],
+                   **{k: figures[f"{bell}/{k}"]
+                      for k in ("fidelity", "log_negativity", "chsh", "chsh_abs")},
+                   "state": _hermitian(rho, ("a", "d"))}
+            for bell, p, rho in zip(TILDE_LABELS, probabilities, states)},
+        "success_probability": sum(probabilities),
+        "F_avg": figures["average_fidelity"], "N_avg": figures["average_log_negativity"],
+        "S_abs_avg": figures["average_chsh_abs"],
+    }
 
 
 # Per-call builders of the package's fixed measurements, kept as references

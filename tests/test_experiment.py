@@ -25,11 +25,18 @@ from telegate.experiment import (
     swap_summary,
     teleport_summary,
 )
-from telegate.gate import gate_channel
+from telegate.gate import GateChannel, ZeroSuccessError, gate_channel
 from telegate.metrics import CHSH_OUTCOMES, CHSH_SETTINGS
 from telegate.sources import BELL_AMPLITUDES, InputSpec, make_input
 from telegate.tomography import mle_fit, settings_1q
-from conftest import reference_teleport_conditionals, same_bits
+from conftest import (reference_swap_summary, reference_teleport_conditionals,
+                      reference_teleport_summary, same_bits)
+
+#: Exact-path sample points: 0 and 1 on every axis, the calibrated point in between.
+EXACT_AXIS = (0.0, 0.01, 0.14, 0.3, 0.5, 0.77, 0.93, 1.0)
+#: A channel that heralds nothing, and one that passes only |HH> (no V probe is heralded).
+EMPTY_CHANNEL = GateChannel(kraus=(np.zeros((4, 4), dtype=complex),))
+HH_ONLY_CHANNEL = GateChannel(kraus=(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex) / 3.0,))
 
 
 class TestSimulateCounts:
@@ -495,6 +502,32 @@ class TestExactGrids:
         want = reference_teleport_conditionals(channel, target, lp, li)
         assert all(same_bits(a, b) for a, b in zip(got, want))
 
+    def test_teleport_summary_is_the_per_call_path(self):
+        for v, lp, li in itertools.product(EXACT_AXIS, repeat=3):
+            got, want = teleport_summary(v, lp, li), reference_teleport_summary(v, lp, li)
+            matrix, want_matrix = got.pop("process_matrix"), want.pop("process_matrix")
+            assert list(got) == list(want) and got == want, (v, lp, li)
+            assert np.array_equal(matrix.entries, want_matrix.entries), (v, lp, li)
+
+    def test_swap_summary_is_the_per_call_path(self):
+        for v, lp in itertools.product(EXACT_AXIS, repeat=2):
+            got, want = swap_summary(v, lp), reference_swap_summary(v, lp)
+            for bell, row in got["outcomes"].items():
+                state, want_state = row.pop("state"), want["outcomes"][bell].pop("state")
+                assert same_bits(state.entries, want_state.entries), (v, lp, bell)
+            assert got == want, (v, lp)
+
+    def test_gate_channel_grids_herald_every_cell(self):
+        # every cell of weight at least 1/36, so no gate_channel grid raises ZeroSuccessError
+        for v in np.linspace(0.0, 1.0, 11).tolist():
+            channel = gate_channel(v)
+            for target in BELL_AMPLITUDES:
+                for lp, li in itertools.product((0.0, 0.5, 1.0), repeat=2):
+                    weights = experiment._teleport_conditionals(channel, target, lp, li)[0]
+                    assert weights.min() >= (1.0 - 1e-12) / 36.0, (v, target, lp, li)
+            weights = experiment._swap_grid(channel, np.linspace(0.0, 1.0, 5))[0]
+            assert weights.min() >= (1.0 - 1e-12) / 36.0, v
+
     def test_calibrate_swap_predictions_are_swap_summaries(self):
         # targets at each (overlap, pair) point pick it out of the grid, whose swap figures
         # come from one stacked evaluation per overlap
@@ -506,6 +539,30 @@ class TestExactGrids:
             assert (res.overlap, res.pair_mixedness) == (v, lp)
             assert abs(res.predictions["F_swap_avg"] - exact["F_avg"]) <= 1e-15
             assert abs(res.predictions["S_abs_avg"] - exact["S_abs_avg"]) <= 1e-15
+
+
+class TestUnheraldedCells:
+    """An exact grid with a cell of weight at most 1e-15 raises ZeroSuccessError naming it."""
+
+    def test_teleport_summary_of_an_empty_channel(self):
+        with pytest.raises(ZeroSuccessError, match=r"analyzer cell \(0, 0\) \(outcome phi\+\)"):
+            teleport_summary(EMPTY_CHANNEL)
+
+    def test_swap_summary_of_an_empty_channel(self):
+        with pytest.raises(ZeroSuccessError, match=r"analyzer cell \(0,\) \(outcome phi\+\)"):
+            swap_summary(EMPTY_CHANNEL)
+
+    def test_teleport_summary_names_the_first_unheralded_probe(self):
+        # |HH> alone passes: the V probe (row 1) is never heralded, the H probe is
+        with pytest.raises(ZeroSuccessError, match=r"analyzer cell \(1, 0\) \(outcome phi\+\)"):
+            teleport_summary(HH_ONLY_CHANNEL, 0.0, 0.0)
+        assert swap_summary(HH_ONLY_CHANNEL)["success_probability"] > 0.0
+
+    @pytest.mark.parametrize("targets", [{"F_H": 0.9}, {"F_H": 0.9, "F_swap_avg": 0.8}])
+    def test_calibrate_raises(self, targets, monkeypatch):
+        monkeypatch.setattr(experiment, "gate_channel", lambda v: EMPTY_CHANNEL)
+        with pytest.raises(ZeroSuccessError, match="analyzer cell"):
+            calibrate(targets, overlap_grid=(0.9,), pair_grid=(0.0,), input_grid=(0.0,))
 
 
 class TestCalibrateScan:

@@ -2,18 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from telegate.gate import gate_channel
+from telegate.gate import GateChannel, gate_channel
 from telegate.metrics import fidelity_pure
 from telegate.protocols import (
     BELL_FOR_PRODUCT,
     CORRECTION_FOR_BELL,
-    CORRECTION_MATRICES,
-    CORRECTIONS,
     PRODUCT_FOR_BELL,
     TELEPORT_PAIR_TARGET,
     TILDE_LABELS,
     apply_kraus_raw,
     bsa,
+    correct_frames,
     pair_raw,
     swap,
     teleport,
@@ -29,10 +28,11 @@ from telegate.sources import (
     make_input,
     make_pair,
     single_qubit_state,
-    tomographic_input_set,
 )
 from telegate.states import PAULI, DensityMatrix, PureState, kron
-from conftest import ginibre_dm, partial_trace, partial_trace_raw, random_pure, same_bits
+from conftest import (CORRECTION_MATRICES, CORRECTIONS, ginibre_dm, partial_trace,
+                      partial_trace_raw, random_pure, reference_correct_frames, reference_effects,
+                      same_bits, tomographic_input_set)
 
 
 # -- brute-force reference: every operator embedded in the full label space ---
@@ -462,7 +462,7 @@ class TestAnalyzerKernel:
         for b in range(n):
             for c in range(n):
                 if b != c:
-                    raw = apply_kraus_raw(rho, b, c, kraus)
+                    raw = apply_kraus_raw(rho, b, c, GateChannel(tuple(kraus)).effects)
                     expected = np.array([brute_force_raw(r, b, c, kraus)
                                          for r in rho.reshape(-1, 2**n, 2**n)])
                     assert raw.shape == batch + (4, 2 ** (n - 2), 2 ** (n - 2))
@@ -474,21 +474,21 @@ class TestAnalyzerKernel:
     def test_pair_raw_over_a_stack_is_per_pair_calls(self, v, size, m, stacked, seed):
         # a stack of left pairs against one right state or against a stack of them
         rng = np.random.default_rng(seed)
-        kraus = gate_channel(v).kraus
+        effects = gate_channel(v).effects
         pairs = np.array([ginibre_dm(2, rng).entries for _ in range(size)])
         rights = np.array([ginibre_dm(m, rng).entries for _ in range(size if stacked else 1)])
-        raw = pair_raw(pairs, rights if stacked else rights[0], kraus)
+        raw = pair_raw(pairs, rights if stacked else rights[0], effects)
         assert raw.shape == (size, 4, 2**m, 2**m)
         for k, pair in enumerate(pairs):
-            assert same_bits(raw[k], pair_raw(pair, rights[k if stacked else 0], kraus))
+            assert same_bits(raw[k], pair_raw(pair, rights[k if stacked else 0], effects))
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(st.floats(0.0, 1.0))
     def test_effects_are_positive_and_sum_to_the_kraus_sum(self, v):
-        kraus = gate_channel(v).kraus
-        # the kernel reads Tr[|j><l| E_o] = E_o[l, j] off the 16 matrix units |j><l|
-        units = np.eye(16).reshape(4, 4, 4, 4)
-        effects = apply_kraus_raw(units, 0, 1, kraus)[..., 0, 0].transpose(2, 1, 0)
+        channel = gate_channel(v)
+        kraus = channel.kraus
+        # row o of the stored effects is E_o[l, j] at l * 4 + j
+        effects = channel.effects.reshape(4, 4, 4)
         assert effects.shape == (4, 4, 4)
         for e in effects:
             assert np.abs(e - e.conj().T).max() <= 1e-15
@@ -496,6 +496,31 @@ class TestAnalyzerKernel:
         total = sum(k.conj().T @ k for k in kraus)
         assert np.abs(effects.sum(axis=0) - total).max() <= 1e-15
         assert np.linalg.eigvalsh(total).max() <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("v", [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.93, 1.0])
+    def test_stored_effects_are_the_per_call_build(self, v):
+        channel = gate_channel(v)
+        assert same_bits(channel.effects, reference_effects(channel.kraus))
+        assert not channel.effects.flags.writeable
+
+
+class TestCorrectFrames:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(1, 3), max_size=3), st.floats(0.0, 0.5),
+           st.integers(0, 2**32 - 1))
+    def test_signed_permutation_is_the_conjugation(self, lead, zero_share, seed):
+        # any complex stack, not Hermitian, with entries and parts of either signed zero
+        rng = np.random.default_rng(seed)
+        shape = tuple(lead) + (4, 2, 2)
+        rho = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for part in (rho.real, rho.imag):
+            zeros = rng.random(shape) < zero_share
+            part[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+        got = correct_frames(rho)
+        assert got.shape == shape
+        # equal as floats: the same bits, up to the sign of a zero entry, which a BLAS
+        # kernel's summation order decides
+        assert np.array_equal(got, reference_correct_frames(rho))
 
 
 class TestSwap:

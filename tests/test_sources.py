@@ -9,8 +9,10 @@ from telegate.sources import (
     bell_state,
     make_input,
     make_pair,
+    TOMOGRAPHIC_PROBES,
+    _PROBE_DENSITIES,
+    _mix,
     single_qubit_state,
-    tomographic_input_set,
 )
 from telegate.states import SIGMA_Y
 from conftest import partial_trace, reference_input, reference_pair, same_bits
@@ -98,25 +100,24 @@ class TestMakeInput:
 
 class TestTomographicSet:
     def test_fixed_order(self):
-        assert [s.state for s in tomographic_input_set()] == ["H", "V", "+", "R"]
+        assert TOMOGRAPHIC_PROBES == ("H", "V", "+", "R")
 
     def test_size(self):
-        assert len(tomographic_input_set()) == 4
+        assert _PROBE_DENSITIES.shape == (len(TOMOGRAPHIC_PROBES), 2, 2)
 
     def test_bloch_vectors_span_three_space(self):
         # z, -z, x, y: affine differences span R^3
         paulis = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
                   np.array([[1, 0], [0, -1]])]
-        vecs = []
-        for spec in tomographic_input_set():
-            rho = make_input(spec).entries
-            vecs.append([np.trace(rho @ p).real for p in paulis])
-        vecs = np.array(vecs)
+        vecs = np.array([[np.trace(rho @ p).real for p in paulis] for rho in _PROBE_DENSITIES])
         diffs = vecs[1:] - vecs[0]
         assert np.linalg.matrix_rank(diffs, tol=1e-9) == 3
 
-    def test_mixedness_forwarded(self):
-        assert all(s.mixedness == 0.25 for s in tomographic_input_set(0.25))
+    @pytest.mark.parametrize("mixedness", [0.0, 0.25, 1.0])
+    def test_mixedness_forwarded(self, mixedness):
+        # the probe stack mixes as make_input mixes each named probe
+        for name, rho in zip(TOMOGRAPHIC_PROBES, _mix(_PROBE_DENSITIES, mixedness)):
+            assert same_bits(rho, make_input(InputSpec(name, mixedness)).entries)
 
 
 def test_single_qubit_state_names():
