@@ -40,6 +40,13 @@ python -c "import json; json.load(open('swap.json'))"
 telegate run swap.yaml --format csv > swap.csv
 python -c "lines = open('swap.csv').read().splitlines(); assert len(lines) == 209, len(lines)"
 
+# a swap run on psi- pairs with a lossy detector: the exact swap grid at a target other than phi+
+printf 'protocol: swap\npair_target: psi-\nefficiencies: {a+: 0.9}\ncounts_per_setting: 100\nseed: 1\n' > swap-psi.yaml
+telegate run swap-psi.yaml > swap-psi.json
+python -c "import json; json.load(open('swap-psi.json'))"
+telegate run swap-psi.yaml --format csv > swap-psi.csv
+python -c "lines = open('swap-psi.csv').read().splitlines(); assert len(lines) == 209, len(lines)"
+
 printf 'protocol: gate-only\ncounts_per_setting: 100\nseed: 1\n' > gate.yaml
 telegate run gate.yaml > gate.json
 python -c "import json; json.load(open('gate.json'))"

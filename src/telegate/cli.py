@@ -119,6 +119,8 @@ def _cmd_calibrate(args) -> int:
     try:
         result = calibrate(targets, grids["overlap"], grids["pair_mixedness"],
                            grids["input_mixedness"])
+    except ZeroSuccessError:
+        raise  # a numerical failure, not a config error
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     payload = {

@@ -39,25 +39,25 @@ from .metrics import (
 )
 from .protocols import (
     CORRECTION_FOR_BELL,
+    PRODUCT_FOR_BELL,
     TELEPORT_PAIR_TARGET,
     TILDE_LABELS,
     _as_channel,
     correct_frames,
     pair_raw,
-    swap,
+    swap,  # unused here, but a name the benchmark's tracer patches in this module
     teleport,  # unused here, but a name the benchmark's tracer patches in this module
     tilde_bell,
 )
 from .sources import (
     BELL_AMPLITUDES,
-    PairSpec,
     SINGLE_QUBIT_AMPLITUDES,
     TOMOGRAPHIC_PROBES,
     _BELL_DENSITIES,
     _PROBE_DENSITIES,
     _mix,
     make_input,  # unused here, but a name the benchmark's tracer patches in this module
-    make_pair,
+    make_pair,  # unused here, but a name the benchmark's tracer patches in this module
 )
 from .states import _check_labels, _hermitian
 from .tomography import (
@@ -420,22 +420,22 @@ def _swap_estimate(states: np.ndarray, chsh_grids: np.ndarray) -> dict:
     return figures
 
 
-def _swap_grid(channel, pair_mixedness) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Swapping of two phi+ pairs over a stack of pair mixednesses (...).
+def _swap_grid(channel, pair_mixedness, pair_target: str) -> tuple[np.ndarray, ...]:
+    """Swapping of two ``pair_target`` pairs over a stack of pair mixednesses (...).
 
-    Returns the joint probabilities (..., 4), the (a, d) states (..., 4, 4, 4)
-    and their ``_swap_estimate`` figures.
+    Returns the joint probabilities (..., 4), the (a, d) states (..., 4, 4, 4) and their
+    CHSH grids (..., 4, 4, 4), which swap summaries, calibration and the swap run all read.
     """
-    pairs = _mix(_BELL_DENSITIES["phi+"], np.asarray(pair_mixedness)[..., None, None])
+    pairs = _mix(_BELL_DENSITIES[pair_target], np.asarray(pair_mixedness)[..., None, None])
     probabilities, states = _normalized(pair_raw(pairs, pairs, channel.effects))
-    return probabilities, states, _swap_estimate(states, chsh_distributions(states))
+    return probabilities, states, chsh_distributions(states)
 
 
 def swap_summary(gate, pair_mixedness: float = 0.0) -> dict:
     """Exact entanglement-swapping figures for the four analyzer outcomes, from phi+ pairs."""
     (lp,) = _unit_interval("pair_mixedness", (pair_mixedness,))
-    probabilities, states, figures = _swap_grid(_as_channel(gate), lp)
-    probabilities = probabilities.tolist()
+    probabilities, states, grids = _swap_grid(_as_channel(gate), lp, "phi+")
+    figures, probabilities = _swap_estimate(states, grids), probabilities.tolist()
     return {
         "outcomes": {
             bell: {"probability": p, "chsh_variant": CHSH_VARIANT_FOR_BELL[bell],
@@ -503,7 +503,7 @@ def calibrate(targets: Mapping[str, float],
     best = None
     for v in overlaps:
         channel = gate_channel(round(v, 12))
-        swap_figures = _swap_grid(channel, pairs)[2] if swap_targets else {}
+        swap_figures = _swap_estimate(*_swap_grid(channel, pairs, "phi+")[1:]) if swap_targets else {}
         for j, lp in enumerate(pairs):
             swap_pred = {k: swap_figures[_SWAP_KEYS[k]][j] for k in swap_targets}
             swap_residual = sum((swap_pred[k] - t) ** 2 for k, t in swap_targets.items())
@@ -677,15 +677,14 @@ def _run_teleport(config: ExperimentConfig, channel) -> tuple[dict, dict]:
 
 
 def _run_swap(config: ExperimentConfig, channel) -> tuple[dict, dict]:
-    pair = make_pair(PairSpec(config.resolved_pair_target(), config.pair_mixedness))
-    outcomes = swap(pair, pair, channel).outcomes
+    probabilities, states, grids = _swap_grid(channel, config.pair_mixedness,
+                                              config.resolved_pair_target())
     distributions = {}
-    for o in outcomes:
-        distributions[f"{o.bell_label}/tomo"] = (("a", "d"), {
-            s.id: s.probabilities(o.state) for s in settings_2q()})
-        distributions[f"{o.bell_label}/chsh"] = (("a", "d"), {
-            setting: dict(zip(CHSH_OUTCOMES, row))
-            for setting, row in zip(CHSH_SETTINGS, chsh_distributions(o.state).tolist())})
+    for bell, state, grid in zip(TILDE_LABELS, states, grids.tolist()):
+        distributions[f"{bell}/tomo"] = (("a", "d"), {
+            s.id: s.probabilities(state) for s in settings_2q()})
+        distributions[f"{bell}/chsh"] = (("a", "d"), {
+            setting: dict(zip(CHSH_OUTCOMES, row)) for setting, row in zip(CHSH_SETTINGS, grid)})
 
     def estimate(tabs: Mapping[str, CountTable]) -> Estimate:
         fitted = [mle_fit(tabs[f"{bell}/tomo"]) for bell in TILDE_LABELS]
@@ -694,11 +693,10 @@ def _run_swap(config: ExperimentConfig, channel) -> tuple[dict, dict]:
 
     tables, values, errors = _measure(config, distributions, estimate)
     results: dict = {"outcomes": {}}
-    for o, fitted in zip(outcomes, values.fitted):
-        label = o.bell_label
+    for label, probability, fitted in zip(TILDE_LABELS, probabilities.tolist(), values.fitted):
         row = results["outcomes"][label] = {
-            "product_result": o.product_result,
-            "probability": o.probability,
+            "product_result": PRODUCT_FOR_BELL[label],
+            "probability": probability,
             "chsh_variant": CHSH_VARIANT_FOR_BELL[label],
             "chsh_abs": values[f"{label}/chsh_abs"],
             "state": _matrix_payload(fitted.entries),

@@ -5,14 +5,16 @@ import pytest
 from scipy.optimize import minimize
 
 from telegate.experiment import _swap_estimate
-from telegate.metrics import CHSH_ANGLES, CHSH_SETTINGS, CHSH_VARIANT_FOR_BELL, chsh_distributions
+from telegate.metrics import (CHSH_ANGLES, CHSH_OUTCOMES, CHSH_SETTINGS, CHSH_VARIANT_FOR_BELL,
+                              chsh_distributions)
 from telegate.protocols import (BELL_FOR_PRODUCT, CORRECTION_FOR_BELL, TELEPORT_PAIR_TARGET,
-                                TILDE_LABELS, _as_channel, pair_raw)
+                                TILDE_LABELS, _as_channel, pair_raw, swap)
 from telegate.sources import (BELL_AMPLITUDES, SINGLE_QUBIT_AMPLITUDES, TOMOGRAPHIC_PROBES,
                               InputSpec, PairSpec, make_input, make_pair)
 from telegate.states import (DensityMatrix, I2, PAULI, PureState, SIGMA_X, SIGMA_Y, SIGMA_Z,
                             _check_labels, _computed, _hermitian, analyzer_eigenvectors)
-from telegate.tomography import BASIS_VECTORS, FitError, _TINY, _fit_inputs, _outer, process_tomo
+from telegate.tomography import (BASIS_VECTORS, FitError, _TINY, _fit_inputs, _outer, process_tomo,
+                                 settings_2q)
 
 
 def ginibre_dm(n_qubits: int, rng: np.random.Generator) -> DensityMatrix:
@@ -174,6 +176,25 @@ def reference_swap_summary(gate, pair_mixedness: float) -> dict:
         "F_avg": figures["average_fidelity"], "N_avg": figures["average_log_negativity"],
         "S_abs_avg": figures["average_chsh_abs"],
     }
+
+
+def reference_swap_run(channel, target: str, pair_mixedness: float):
+    """The swap run's exact outcomes and count distributions through the object API.
+
+    make_pair builds the checked pair and swap() conditions each outcome's
+    (a, d) state; returns the ProtocolResult and, per table key, (modes,
+    setting id -> outcome distribution) in the order the run counts them.
+    """
+    pair = make_pair(PairSpec(target, pair_mixedness))
+    result = swap(pair, pair, channel)
+    distributions = {}
+    for o in result.outcomes:
+        distributions[f"{o.bell_label}/tomo"] = (("a", "d"), {
+            s.id: s.probabilities(o.state) for s in settings_2q()})
+        distributions[f"{o.bell_label}/chsh"] = (("a", "d"), {
+            setting: dict(zip(CHSH_OUTCOMES, row))
+            for setting, row in zip(CHSH_SETTINGS, chsh_distributions(o.state).tolist())})
+    return result, distributions
 
 
 # Per-call builders of the package's fixed measurements, kept as references

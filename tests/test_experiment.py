@@ -27,9 +27,9 @@ from telegate.experiment import (
 )
 from telegate.gate import GateChannel, ZeroSuccessError, gate_channel
 from telegate.metrics import CHSH_OUTCOMES, CHSH_SETTINGS
-from telegate.sources import BELL_AMPLITUDES, InputSpec, make_input
+from telegate.sources import BELL_AMPLITUDES, SINGLE_QUBIT_AMPLITUDES, InputSpec, make_input
 from telegate.tomography import mle_fit, settings_1q
-from conftest import (reference_swap_summary, reference_teleport_conditionals,
+from conftest import (reference_swap_run, reference_swap_summary, reference_teleport_conditionals,
                       reference_teleport_summary, same_bits)
 
 #: Exact-path sample points: 0 and 1 on every axis, the calibrated point in between.
@@ -37,6 +37,11 @@ EXACT_AXIS = (0.0, 0.01, 0.14, 0.3, 0.5, 0.77, 0.93, 1.0)
 #: A channel that heralds nothing, and one that passes only |HH> (no V probe is heralded).
 EMPTY_CHANNEL = GateChannel(kraus=(np.zeros((4, 4), dtype=complex),))
 HH_ONLY_CHANNEL = GateChannel(kraus=(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex) / 3.0,))
+#: The v = 1 gate with <++| projected out of its output: outcome ++ (phi+) is never heralded,
+#: its weight is rounding noise (about 5e-33) where the empty channel's is an exact zero.
+_PLUS_PLUS = np.kron(SINGLE_QUBIT_AMPLITUDES["+"], SINGLE_QUBIT_AMPLITUDES["+"])
+PHI_PLUS_BLIND_CHANNEL = GateChannel(kraus=(
+    (np.eye(4) - np.outer(_PLUS_PLUS, _PLUS_PLUS.conj())) @ gate_channel(1.0).kraus[0],))
 
 
 class TestSimulateCounts:
@@ -525,8 +530,40 @@ class TestExactGrids:
                 for lp, li in itertools.product((0.0, 0.5, 1.0), repeat=2):
                     weights = experiment._teleport_conditionals(channel, target, lp, li)[0]
                     assert weights.min() >= (1.0 - 1e-12) / 36.0, (v, target, lp, li)
-            weights = experiment._swap_grid(channel, np.linspace(0.0, 1.0, 5))[0]
-            assert weights.min() >= (1.0 - 1e-12) / 36.0, v
+                weights = experiment._swap_grid(channel, np.linspace(0.0, 1.0, 5), target)[0]
+                assert weights.min() >= (1.0 - 1e-12) / 36.0, (v, target)
+
+    def test_swap_run_is_the_object_api_path(self, monkeypatch):
+        # the run's count distributions, in counting order, and its outcomes' probabilities and
+        # product results are those of make_pair -> swap() -> each outcome's conditional state
+        seen = []
+        measure = experiment._measure
+
+        def recording_measure(config, distributions, estimate):
+            seen.append(distributions)
+            return measure(config, distributions, estimate)
+
+        def point_estimate_only(tables, estimator, n_resamples, seed_seq):
+            values = estimator(tables)
+            return values, dict.fromkeys(values, 0.0)
+
+        def never(*args):
+            raise AssertionError("the swap run reads its states from _swap_grid")
+
+        monkeypatch.setattr(experiment, "_measure", recording_measure)
+        monkeypatch.setattr(experiment, "_joint_bootstrap", point_estimate_only)
+        for name in ("make_pair", "swap"):  # imported there for the benchmark's tracer only
+            monkeypatch.setattr(experiment, name, never)
+        for target, v, lp in itertools.product(("phi+", "psi-", "phi+~", "psi+~"),
+                                               (0.0, 0.5, 0.93, 1.0), (0.0, 0.01, 0.3, 1.0)):
+            report = run_experiment(ExperimentConfig(protocol="swap", overlap=v, pair_mixedness=lp,
+                                                     pair_target=target, seed=5))
+            result, want = reference_swap_run(gate_channel(v), target, lp)
+            got = seen.pop()
+            assert list(got.items()) == list(want.items()), (target, v, lp)
+            assert [(bell, row["product_result"], row["probability"])
+                    for bell, row in report.results["outcomes"].items()] == [
+                (o.bell_label, o.product_result, o.probability) for o in result.outcomes]
 
     def test_calibrate_swap_predictions_are_swap_summaries(self):
         # targets at each (overlap, pair) point pick it out of the grid, whose swap figures
@@ -563,6 +600,26 @@ class TestUnheraldedCells:
         monkeypatch.setattr(experiment, "gate_channel", lambda v: EMPTY_CHANNEL)
         with pytest.raises(ZeroSuccessError, match="analyzer cell"):
             calibrate(targets, overlap_grid=(0.9,), pair_grid=(0.0,), input_grid=(0.0,))
+
+
+    @pytest.mark.parametrize("channel", [EMPTY_CHANNEL, PHI_PLUS_BLIND_CHANNEL])
+    def test_swap_run_is_a_numerical_failure(self, channel, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(experiment, "gate_channel", lambda v: channel)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("protocol: swap\ncounts_per_setting: 100\n")
+        assert cli.main(["run", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: analyzer cell (0,) (outcome phi+) has weight"), err
+
+    @pytest.mark.parametrize("targets", ["{F_H: 0.9}", "{F_H: 0.9, F_swap_avg: 0.8}"])
+    def test_calibrate_command_is_a_numerical_failure(self, targets, tmp_path, monkeypatch,
+                                                       capsys):
+        monkeypatch.setattr(experiment, "gate_channel", lambda v: PHI_PLUS_BLIND_CHANNEL)
+        cfg = tmp_path / "cal.yaml"
+        cfg.write_text(f"targets: {targets}\ngrid: {{overlap: [0.9, 1.0, 2]}}\n")
+        assert cli.main(["calibrate", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: analyzer cell (0, 0) (outcome phi+)"), err
 
 
 class TestCalibrateScan:
