@@ -53,6 +53,24 @@ python -c "import json; json.load(open('gate.json'))"
 telegate run gate.yaml --format csv > gate.csv
 python -c "lines = open('gate.csv').read().splitlines(); assert len(lines) == 6, len(lines)"
 
+# gate-only with a lossy detector: every corrected count is raw / eta, eta the product of the
+# efficiencies of the outcome's detectors
+printf 'protocol: gate-only\nefficiencies: {cV: 0.5}\ncounts_per_setting: 10000\nseed: 1\n' > gate-eff.yaml
+telegate run gate-eff.yaml > gate-eff.json
+python -c "import json; json.load(open('gate-eff.json'))"
+telegate run gate-eff.yaml --format csv > gate-eff.csv
+python -c "
+import csv
+rows = list(csv.DictReader(open('gate-eff.csv')))
+assert len(rows) == 5, len(rows)
+for row in rows:
+    eta = 1.0
+    for mode, outcome in zip(row['modes'], row['outcome']):
+        eta *= {'cV': 0.5}.get(mode + outcome, 1.0)
+    assert float(row['corrected']) == int(row['raw']) / eta, row
+assert any(row['outcome'][1] == 'V' and int(row['raw']) > 0 for row in rows), rows
+"
+
 # reports and calibrations do not depend on the BLAS thread count; the channel's stored
 # analyzer effects feed every analyzer matmul
 for command in "run smoke" "run swap" "calibrate calibrate-swap"; do

@@ -46,10 +46,8 @@ from .tomography import (
     FitError,
     MeasurementSetting,
     ProcessMatrix,
-    identity_process,
     linear_inversion,
     mle_fit,
-    process_fidelity,
     process_tomo,
     settings_1q,
     settings_2q,

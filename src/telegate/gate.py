@@ -102,9 +102,6 @@ class FockState:
             raise ValueError(f"norm^2 = {norm2} exceeds 1")
         object.__setattr__(self, "terms", clean)
 
-    def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.terms.values()))
-
 
 def _sqrt_perm_factor(key: tuple[Mode, ...]) -> float:
     # sqrt(prod_m n_m!) converting between monomial coefficients and

@@ -414,10 +414,6 @@ _DESIGN = _freeze(np.einsum("mip,kpq,nqj->kijmn", _PAULI_STACK, _PROBE_DENSITIES
 _DESIGN_INV = _freeze(np.linalg.inv(_DESIGN))
 
 
-def identity_process() -> ProcessMatrix:
-    return ProcessMatrix(np.diag([1.0, 0.0, 0.0, 0.0]))
-
-
 def process_tomo(outputs) -> ProcessMatrix:
     """Process matrix from the channel's 2 x 2 outputs for H, V, +, R, in order."""
     rho_out = np.asarray(outputs, dtype=complex)
@@ -427,11 +423,3 @@ def process_tomo(outputs) -> ProcessMatrix:
     matrix = object.__new__(ProcessMatrix)  # Hermitian by symmetrization: not re-checked
     matrix.__dict__["entries"] = _freeze(0.5 * (m + m.conj().T))
     return matrix
-
-
-def process_fidelity(m_exp: ProcessMatrix, m_theo: ProcessMatrix) -> float:
-    """Overlap Tr[M_theo M_exp]; equals the (I, I) entry against the identity."""
-    val = complex(np.trace(m_theo.entries @ m_exp.entries))
-    if abs(val.imag) > ATOL:
-        raise ValueError(f"process fidelity has imaginary part {val.imag}")
-    return float(val.real)

@@ -1,3 +1,4 @@
+import math
 from itertools import product
 
 import numpy as np
@@ -11,10 +12,10 @@ from telegate.protocols import (BELL_FOR_PRODUCT, CORRECTION_FOR_BELL, TELEPORT_
                                 TILDE_LABELS, _as_channel, pair_raw, swap)
 from telegate.sources import (BELL_AMPLITUDES, SINGLE_QUBIT_AMPLITUDES, TOMOGRAPHIC_PROBES,
                               InputSpec, PairSpec, make_input, make_pair)
-from telegate.states import (DensityMatrix, I2, PAULI, PureState, SIGMA_X, SIGMA_Y, SIGMA_Z,
+from telegate.states import (ATOL, DensityMatrix, I2, PAULI, PureState, SIGMA_X, SIGMA_Y, SIGMA_Z,
                             _check_labels, _computed, _hermitian, analyzer_eigenvectors)
-from telegate.tomography import (BASIS_VECTORS, FitError, _TINY, _fit_inputs, _outer, process_tomo,
-                                 settings_2q)
+from telegate.tomography import (BASIS_VECTORS, FitError, ProcessMatrix, _TINY, _fit_inputs, _outer,
+                                 process_tomo, settings_2q)
 
 
 def ginibre_dm(n_qubits: int, rng: np.random.Generator) -> DensityMatrix:
@@ -62,6 +63,11 @@ def analyzer_observable(theta_deg: float) -> np.ndarray:
     """+/-1 observable P+ - P- of the linear-polarization analyzer at ``theta_deg``."""
     plus, minus = analyzer_eigenvectors(theta_deg)
     return np.outer(plus, plus.conj()) - np.outer(minus, minus.conj())
+
+
+def fock_norm(state) -> float:
+    """Norm of a FockState, below one once amplitude has leaked into the attenuator sinks."""
+    return math.sqrt(sum(abs(a) ** 2 for a in state.terms.values()))
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -195,6 +201,20 @@ def reference_swap_run(channel, target: str, pair_mixedness: float):
             setting: dict(zip(CHSH_OUTCOMES, row))
             for setting, row in zip(CHSH_SETTINGS, chsh_distributions(o.state).tolist())})
     return result, distributions
+
+
+# The overlap route to F_p, kept as the reference of the (I, I) entry the package reads.
+
+def identity_process() -> ProcessMatrix:
+    return ProcessMatrix(np.diag([1.0, 0.0, 0.0, 0.0]))
+
+
+def process_fidelity(m_exp: ProcessMatrix, m_theo: ProcessMatrix) -> float:
+    """Overlap Tr[M_theo M_exp]; equals the (I, I) entry against the identity."""
+    val = complex(np.trace(m_theo.entries @ m_exp.entries))
+    if abs(val.imag) > ATOL:
+        raise ValueError(f"process fidelity has imaginary part {val.imag}")
+    return float(val.real)
 
 
 # Per-call builders of the package's fixed measurements, kept as references

@@ -44,6 +44,28 @@ PHI_PLUS_BLIND_CHANNEL = GateChannel(kraus=(
     (np.eye(4) - np.outer(_PLUS_PLUS, _PLUS_PLUS.conj())) @ gate_channel(1.0).kraus[0],))
 
 
+def point_estimate_only(tables, estimator, n_resamples, seed_seq):
+    """A stand-in for the joint bootstrap: the estimator's values, each with error zero."""
+    values = estimator(tables)
+    return values, dict.fromkeys(values, 0.0)
+
+
+@pytest.fixture
+def measured(monkeypatch):
+    """Each run's count distributions, as handed to ``_measure``; the bootstrap is cut to
+    its point estimate."""
+    seen = []
+    measure = experiment._measure
+
+    def recording_measure(config, distributions, estimate):
+        seen.append(distributions)
+        return measure(config, distributions, estimate)
+
+    monkeypatch.setattr(experiment, "_measure", recording_measure)
+    monkeypatch.setattr(experiment, "_joint_bootstrap", point_estimate_only)
+    return seen
+
+
 class TestSimulateCounts:
     def test_deterministic_outcome_up_to_poisson(self):
         table = simulate_counts({"Z": {"+": 1.0, "-": 0.0}}, 1000, {}, seed=4, modes=("a",))
@@ -334,14 +356,56 @@ class TestRunExperiment:
     def test_each_run_bootstraps_once(self, protocol, monkeypatch):
         calls = []
 
-        def point_estimate_only(tables, estimator, n_resamples, seed_seq):
+        def recording_bootstrap(tables, estimator, n_resamples, seed_seq):
             calls.append(sorted(tables))
-            values = estimator(tables)
-            return values, dict.fromkeys(values, 0.0)
+            return point_estimate_only(tables, estimator, n_resamples, seed_seq)
 
-        monkeypatch.setattr(experiment, "_joint_bootstrap", point_estimate_only)
+        monkeypatch.setattr(experiment, "_joint_bootstrap", recording_bootstrap)
         rep = run_experiment(ExperimentConfig(protocol=protocol, counts_per_setting=500, seed=3))
         assert calls == [sorted(rep.count_tables)]
+
+    @pytest.mark.parametrize("protocol, efficiencies", [
+        ("teleport", {"a-": 0.8}), ("swap", {"d+": 0.7}), ("gate-only", {"cV": 0.5})],
+        ids=experiment.PROTOCOLS)
+    def test_table_k_draws_from_child_k_of_the_counts_stream(self, protocol, efficiencies,
+                                                              measured):
+        report = run_experiment(ExperimentConfig(protocol=protocol, counts_per_setting=300,
+                                                 efficiencies=efficiencies, seed=11))
+        (distributions,) = measured
+        children = np.random.SeedSequence(11).spawn(2)[0].spawn(len(distributions))
+        assert list(report.count_tables) == list(distributions)
+        for (key, (modes, dists)), child in zip(distributions.items(), children):
+            want = simulate_counts(dists, 300, efficiencies, child, modes)
+            assert same_bits(report.count_tables[key].raw, want.raw), key
+
+    def test_teleport_probability_weights_are_per_probe(self, measured):
+        point = (0.93, 0.01, 0.14)
+        report = run_experiment(ExperimentConfig(
+            protocol="teleport", overlap=point[0], pair_mixedness=point[1],
+            input_mixedness=point[2], counts_per_setting=300, seed=4))
+        exact = teleport_summary(*point)["per_outcome"]
+        for probe, block in report.results["inputs"].items():
+            weights = [row["probability_weight"] for row in block["outcomes"].values()]
+            probabilities = [exact[probe][bell]["probability"] for bell in block["outcomes"]]
+            assert sum(weights) == pytest.approx(1.0, abs=1e-15), probe
+            assert weights == pytest.approx([p / sum(probabilities) for p in probabilities],
+                                            abs=1e-15), probe
+
+    def test_swap_average_log_negativity_is_the_outcome_mean(self, measured):
+        report = run_experiment(ExperimentConfig(protocol="swap", overlap=0.93,
+                                                 pair_mixedness=0.01, counts_per_setting=300,
+                                                 seed=4))
+        values = [row["log_negativity"] for row in report.results["outcomes"].values()]
+        assert len(set(values)) == 4  # no one outcome's value is the mean
+        assert abs(report.results["average_log_negativity"] - np.mean(values)) <= 1e-15
+
+    def test_gate_only_success_probability_reads_corrected_counts(self):
+        # raw coincidences would put it at about half the exact value
+        res = run_experiment(ExperimentConfig(protocol="gate-only", gate_input="VV",
+                                              efficiencies={"cV": 0.5},
+                                              counts_per_setting=10**6, seed=6)).results
+        assert abs(res["success_probability"] - res["success_probability_exact"]) <= (
+            5 * res["success_probability_err"])
 
     def test_report_files(self, tmp_path):
         out = tmp_path / "run"
@@ -533,25 +597,12 @@ class TestExactGrids:
                 weights = experiment._swap_grid(channel, np.linspace(0.0, 1.0, 5), target)[0]
                 assert weights.min() >= (1.0 - 1e-12) / 36.0, (v, target)
 
-    def test_swap_run_is_the_object_api_path(self, monkeypatch):
+    def test_swap_run_is_the_object_api_path(self, measured, monkeypatch):
         # the run's count distributions, in counting order, and its outcomes' probabilities and
         # product results are those of make_pair -> swap() -> each outcome's conditional state
-        seen = []
-        measure = experiment._measure
-
-        def recording_measure(config, distributions, estimate):
-            seen.append(distributions)
-            return measure(config, distributions, estimate)
-
-        def point_estimate_only(tables, estimator, n_resamples, seed_seq):
-            values = estimator(tables)
-            return values, dict.fromkeys(values, 0.0)
-
         def never(*args):
             raise AssertionError("the swap run reads its states from _swap_grid")
 
-        monkeypatch.setattr(experiment, "_measure", recording_measure)
-        monkeypatch.setattr(experiment, "_joint_bootstrap", point_estimate_only)
         for name in ("make_pair", "swap"):  # imported there for the benchmark's tracer only
             monkeypatch.setattr(experiment, name, never)
         for target, v, lp in itertools.product(("phi+", "psi-", "phi+~", "psi+~"),
@@ -559,7 +610,7 @@ class TestExactGrids:
             report = run_experiment(ExperimentConfig(protocol="swap", overlap=v, pair_mixedness=lp,
                                                      pair_target=target, seed=5))
             result, want = reference_swap_run(gate_channel(v), target, lp)
-            got = seen.pop()
+            got = measured.pop()
             assert list(got.items()) == list(want.items()), (target, v, lp)
             assert [(bell, row["product_result"], row["probability"])
                     for bell, row in report.results["outcomes"].items()] == [

@@ -21,7 +21,7 @@ from telegate.gate import (
 from telegate.protocols import bsa
 from telegate.sources import bell_state
 from telegate.states import DensityMatrix
-from conftest import ginibre_dm, random_pure
+from conftest import fock_norm, ginibre_dm, random_pure
 
 IDEAL_K = np.diag([1, 1, 1, -1]).astype(complex) / 3.0
 OVERLAPS = st.floats(0.0, 1.0)
@@ -95,7 +95,7 @@ class TestPdbs:
         for i in range(1000):
             st = random_two_photon(rng)
             out = pdbs_apply(st, specs[i % len(specs)])
-            assert out.norm() == pytest.approx(1.0, abs=1e-12)
+            assert fock_norm(out) == pytest.approx(1.0, abs=1e-12)
 
     def test_transmission_range_validated(self):
         with pytest.raises(ValueError):
@@ -120,7 +120,7 @@ class TestAttenuators:
 
     def test_norm_conserved_including_sinks(self, rng):
         st = random_two_photon(rng)
-        assert output_attenuators(st).norm() == pytest.approx(1.0, abs=1e-12)
+        assert fock_norm(output_attenuators(st)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCoincidenceBlock:

@@ -319,10 +319,47 @@ class TestBootstrap:
         assert values.fitted == 1 and values == {"x": 1.0}
         assert errors == {"x": 0.0}
 
-    def test_efficiency_correction_reapplied(self):
-        eff = {"m+": 0.5}
-        table = CountTable(("m",), ("s",), ("+",), np.array([[100]]), eff)
-        assert table.corrected[0, 0] == 200.0
-        rng = np.random.default_rng(0)
-        resampled = table.resample(rng)
-        assert resampled.corrected[0, 0] == resampled.raw[0, 0] / 0.5
+    @pytest.mark.parametrize("modes, outcomes, efficiencies, eta", [
+        (("m",), ("+",), {"m+": 0.5}, [0.5]),
+        # an outcome needs every detector it names: "+-" is a+ times d-
+        (("a", "d"), ("++", "+-", "-+", "--"), {"a+": 0.5, "d-": 0.8}, [0.5, 0.4, 1.0, 0.8]),
+    ], ids=["one-detector", "two-detector"])
+    def test_efficiency_correction_reapplied(self, modes, outcomes, efficiencies, eta):
+        table = CountTable(modes, ("s",), outcomes, np.full((1, len(outcomes)), 100), efficiencies)
+        assert table.eta.tolist() == eta
+        assert table.corrected.tolist() == [[100 / e for e in eta]]
+        resampled = table.resample(np.random.default_rng(0))
+        assert resampled.corrected.tolist() == (resampled.raw / np.array(eta)).tolist()
+
+    def test_error_is_the_sample_std_of_the_replayed_resamples(self):
+        # resample k is drawn from child k of the seed sequence, and each error has ddof=1
+        table = CountTable(("m",), ("s",), ("+", "-"), np.array([[40, 7]]), {"m-": 0.5})
+
+        def estimator(tabs):
+            t = tabs["t"]
+            return {"total": float(t.corrected.sum()), "share": float(t.raw[0, 0] / t.raw.sum())}
+
+        _, errors = _joint_bootstrap({"t": table}, estimator, 150, np.random.SeedSequence(9))
+        replayed = [estimator({"t": table.resample(np.random.default_rng(child))})
+                    for child in np.random.SeedSequence(9).spawn(150)]
+        for key in ("total", "share"):
+            assert errors[key] == float(np.std([r[key] for r in replayed], ddof=1)), key
+
+    @pytest.mark.parametrize("failures, aborts", [(10, False), (11, True)])
+    def test_more_than_ten_percent_failed_resamples_abort(self, failures, aborts):
+        calls = []
+
+        def estimator(tabs):
+            calls.append(tabs)
+            if 1 < len(calls) <= 1 + failures:  # the first call is the point estimate
+                raise FitError("no convergence", DensityMatrix(np.eye(2) / 2))
+            return {"x": 1.0}
+
+        def run():
+            return _joint_bootstrap({"t": flat_table(10)}, estimator, 100, np.random.SeedSequence(0))
+
+        if aborts:
+            with pytest.raises(RuntimeError, match=f"^{failures}/100 bootstrap resamples failed"):
+                run()
+        else:
+            assert run() == ({"x": 1.0}, {"x": 0.0})

@@ -17,10 +17,8 @@ from telegate.tomography import (
     _factor_nll,
     _fit_inputs,
     _ket_stack,
-    identity_process,
     linear_inversion,
     mle_fit,
-    process_fidelity,
     process_tomo,
     settings_1q,
     settings_2q,
@@ -32,6 +30,8 @@ from conftest import (
     cholesky_reference,
     factor_lbfgs_reference,
     ginibre_dm,
+    identity_process,
+    process_fidelity,
     reference_linear_inversion,
     reference_projectors,
 )
