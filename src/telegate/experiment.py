@@ -59,15 +59,8 @@ from .sources import (
     make_input,  # unused here, but a name the benchmark's tracer patches in this module
     make_pair,  # unused here, but a name the benchmark's tracer patches in this module
 )
-from .states import _check_labels, _hermitian
-from .tomography import (
-    FitError,
-    ProcessMatrix,
-    mle_fit,
-    process_tomo,
-    settings_1q,
-    settings_2q,
-)
+from .states import _born, _check_labels, _hermitian
+from .tomography import _KETS, _OUTCOMES, _SETTING_IDS, FitError, ProcessMatrix, mle_fit, process_tomo
 
 PROTOCOLS = ("teleport", "swap", "gate-only")
 
@@ -146,7 +139,10 @@ class CountTable:
 def _efficiency(modes: Sequence[str], outcomes: Sequence[str],
                 efficiencies: Mapping[str, float]) -> np.ndarray:
     """Per outcome, the product of its detectors' efficiencies, taken in mode order."""
+    detectors = {f"{mode}{ch}" for outcome in outcomes for mode, ch in zip(modes, outcome)}
     for key, val in efficiencies.items():
+        if key not in detectors:
+            raise ValueError(f"efficiency {key}: no detector of this table; options: {sorted(detectors)}")
         if isinstance(val, bool) or not isinstance(val, numbers.Real) or not 0.0 < val <= 1.0:
             raise ValueError(f"efficiency {key}: must lie in (0, 1], got {val!r}")
     eta = np.ones(len(outcomes))
@@ -344,9 +340,8 @@ _PROBE_KEYS = tuple(f"F_{probe}" for probe in TOMOGRAPHIC_PROBES)
 #: A teleport run's estimated figures, in the order _teleport_estimate returns them.
 _FIGURE_KEYS = (*(f"F_{cell}" for cell in TELEPORT_CELLS), *_PROBE_KEYS, "F_p")
 
-#: Each grid row's probe |chi>, as kets (probes, 1, 2, 1) and bras (probes, 1, 1, 2).
-_PROBE_KETS = np.array([SINGLE_QUBIT_AMPLITUDES[p] for p in TOMOGRAPHIC_PROBES])[:, None, :, None]
-_PROBE_BRAS = _PROBE_KETS.conj().swapaxes(-1, -2)
+#: Each grid row's probe |chi>, as kets (probes, 1, 2).
+_PROBE_KETS = np.array([SINGLE_QUBIT_AMPLITUDES[p] for p in TOMOGRAPHIC_PROBES])[:, None, :]
 
 
 def _teleport_conditionals(channel, pair_target: str, pair_mixedness: float,
@@ -367,7 +362,7 @@ def _teleport_estimate(probabilities: np.ndarray, rho: np.ndarray
     the process fidelity ``F_p``, and the process matrix.
     """
     corrected = correct_frames(rho)
-    fidelities = (_PROBE_BRAS @ corrected @ _PROBE_KETS).real[..., 0, 0]
+    fidelities = _born(_PROBE_KETS, corrected)
     weights = probabilities / probabilities.sum(axis=1, keepdims=True)
     matrix = process_tomo((weights[..., None, None] * corrected).sum(axis=1))
     # Tr[M_ideal M] against the identity process: the (I, I) entry, real by symmetrization
@@ -403,18 +398,22 @@ _SWAP_TARGETS = np.array([tilde_bell(bell).amplitudes for bell in TILDE_LABELS])
 _SWAP_VARIANTS = np.array([CHSH_VARIANT_FOR_BELL[bell] for bell in TILDE_LABELS])
 
 
-def _swap_estimate(states: np.ndarray, chsh_grids: np.ndarray) -> dict:
-    """Swap figures from (a, d) states (..., 4, 4, 4) and their CHSH grids (..., 4, 4, 4).
+def _swap_arrays(states: np.ndarray, chsh_grids: np.ndarray) -> dict[str, np.ndarray]:
+    """Fidelity with the target and S under the variant, signed and absolute, per outcome (..., 4).
 
-    The outcome axis is in TILDE_LABELS order, the order bsa reports; a grid
-    holds probabilities or counts. Returns ``<bell>/<figure>`` per outcome and
-    ``average_<figure>`` over outcomes: floats for one set of four, lists over a stack.
+    The outcome axis of the (a, d) states (..., 4, 4, 4) and their CHSH grids (..., 4, 4, 4), of
+    probabilities or counts, is in TILDE_LABELS order, the order bsa reports.
     """
     s_values = chsh_from_correlators(chsh_correlators(chsh_grids), _SWAP_VARIANTS)
-    values = dict(zip(_SWAP_FIGURES, (fidelity_pure(states, _SWAP_TARGETS), log_negativity(states),
-                                      s_values, np.abs(s_values))))
-    figures = {f"{bell}/{key}": val[..., o].tolist()
-               for o, bell in enumerate(TILDE_LABELS) for key, val in values.items()}
+    return {"fidelity": fidelity_pure(states, _SWAP_TARGETS), "chsh": s_values, "chsh_abs": np.abs(s_values)}
+
+
+def _swap_estimate(states: np.ndarray, chsh_grids: np.ndarray) -> dict:
+    """:func:`_swap_arrays` with the log negativity, as ``<bell>/<figure>`` per outcome and
+    ``average_<figure>`` over outcomes: floats for one set of four, lists over a stack."""
+    values = dict(_swap_arrays(states, chsh_grids), log_negativity=log_negativity(states))
+    figures = {f"{bell}/{key}": values[key][..., o].tolist()
+               for o, bell in enumerate(TILDE_LABELS) for key in _SWAP_FIGURES}
     for key in ("fidelity", "chsh_abs", "log_negativity"):
         figures[f"average_{key}"] = values[key].mean(axis=-1).tolist()
     return figures
@@ -467,7 +466,7 @@ PAPER_TELEPORT_TARGETS = {"F_H": 0.93, "F_V": 0.75, "F_+": 0.79, "F_R": 0.84, "F
 PAPER_SWAP_TARGETS = {"F_swap_avg": 0.773, "S_abs_avg": 2.14}
 
 _TELEPORT_KEYS = ("F_H", "F_V", "F_+", "F_R", "F_p", "F_avg")
-_SWAP_KEYS = {"F_swap_avg": "average_fidelity", "S_abs_avg": "average_chsh_abs"}
+_SWAP_KEYS = {"F_swap_avg": "fidelity", "S_abs_avg": "chsh_abs"}
 
 
 def calibrate(targets: Mapping[str, float],
@@ -503,9 +502,9 @@ def calibrate(targets: Mapping[str, float],
     best = None
     for v in overlaps:
         channel = gate_channel(round(v, 12))
-        swap_figures = _swap_estimate(*_swap_grid(channel, pairs, "phi+")[1:]) if swap_targets else {}
+        swap_arrays = _swap_arrays(*_swap_grid(channel, pairs, "phi+")[1:]) if swap_targets else {}
         for j, lp in enumerate(pairs):
-            swap_pred = {k: swap_figures[_SWAP_KEYS[k]][j] for k in swap_targets}
+            swap_pred = {k: float(swap_arrays[_SWAP_KEYS[k]][j].mean()) for k in swap_targets}
             swap_residual = sum((swap_pred[k] - t) ** 2 for k, t in swap_targets.items())
             for li in inputs:
                 pred = teleport_summary(channel, lp, li)
@@ -636,11 +635,16 @@ def _measure(config: ExperimentConfig, distributions: Mapping[str, tuple],
     return tables, values, errors
 
 
+def _distributions(settings, outcomes, grids: np.ndarray) -> list[dict[str, dict[str, float]]]:
+    """Setting id -> outcome -> probability, per (settings, outcomes) grid of a stack."""
+    return [{s: dict(zip(outcomes, row)) for s, row in zip(settings, grid)} for grid in grids.tolist()]
+
+
 def _run_teleport(config: ExperimentConfig, channel) -> tuple[dict, dict]:
     probabilities, states = _teleport_conditionals(
         channel, config.resolved_pair_target(), config.pair_mixedness, config.input_mixedness)
-    distributions = {cell: (("a",), {s.id: s.probabilities(state) for s in settings_1q()})
-                     for cell, state in zip(TELEPORT_CELLS, states.reshape(-1, 2, 2))}
+    tomo = _distributions(_SETTING_IDS[1], _OUTCOMES[1], _born(_KETS[1], states.reshape(-1, 1, 1, 2, 2)))
+    distributions = {cell: (("a",), dists) for cell, dists in zip(TELEPORT_CELLS, tomo)}
 
     def estimate(tabs: Mapping[str, CountTable]) -> Estimate:
         rho = np.array([mle_fit(tabs[cell]).entries for cell in TELEPORT_CELLS]).reshape(states.shape)
@@ -679,12 +683,10 @@ def _run_teleport(config: ExperimentConfig, channel) -> tuple[dict, dict]:
 def _run_swap(config: ExperimentConfig, channel) -> tuple[dict, dict]:
     probabilities, states, grids = _swap_grid(channel, config.pair_mixedness,
                                               config.resolved_pair_target())
-    distributions = {}
-    for bell, state, grid in zip(TILDE_LABELS, states, grids.tolist()):
-        distributions[f"{bell}/tomo"] = (("a", "d"), {
-            s.id: s.probabilities(state) for s in settings_2q()})
-        distributions[f"{bell}/chsh"] = (("a", "d"), {
-            setting: dict(zip(CHSH_OUTCOMES, row)) for setting, row in zip(CHSH_SETTINGS, grid)})
+    dists = {"tomo": _distributions(_SETTING_IDS[2], _OUTCOMES[2], _born(_KETS[2], states[:, None, None])),
+             "chsh": _distributions(CHSH_SETTINGS, CHSH_OUTCOMES, grids)}
+    distributions = {f"{bell}/{kind}": (("a", "d"), dists[kind][o])
+                     for o, bell in enumerate(TILDE_LABELS) for kind in ("tomo", "chsh")}
 
     def estimate(tabs: Mapping[str, CountTable]) -> Estimate:
         fitted = [mle_fit(tabs[f"{bell}/tomo"]) for bell in TILDE_LABELS]

@@ -98,8 +98,8 @@ class FockState:
         if len(sizes) > 1:
             raise ValueError(f"mixed photon numbers in one state: {sorted(sizes)}")
         norm2 = sum(abs(a) ** 2 for a in clean.values())
-        if norm2 > 1.0 + 1e-10:
-            raise ValueError(f"norm^2 = {norm2} exceeds 1")
+        if not norm2 <= 1.0 + 1e-10:  # NaN fails
+            raise ValueError(f"norm^2 = {norm2} exceeds 1 or is not a number")
         object.__setattr__(self, "terms", clean)
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityMatrix, PureState, analyzer_eigenvectors, trace_norm
+from .states import DensityMatrix, PureState, _born, analyzer_eigenvectors, trace_norm
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
@@ -28,8 +28,7 @@ def fidelity_pure(rho, target):
     amps = np.asarray(getattr(target, "amplitudes", target))
     if entries.shape[-1] != amps.shape[-1]:
         raise ValueError(f"dimension mismatch: {entries.shape[-1]} vs {amps.shape[-1]}")
-    val = np.real(amps.conj()[..., None, :] @ entries @ amps[..., None])[..., 0, 0]
-    return _float_or_stack(np.clip(val, 0.0, 1.0))
+    return _float_or_stack(np.minimum(_born(amps, entries), 1.0))
 
 
 def partial_transpose(rho) -> np.ndarray:
@@ -77,12 +76,10 @@ CHSH_SETTINGS = {"chsh00": (0, 0), "chsh01": (0, 1), "chsh10": (1, 0), "chsh11":
 #: The +/- outcome of each mode's analyzer, first mode first: the CHSH grid's columns.
 CHSH_OUTCOMES = ("++", "+-", "-+", "--")
 
-#: The product |v_a v_d> of analyzer eigenvectors detected in every CHSH grid
-#: cell, as bras (settings, outcomes, 1, 4) and kets (settings, outcomes, 4, 1).
-_CHSH_KETS = np.array([[np.kron(va, vd)[:, None] for va in analyzer_eigenvectors(CHSH_ANGLES[0][i])
+#: The product ket |v_a v_d> of analyzer eigenvectors detected in each CHSH grid cell (settings, outcomes, 4).
+_CHSH_KETS = np.array([[np.kron(va, vd) for va in analyzer_eigenvectors(CHSH_ANGLES[0][i])
                         for vd in analyzer_eigenvectors(CHSH_ANGLES[1][j])]
                        for i, j in CHSH_SETTINGS.values()])
-_CHSH_BRAS = _CHSH_KETS.conj().swapaxes(-1, -2)
 
 #: The correlated product of the two +/-1 results, per CHSH outcome.
 _CHSH_PARITY = np.array([1.0, -1.0, -1.0, 1.0])
@@ -90,8 +87,7 @@ _CHSH_PARITY = np.array([1.0, -1.0, -1.0, 1.0])
 
 def chsh_distributions(rho) -> np.ndarray:
     """Outcome probabilities of a two-qubit state on the CHSH grid (..., settings, outcomes)."""
-    entries = np.asarray(getattr(rho, "entries", rho))[..., None, None, :, :]
-    return np.maximum(np.real(_CHSH_BRAS @ entries @ _CHSH_KETS)[..., 0, 0], 0.0)
+    return _born(_CHSH_KETS, np.asarray(getattr(rho, "entries", rho))[..., None, None, :, :])
 
 
 def chsh_correlators(grid: np.ndarray) -> np.ndarray:

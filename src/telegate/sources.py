@@ -83,7 +83,7 @@ class InputSpec:
                 raise ValueError(f"unknown input state {self.state!r}")
         else:
             a, b = self.state
-            if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-12:
+            if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-12:  # NaN fails
                 raise ValueError("input amplitudes must be normalized")
             object.__setattr__(self, "state", (complex(a), complex(b)))
         if not 0.0 <= self.mixedness <= 1.0:

@@ -62,7 +62,7 @@ class PureState:
         if 2**n != len(amps):
             raise ValueError(f"length {len(amps)} is not a power of two")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:  # NaN fails
             raise ValueError(f"state not normalized: |psi| = {norm}")
         object.__setattr__(self, "amplitudes", _freeze(amps))
         object.__setattr__(self, "labels", _check_labels(self.labels, n))
@@ -160,6 +160,11 @@ def analyzer_eigenvectors(theta_deg: float) -> tuple[np.ndarray, np.ndarray]:
     plus = np.array([np.cos(t), np.sin(t)], dtype=complex)
     minus = np.array([-np.sin(t), np.cos(t)], dtype=complex)
     return plus, minus
+
+
+def _born(kets: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """<k|rho|k>, clamped at zero, for kets (..., d) and states (..., d, d) that broadcast together."""
+    return np.maximum(np.real(kets.conj()[..., None, :] @ states @ kets[..., None])[..., 0, 0], 0.0)
 
 
 def trace_norm(m: np.ndarray):

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .sources import SINGLE_QUBIT_AMPLITUDES, _PROBE_DENSITIES
-from .states import ATOL, I2, DensityMatrix, PAULI, _computed, _freeze, _hermitian
+from .states import ATOL, I2, DensityMatrix, PAULI, _born, _computed, _freeze, _hermitian
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .experiment import CountTable
@@ -101,14 +101,10 @@ class MeasurementSetting:
     def id(self) -> str:
         return "".join(self.bases)
 
-    def projectors(self) -> list[tuple[str, np.ndarray]]:
-        """(outcome string, projector) for every sign combination."""
-        n = len(self.bases)
-        return list(zip(_OUTCOMES[n], _outer(_KETS[n][_SETTING_IDS[n].index(self.id)])))
-
     def probabilities(self, rho) -> dict[str, float]:
-        mat = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho)
-        return {o: max(float(np.real(np.trace(p @ mat))), 0.0) for o, p in self.projectors()}
+        n = len(self.bases)
+        kets = _KETS[n][_SETTING_IDS[n].index(self.id)]
+        return dict(zip(_OUTCOMES[n], _born(kets, np.asarray(getattr(rho, "entries", rho))).tolist()))
 
 
 def settings_1q() -> list[MeasurementSetting]:
@@ -232,8 +228,7 @@ def _exact_fit_1q(counts: "CountTable", kets: np.ndarray, weights: np.ndarray,
     state = _hermitian(0.5 * (I2 + sum(x * axis for x, axis in zip(r, _BLOCH_AXES))), counts.modes)
     if trace_nll is not None:
         for m in (0.5 * I2, state.entries):
-            p = np.clip(np.real(np.einsum("oi,ij,oj->o", kets.conj(), m, kets)), _TINY, None)
-            trace_nll.append(-float(weights @ np.log(p)))
+            trace_nll.append(-float(weights @ np.log(np.maximum(_born(kets, m), _TINY))))
     return state
 
 

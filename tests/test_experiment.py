@@ -114,6 +114,14 @@ class TestSimulateCounts:
         with pytest.raises(ValueError, match=r"efficiency a\+: "):
             CountTable(("a",), ("Z",), ("+", "-"), np.array([[5, 5]]), {"a+": eta})
 
+    def test_efficiency_of_no_detector_is_named(self):
+        # a key that names no detector of the table would otherwise correct nothing
+        with pytest.raises(ValueError, match=r"efficiency b\+: no detector"):
+            simulate_counts({"Z": {"+": 0.5, "-": 0.5}}, 100, {"b+": 0.5, "a": 0.7}, seed=0,
+                            modes=("a",))
+        with pytest.raises(ValueError, match=r"efficiency a: no detector"):
+            CountTable(("a",), ("Z",), ("+", "-"), np.array([[5, 5]]), {"a+": 0.5, "a": 0.7})
+
     def test_modes_are_checked_once_per_layout(self):
         with pytest.raises(ValueError, match="duplicate"):
             CountTable(("a", "a"), ("ZZ",), ("++",), np.array([[5]]))
@@ -142,6 +150,12 @@ class TestSimulateCounts:
                      "Y": {"+": 0.5, "-": 0.5}}
             return simulate_counts(probs, 1000, {}, seed=5, modes=("a",)).raw
         assert draw(3e-17).tolist() == draw(0.0).tolist()
+
+    def test_probability_above_rounding_noise_draws(self):
+        # 1e-12 at the largest count scale has mean one count per cell: twenty cells draw some
+        probs = {f"s{k}": {"+": 1.0 - 1e-12, "-": 1e-12} for k in range(20)}
+        table = simulate_counts(probs, experiment.MAX_COUNTS_PER_SETTING, {}, seed=5, modes=("a",))
+        assert table.raw[:, 1].sum() > 0
 
     @pytest.mark.parametrize("n", [0, -3, 2.5, 100.0, float("nan"), True, "100", 10**12 + 1])
     def test_bad_count_scale_is_named(self, n):

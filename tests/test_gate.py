@@ -303,5 +303,12 @@ class TestFockState:
         with pytest.raises(ValueError, match="exceeds"):
             FockState({((0, "H", 0),): 1.2})
 
+    def test_nan_amplitude_rejected(self):
+        # NaN fails the norm check: a NaN gate input would show no coincidences at all
+        with pytest.raises(ValueError, match="not a number"):
+            FockState({((0, "H", 0),): complex(np.nan)})
+        with pytest.raises(ValueError, match="not a number"):
+            fock_input([np.nan, 0.0, 0.0, 0.0], 1.0)
+
     def test_basis_order_constant(self):
         assert BASIS_2Q == (("H", "H"), ("H", "V"), ("V", "H"), ("V", "V"))

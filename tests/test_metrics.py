@@ -23,7 +23,7 @@ from telegate.metrics import (
 from telegate.protocols import TILDE_LABELS, tilde_bell
 from telegate.sources import PairSpec, bell_state, make_pair, single_qubit_state
 from telegate.states import DensityMatrix
-from telegate.tomography import FitError, settings_1q, settings_2q
+from telegate.tomography import FitError, _ket_stack, settings_1q, settings_2q
 from conftest import (
     analyzer_observable,
     ginibre_dm,
@@ -189,8 +189,8 @@ class TestFixedMeasurements:
     def test_constant_arrays_match_per_call_builders(self, rho):
         for s in settings_1q() if rho.dim == 2 else settings_2q():
             reference = reference_projectors(s.bases)
-            assert [o for o, _ in s.projectors()] == [o for o, _ in reference]
-            assert np.array_equal(np.array([p for _, p in s.projectors()]),
+            kets = _ket_stack(len(s.bases), (s.id,), tuple(o for o, _ in reference))
+            assert np.array_equal(kets[:, :, None] * kets[:, None, :].conj(),
                                   np.array([p for _, p in reference]))
             expected = {o: max(float(np.real(np.trace(p @ rho.entries))), 0.0)
                         for o, p in reference}

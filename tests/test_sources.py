@@ -93,6 +93,11 @@ class TestMakeInput:
         with pytest.raises(ValueError, match="normalized"):
             InputSpec((1.0, 1.0), 0.0)
 
+    def test_nan_amplitude_rejected(self):
+        # NaN fails the norm check: a NaN input would teleport to four NaN probabilities
+        with pytest.raises(ValueError, match="normalized"):
+            InputSpec((float("nan"), 0.0), 0.0)
+
     def test_unknown_state_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             InputSpec("Q", 0.0)

@@ -34,6 +34,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="normalized"):
             PureState([1.0, 1.0])
 
+    def test_pure_state_nan_amplitude(self):
+        with pytest.raises(ValueError, match="normalized"):
+            PureState([np.nan, 0.0])
+
     def test_pure_state_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
             PureState(np.ones(3) / np.sqrt(3))

@@ -75,7 +75,7 @@ class TestSettings:
     def test_two_qubit_counts(self):
         all_settings = settings_2q()
         assert len(all_settings) == 9
-        assert sum(len(s.projectors()) for s in all_settings) == 36
+        assert sum(len(s.probabilities(np.eye(4) / 4)) for s in all_settings) == 36
 
     @pytest.mark.parametrize("bases", [(), ("Q",), ("Z", "X", "Y"), ("Z", 1), ("ZX",)])
     def test_only_one_and_two_qubit_pauli_settings(self, bases):
@@ -84,8 +84,9 @@ class TestSettings:
 
     def test_projectors_resolve_identity(self):
         for s in settings_1q() + settings_2q():
-            total = sum(p for _, p in s.projectors())
-            assert np.allclose(total, np.eye(2 ** len(s.bases)), atol=1e-12)
+            outcomes = tuple(o for o, _ in reference_projectors(s.bases))
+            kets = _ket_stack(len(s.bases), (s.id,), outcomes)
+            assert np.allclose(kets.T @ kets.conj(), np.eye(2 ** len(s.bases)), atol=1e-12)
 
 
 class TestLinearInversion:
@@ -163,8 +164,7 @@ class TestMleFit:
     def test_analytic_gradient_matches_finite_differences(self, rng):
         # guards the Wirtinger factor-of-two packing of the Cholesky reference
         table = sampled_table(ginibre_dm(1, rng), ("a",), 5000, seed=21)
-        settings = {s.id: s for s in settings_1q()}
-        projs = np.array([dict(settings[setting_id].projectors())[outcome]
+        projs = np.array([dict(reference_projectors(setting_id))[outcome]
                           for setting_id in table.settings for outcome in table.outcomes])
         weights = table.corrected.ravel() / table.corrected.sum()
 
@@ -223,11 +223,12 @@ def count_tables(draw, qubits=(1, 2)):
     """
     n_qubits = draw(st.sampled_from(qubits))
     bases = settings_1q() if n_qubits == 1 else settings_2q()
-    outcomes = tuple(o for o, _ in bases[0].projectors())
+    outcomes = tuple(o for o, _ in reference_projectors(bases[0].bases))
     raw = draw(arrays(np.int64, (len(bases), len(outcomes)), elements=st.integers(0, 10**6)))
     raw[draw(st.lists(st.sampled_from(range(len(bases))), unique=True))] = 0
-    eff = draw(st.dictionaries(st.sampled_from(["a+", "a-", "d+", "d-"]), st.floats(0.1, 1.0)))
     modes = ("a",) if n_qubits == 1 else ("a", "d")
+    eff = draw(st.dictionaries(st.sampled_from([m + c for m in modes for c in "+-"]),
+                               st.floats(0.1, 1.0)))
     return CountTable(modes, tuple(s.id for s in bases), outcomes, raw, eff)
 
 
@@ -320,6 +321,11 @@ class TestExactQubitFit:
             boundary += np.linalg.eigvalsh(linear_inversion(table).entries).min() < 0
             assert np.abs(mle_fit(table).entries - cholesky_reference(table).entries).max() <= 1e-6
         assert 100 <= boundary <= 440
+
+    def test_root_search_bisects_to_its_tolerance(self):
+        # with no usable slope every step bisects: about 50 halvings of [0, 1] reach |f| <= 1e-15
+        root = tomography._decreasing_root(lambda x: (1.0 / 3.0 - x, 0.0), 0.0, 1.0, 0.0, 1e-15)
+        assert abs(root - 1.0 / 3.0) <= 1e-15
 
     @pytest.mark.parametrize("settings_, raw", [
         (("Z", "X", "Y"), [[1000, 0]] * 3),  # pure along (1, 1, 1)/sqrt(3)
@@ -478,7 +484,7 @@ def repeated_setting_tables(draw):
     modes = ("a",) if n_qubits == 1 else ("a", "d")
     eff = draw(st.dictionaries(st.sampled_from([m + c for m in modes for c in "+-"]),
                                st.floats(0.1, 1.0)))
-    outcomes = tuple(o for o, _ in bases[0].projectors())
+    outcomes = tuple(o for o, _ in reference_projectors(bases[0].bases))
     return CountTable(modes, tuple(order), outcomes, raw, eff)
 
 
@@ -512,7 +518,7 @@ class TestBadCounts:
         (("a",), float("nan")), (("a", "d"), float("inf")), (("a",), -50.0), (("a", "d"), -1e-9)])
     def test_non_finite_or_negative_corrected_count_names_setting(self, fit, modes, bad):
         bases = settings_1q() if len(modes) == 1 else settings_2q()
-        outcomes = tuple(o for o, _ in bases[0].projectors())
+        outcomes = tuple(o for o, _ in reference_projectors(bases[0].bases))
         raw = np.full((len(bases), len(outcomes)), 100.0)
         raw[-1, 0] = bad
         with pytest.raises(ValueError, match=f"setting {bases[-1].id}: corrected counts"):
