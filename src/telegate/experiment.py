@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import numbers
 import os
 from collections import defaultdict
@@ -138,18 +139,16 @@ class CountTable:
 
 def _efficiency(modes: Sequence[str], outcomes: Sequence[str],
                 efficiencies: Mapping[str, float]) -> np.ndarray:
-    """Per outcome, the product of its detectors' efficiencies, taken in mode order."""
-    detectors = {f"{mode}{ch}" for outcome in outcomes for mode, ch in zip(modes, outcome)}
+    """Per outcome, the product of its detectors' efficiencies, taken in mode order; outcome
+    character "0" (no click, as in the gate-only remainder "00") names no detector."""
+    keys = [[f"{mode}{ch}" for mode, ch in zip(modes, outcome) if ch != "0"] for outcome in outcomes]
+    detectors = {key for row in keys for key in row}
     for key, val in efficiencies.items():
         if key not in detectors:
             raise ValueError(f"efficiency {key}: no detector of this table; options: {sorted(detectors)}")
         if isinstance(val, bool) or not isinstance(val, numbers.Real) or not 0.0 < val <= 1.0:
             raise ValueError(f"efficiency {key}: must lie in (0, 1], got {val!r}")
-    eta = np.ones(len(outcomes))
-    for j, outcome in enumerate(outcomes):
-        for mode, ch in zip(modes, outcome):
-            eta[j] *= efficiencies.get(f"{mode}{ch}", 1.0)
-    return eta
+    return np.array([math.prod(efficiencies.get(key, 1.0) for key in row) for row in keys], dtype=float)
 
 
 def simulate_counts(probabilities: Mapping[str, Mapping[str, float]], n_per_setting: int,
@@ -334,11 +333,8 @@ def _normalized(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 #: The teleport grid's cells, probe-major (rows TOMOGRAPHIC_PROBES, columns TILDE_LABELS):
-#: a teleport run's count tables and, prefixed with "F_", its per-outcome fidelities.
+#: a teleport run's count tables.
 TELEPORT_CELLS = tuple(f"{probe}/{bell}" for probe in TOMOGRAPHIC_PROBES for bell in TILDE_LABELS)
-_PROBE_KEYS = tuple(f"F_{probe}" for probe in TOMOGRAPHIC_PROBES)
-#: A teleport run's estimated figures, in the order _teleport_estimate returns them.
-_FIGURE_KEYS = (*(f"F_{cell}" for cell in TELEPORT_CELLS), *_PROBE_KEYS, "F_p")
 
 #: Each grid row's probe |chi>, as kets (probes, 1, 2).
 _PROBE_KETS = np.array([SINGLE_QUBIT_AMPLITUDES[p] for p in TOMOGRAPHIC_PROBES])[:, None, :]
@@ -351,22 +347,21 @@ def _teleport_conditionals(channel, pair_target: str, pair_mixedness: float,
     return _normalized(pair_raw(pair, _mix(_PROBE_DENSITIES, input_mixedness), channel.effects))
 
 
-def _teleport_estimate(probabilities: np.ndarray, rho: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray, float, ProcessMatrix]:
-    """Teleport figures from the grid's joint probabilities and uncorrected states.
+def _teleport_estimate(weights: np.ndarray, rho: np.ndarray) -> tuple[dict, ProcessMatrix]:
+    """Teleport figures from the grid's row-normalized weights and uncorrected states.
 
     Each state gets its outcome's Pauli-frame correction. A probe's output
-    is the mean of its corrected states weighted by the row-normalized
-    probabilities, and the four outputs feed process tomography. Returns the
-    fidelities with the probe per cell (probes x outcomes) and per probe,
-    the process fidelity ``F_p``, and the process matrix.
+    is the weighted mean of its corrected states, and the four outputs feed
+    process tomography. Returns the figures, i.e. the fidelity with the probe
+    per ``cell`` (probes x outcomes) and per ``probe`` and the process
+    fidelity ``F_p``, and the process matrix.
     """
     corrected = correct_frames(rho)
     fidelities = _born(_PROBE_KETS, corrected)
-    weights = probabilities / probabilities.sum(axis=1, keepdims=True)
     matrix = process_tomo((weights[..., None, None] * corrected).sum(axis=1))
     # Tr[M_ideal M] against the identity process: the (I, I) entry, real by symmetrization
-    return fidelities, (weights * fidelities).sum(axis=1), float(matrix.entries[0, 0].real), matrix
+    return {"cell": fidelities, "probe": (weights * fidelities).sum(axis=1),
+            "F_p": float(matrix.entries[0, 0].real)}, matrix
 
 
 def teleport_summary(gate, pair_mixedness: float = 0.0, input_mixedness: float = 0.0) -> dict:
@@ -379,15 +374,16 @@ def teleport_summary(gate, pair_mixedness: float = 0.0, input_mixedness: float =
     lp, li = _unit_interval("pair_mixedness", (pair_mixedness,)) + _unit_interval(
         "input_mixedness", (input_mixedness,))
     probabilities, states = _teleport_conditionals(_as_channel(gate), TELEPORT_PAIR_TARGET, lp, li)
-    fidelities, probe_fidelities, f_p, matrix = _teleport_estimate(probabilities, states)
-    probe_fidelities = probe_fidelities.tolist()
-    summary: dict = dict(zip(_PROBE_KEYS, probe_fidelities))
+    weights = probabilities / probabilities.sum(axis=1, keepdims=True)
+    figures, matrix = _teleport_estimate(weights, states)
+    probe_fidelities = figures["probe"].tolist()
+    summary: dict = {f"F_{probe}": f for probe, f in zip(TOMOGRAPHIC_PROBES, probe_fidelities)}
     summary["per_outcome"] = {
         name: {bell: {"probability": p, "fidelity": f} for bell, p, f in zip(TILDE_LABELS, ps, fs)}
-        for name, ps, fs in zip(TOMOGRAPHIC_PROBES, probabilities.tolist(), fidelities.tolist())}
+        for name, ps, fs in zip(TOMOGRAPHIC_PROBES, probabilities.tolist(), figures["cell"].tolist())}
     # summed left to right, as numpy's mean of four values is
     summary["F_avg"] = sum(probe_fidelities) / len(probe_fidelities)
-    summary["F_p"] = f_p
+    summary["F_p"] = figures["F_p"]
     summary["process_matrix"] = matrix
     return summary
 
@@ -399,23 +395,23 @@ _SWAP_VARIANTS = np.array([CHSH_VARIANT_FOR_BELL[bell] for bell in TILDE_LABELS]
 
 
 def _swap_arrays(states: np.ndarray, chsh_grids: np.ndarray) -> dict[str, np.ndarray]:
-    """Fidelity with the target and S under the variant, signed and absolute, per outcome (..., 4).
+    """Fidelity with the target and S under the variant, signed and absolute, per outcome (..., 4),
+    and ``average_fidelity`` and ``average_chsh_abs`` over the outcomes (...).
 
     The outcome axis of the (a, d) states (..., 4, 4, 4) and their CHSH grids (..., 4, 4, 4), of
     probabilities or counts, is in TILDE_LABELS order, the order bsa reports.
     """
     s_values = chsh_from_correlators(chsh_correlators(chsh_grids), _SWAP_VARIANTS)
-    return {"fidelity": fidelity_pure(states, _SWAP_TARGETS), "chsh": s_values, "chsh_abs": np.abs(s_values)}
+    fidelities, s_abs = fidelity_pure(states, _SWAP_TARGETS), np.abs(s_values)
+    return {"fidelity": fidelities, "chsh": s_values, "chsh_abs": s_abs,
+            "average_fidelity": fidelities.mean(axis=-1), "average_chsh_abs": s_abs.mean(axis=-1)}
 
 
-def _swap_estimate(states: np.ndarray, chsh_grids: np.ndarray) -> dict:
-    """:func:`_swap_arrays` with the log negativity, as ``<bell>/<figure>`` per outcome and
-    ``average_<figure>`` over outcomes: floats for one set of four, lists over a stack."""
-    values = dict(_swap_arrays(states, chsh_grids), log_negativity=log_negativity(states))
-    figures = {f"{bell}/{key}": values[key][..., o].tolist()
-               for o, bell in enumerate(TILDE_LABELS) for key in _SWAP_FIGURES}
-    for key in ("fidelity", "chsh_abs", "log_negativity"):
-        figures[f"average_{key}"] = values[key].mean(axis=-1).tolist()
+def _swap_estimate(states: np.ndarray, chsh_grids: np.ndarray) -> dict[str, np.ndarray]:
+    """:func:`_swap_arrays` with the ``log_negativity`` per outcome and its average."""
+    figures = _swap_arrays(states, chsh_grids)
+    negativities = figures["log_negativity"] = log_negativity(states)
+    figures["average_log_negativity"] = negativities.mean(axis=-1)
     return figures
 
 
@@ -434,14 +430,14 @@ def swap_summary(gate, pair_mixedness: float = 0.0) -> dict:
     """Exact entanglement-swapping figures for the four analyzer outcomes, from phi+ pairs."""
     (lp,) = _unit_interval("pair_mixedness", (pair_mixedness,))
     probabilities, states, grids = _swap_grid(_as_channel(gate), lp, "phi+")
-    figures, probabilities = _swap_estimate(states, grids), probabilities.tolist()
+    figures = {k: v.tolist() for k, v in _swap_estimate(states, grids).items()}
     return {
         "outcomes": {
-            bell: {"probability": p, "chsh_variant": CHSH_VARIANT_FOR_BELL[bell],
-                   **{k: figures[f"{bell}/{k}"] for k in _SWAP_FIGURES},
-                   "state": _hermitian(rho, ("a", "d"))}
-            for bell, p, rho in zip(TILDE_LABELS, probabilities, states)},
-        "success_probability": sum(probabilities),
+            bell: {"probability": float(probabilities[o]), "chsh_variant": CHSH_VARIANT_FOR_BELL[bell],
+                   **{k: figures[k][o] for k in _SWAP_FIGURES},
+                   "state": _hermitian(states[o], ("a", "d"))}
+            for o, bell in enumerate(TILDE_LABELS)},
+        "success_probability": sum(probabilities.tolist()),
         "F_avg": figures["average_fidelity"], "N_avg": figures["average_log_negativity"],
         "S_abs_avg": figures["average_chsh_abs"],
     }
@@ -466,7 +462,7 @@ PAPER_TELEPORT_TARGETS = {"F_H": 0.93, "F_V": 0.75, "F_+": 0.79, "F_R": 0.84, "F
 PAPER_SWAP_TARGETS = {"F_swap_avg": 0.773, "S_abs_avg": 2.14}
 
 _TELEPORT_KEYS = ("F_H", "F_V", "F_+", "F_R", "F_p", "F_avg")
-_SWAP_KEYS = {"F_swap_avg": "fidelity", "S_abs_avg": "chsh_abs"}
+_SWAP_KEYS = {"F_swap_avg": "average_fidelity", "S_abs_avg": "average_chsh_abs"}
 
 
 def calibrate(targets: Mapping[str, float],
@@ -504,7 +500,7 @@ def calibrate(targets: Mapping[str, float],
         channel = gate_channel(round(v, 12))
         swap_arrays = _swap_arrays(*_swap_grid(channel, pairs, "phi+")[1:]) if swap_targets else {}
         for j, lp in enumerate(pairs):
-            swap_pred = {k: float(swap_arrays[_SWAP_KEYS[k]][j].mean()) for k in swap_targets}
+            swap_pred = {k: float(swap_arrays[_SWAP_KEYS[k]][j]) for k in swap_targets}
             swap_residual = sum((swap_pred[k] - t) ** 2 for k, t in swap_targets.items())
             for li in inputs:
                 pred = teleport_summary(channel, lp, li)
@@ -568,28 +564,29 @@ def _matrix_payload(entries: np.ndarray) -> list:
 
 
 class Estimate(dict):
-    """An estimator's figures (name -> value) and what it fitted to get them.
+    """An estimator's figures (name -> float or array) and what it fitted to get them.
 
     The bootstrap resamples the figures only; ``fitted`` (states, process
     matrix) comes back from the point estimate, so reports need no refit.
     """
 
-    def __init__(self, figures: Mapping[str, float], fitted):
+    def __init__(self, figures: Mapping, fitted):
         super().__init__(figures)
         self.fitted = fitted
 
 
 def _joint_bootstrap(tables: Mapping[str, CountTable], estimator: Callable,
                      n_resamples: int, seed_seq: np.random.SeedSequence):
-    """Parametric Poisson bootstrap of a dict-valued estimator over count tables.
+    """Parametric Poisson bootstrap of an estimator of named figures over count tables.
 
-    Returns the estimator's value on ``tables`` and, per figure, the
+    Returns the estimator's value on ``tables`` and, per figure entry, the
     standard deviation over ``n_resamples`` joint resamples: each raw count
     c is redrawn as Poisson(c) and the efficiency correction re-applied,
-    every resample from its own child of ``seed_seq``. Resamples whose data
-    the estimator cannot fit (FitError, ValueError) are skipped; more than
-    10% of them aborts. Counts the point estimate cannot fit raise a
-    RuntimeError (a FitError as it is).
+    every resample from its own child of ``seed_seq``. A figure is a float
+    or an array, and its error a float or a nested list of the same shape.
+    Resamples whose data the estimator cannot fit (FitError, ValueError) are
+    skipped; more than 10% of them aborts. Counts the point estimate cannot
+    fit raise a RuntimeError (a FitError as it is).
     """
     if n_resamples < 100:
         raise ValueError(f"need at least 100 resamples, got {n_resamples}")
@@ -610,13 +607,13 @@ def _joint_bootstrap(tables: Mapping[str, CountTable], estimator: Callable,
             samples[k].append(v)
     if failures > 0.1 * n_resamples:
         raise RuntimeError(f"{failures}/{n_resamples} bootstrap resamples failed")
-    errors = {k: (float(np.std(vs, ddof=1)) if len(vs) > 1 else 0.0)
-              for k, vs in samples.items()}
+    # the samples on a contiguous last axis, so each entry reduces as a float list of its own would
+    errors = {k: np.std(np.stack(vs, axis=-1), axis=-1, ddof=1).tolist() for k, vs in samples.items()}
     return values, errors
 
 
 def _measure(config: ExperimentConfig, distributions: Mapping[str, tuple],
-             estimate: Callable) -> tuple[dict[str, CountTable], Mapping, dict[str, float]]:
+             estimate: Callable) -> tuple[dict[str, CountTable], Mapping, dict]:
     """Count every table of a run and bootstrap its estimator once over all of them.
 
     ``distributions`` maps table key to (modes, setting id -> outcome
@@ -645,33 +642,33 @@ def _run_teleport(config: ExperimentConfig, channel) -> tuple[dict, dict]:
         channel, config.resolved_pair_target(), config.pair_mixedness, config.input_mixedness)
     tomo = _distributions(_SETTING_IDS[1], _OUTCOMES[1], _born(_KETS[1], states.reshape(-1, 1, 1, 2, 2)))
     distributions = {cell: (("a",), dists) for cell, dists in zip(TELEPORT_CELLS, tomo)}
+    weights = probabilities / probabilities.sum(axis=1, keepdims=True)
 
     def estimate(tabs: Mapping[str, CountTable]) -> Estimate:
         rho = np.array([mle_fit(tabs[cell]).entries for cell in TELEPORT_CELLS]).reshape(states.shape)
-        fidelities, probe_fidelities, f_p, matrix = _teleport_estimate(probabilities, rho)
-        figures = [*fidelities.ravel().tolist(), *probe_fidelities.tolist(), f_p]
-        return Estimate(dict(zip(_FIGURE_KEYS, figures)), (rho, matrix))
+        figures, matrix = _teleport_estimate(weights, rho)
+        return Estimate(figures, (rho, matrix))
 
     tables, values, errors = _measure(config, distributions, estimate)
     rho, matrix = values.fitted
-    weights = probabilities / probabilities.sum(axis=1, keepdims=True)
+    cell, probe, rows = values["cell"].tolist(), values["probe"].tolist(), weights.tolist()
     results = {
         "inputs": {
             name: {
-                "fidelity": values[f"F_{name}"],
-                "fidelity_err": errors[f"F_{name}"],
+                "fidelity": probe[i],
+                "fidelity_err": errors["probe"][i],
                 "outcomes": {
                     bell: {
-                        "probability_weight": w,
+                        "probability_weight": rows[i][o],
                         "correction": CORRECTION_FOR_BELL[bell],
-                        "fidelity": values[f"F_{name}/{bell}"],
-                        "fidelity_err": errors[f"F_{name}/{bell}"],
-                        "state": _matrix_payload(state),
+                        "fidelity": cell[i][o],
+                        "fidelity_err": errors["cell"][i][o],
+                        "state": _matrix_payload(rho[i, o]),
                     }
-                    for bell, w, state in zip(TILDE_LABELS, row, rho_row)
+                    for o, bell in enumerate(TILDE_LABELS)
                 },
             }
-            for name, row, rho_row in zip(TOMOGRAPHIC_PROBES, weights.tolist(), rho)
+            for i, name in enumerate(TOMOGRAPHIC_PROBES)
         },
         "process_matrix": _matrix_payload(matrix.entries),
         "process_fidelity": values["F_p"],
@@ -694,20 +691,21 @@ def _run_swap(config: ExperimentConfig, channel) -> tuple[dict, dict]:
         return Estimate(_swap_estimate(np.array([f.entries for f in fitted]), grids), fitted)
 
     tables, values, errors = _measure(config, distributions, estimate)
+    figures = {k: v.tolist() for k, v in values.items()}
     results: dict = {"outcomes": {}}
-    for label, probability, fitted in zip(TILDE_LABELS, probabilities.tolist(), values.fitted):
+    for o, label in enumerate(TILDE_LABELS):
         row = results["outcomes"][label] = {
             "product_result": PRODUCT_FOR_BELL[label],
-            "probability": probability,
+            "probability": float(probabilities[o]),
             "chsh_variant": CHSH_VARIANT_FOR_BELL[label],
-            "chsh_abs": values[f"{label}/chsh_abs"],
-            "state": _matrix_payload(fitted.entries),
+            "chsh_abs": figures["chsh_abs"][o],
+            "state": _matrix_payload(values.fitted[o].entries),
         }
         for key in ("fidelity", "log_negativity", "chsh"):
-            row[key], row[f"{key}_err"] = values[f"{label}/{key}"], errors[f"{label}/{key}"]
+            row[key], row[f"{key}_err"] = figures[key][o], errors[key][o]
     for key in ("average_fidelity", "average_chsh_abs"):
-        results[key], results[f"{key}_err"] = values[key], errors[key]
-    results["average_log_negativity"] = values["average_log_negativity"]
+        results[key], results[f"{key}_err"] = figures[key], errors[key]
+    results["average_log_negativity"] = figures["average_log_negativity"]
     return results, tables
 
 

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from telegate.experiment import _swap_estimate
 from telegate.metrics import (CHSH_ANGLES, CHSH_OUTCOMES, CHSH_SETTINGS, CHSH_VARIANT_FOR_BELL,
-                              chsh_distributions)
+                              ChshSpec, chsh, chsh_distributions, fidelity_pure, log_negativity)
 from telegate.protocols import (BELL_FOR_PRODUCT, CORRECTION_FOR_BELL, TELEPORT_PAIR_TARGET,
-                                TILDE_LABELS, _as_channel, pair_raw, swap)
+                                TILDE_LABELS, _as_channel, pair_raw, swap, tilde_bell)
 from telegate.sources import (BELL_AMPLITUDES, SINGLE_QUBIT_AMPLITUDES, TOMOGRAPHIC_PROBES,
                               InputSpec, PairSpec, make_input, make_pair)
 from telegate.states import (ATOL, DensityMatrix, I2, PAULI, PureState, SIGMA_X, SIGMA_Y, SIGMA_Z,
@@ -165,23 +164,27 @@ def reference_teleport_summary(gate, pair_mixedness: float, input_mixedness: flo
 
 
 def reference_swap_summary(gate, pair_mixedness: float) -> dict:
-    """swap_summary from a checked pair and effects built from the Kraus operators."""
+    """swap_summary from a checked pair and effects built from the Kraus operators, each
+    outcome's figures from the single-state metrics and their averages from np.mean."""
     pair = make_pair(PairSpec("phi+", pair_mixedness)).entries
     probabilities, states = _reference_normalized(
         pair_raw(pair, pair, reference_effects(_as_channel(gate).kraus)))
-    figures = _swap_estimate(states, chsh_distributions(states))
     probabilities = probabilities.tolist()
-    return {
-        "outcomes": {
-            bell: {"probability": p, "chsh_variant": CHSH_VARIANT_FOR_BELL[bell],
-                   **{k: figures[f"{bell}/{k}"]
-                      for k in ("fidelity", "log_negativity", "chsh", "chsh_abs")},
-                   "state": _hermitian(rho, ("a", "d"))}
-            for bell, p, rho in zip(TILDE_LABELS, probabilities, states)},
-        "success_probability": sum(probabilities),
-        "F_avg": figures["average_fidelity"], "N_avg": figures["average_log_negativity"],
-        "S_abs_avg": figures["average_chsh_abs"],
-    }
+    outcomes = {}
+    for bell, p, rho in zip(TILDE_LABELS, probabilities, states):
+        variant = CHSH_VARIANT_FOR_BELL[bell]
+        s_value = chsh(rho, ChshSpec(variant))
+        outcomes[bell] = {"probability": p, "chsh_variant": variant,
+                          "fidelity": fidelity_pure(rho, tilde_bell(bell)),
+                          "log_negativity": log_negativity(rho), "chsh": s_value,
+                          "chsh_abs": abs(s_value), "state": _hermitian(rho, ("a", "d"))}
+
+    def average(key):
+        return float(np.mean([row[key] for row in outcomes.values()]))
+
+    return {"outcomes": outcomes, "success_probability": sum(probabilities),
+            "F_avg": average("fidelity"), "N_avg": average("log_negativity"),
+            "S_abs_avg": average("chsh_abs")}
 
 
 def reference_swap_run(channel, target: str, pair_mixedness: float):

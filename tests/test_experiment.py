@@ -45,9 +45,9 @@ PHI_PLUS_BLIND_CHANNEL = GateChannel(kraus=(
 
 
 def point_estimate_only(tables, estimator, n_resamples, seed_seq):
-    """A stand-in for the joint bootstrap: the estimator's values, each with error zero."""
+    """A stand-in for the joint bootstrap: the estimator's values, each entry with error zero."""
     values = estimator(tables)
-    return values, dict.fromkeys(values, 0.0)
+    return values, {k: np.zeros_like(v).tolist() for k, v in values.items()}
 
 
 @pytest.fixture
@@ -121,6 +121,14 @@ class TestSimulateCounts:
                             modes=("a",))
         with pytest.raises(ValueError, match=r"efficiency a: no detector"):
             CountTable(("a",), ("Z",), ("+", "-"), np.array([[5, 5]]), {"a+": 0.5, "a": 0.7})
+
+    def test_no_click_names_no_detector(self):
+        # the gate-only remainder "00" is no click at all, so "b0" is no detector of the table
+        probs = {"coinc": {"HH": 0.1, "HV": 0.1, "VH": 0.1, "VV": 0.1, "00": 0.6}}
+        with pytest.raises(ValueError, match=r"efficiency b0: no detector"):
+            simulate_counts(probs, 1000, {"b0": 0.5}, 0, ("b", "c"))
+        assert simulate_counts(probs, 1000, {"cV": 0.5}, 0, ("b", "c")).eta.tolist() == [
+            1.0, 0.5, 1.0, 0.5, 1.0]
 
     def test_modes_are_checked_once_per_layout(self):
         with pytest.raises(ValueError, match="duplicate"):

@@ -332,18 +332,22 @@ class TestBootstrap:
         assert resampled.corrected.tolist() == (resampled.raw / np.array(eta)).tolist()
 
     def test_error_is_the_sample_std_of_the_replayed_resamples(self):
-        # resample k is drawn from child k of the seed sequence, and each error has ddof=1
+        # resample k is drawn from child k of the seed sequence, and each error has ddof=1; an
+        # array figure's error is per entry, bit for bit the std of that entry's own samples
         table = CountTable(("m",), ("s",), ("+", "-"), np.array([[40, 7]]), {"m-": 0.5})
 
         def estimator(tabs):
             t = tabs["t"]
-            return {"total": float(t.corrected.sum()), "share": float(t.raw[0, 0] / t.raw.sum())}
+            return {"total": float(t.corrected.sum()), "share": float(t.raw[0, 0] / t.raw.sum()),
+                    "row": t.corrected[0] / t.corrected.sum()}
 
         _, errors = _joint_bootstrap({"t": table}, estimator, 150, np.random.SeedSequence(9))
         replayed = [estimator({"t": table.resample(np.random.default_rng(child))})
                     for child in np.random.SeedSequence(9).spawn(150)]
         for key in ("total", "share"):
             assert errors[key] == float(np.std([r[key] for r in replayed], ddof=1)), key
+        assert errors["row"] == [float(np.std([r["row"][j] for r in replayed], ddof=1))
+                                 for j in range(2)]
 
     @pytest.mark.parametrize("failures, aborts", [(10, False), (11, True)])
     def test_more_than_ten_percent_failed_resamples_abort(self, failures, aborts):
