@@ -105,6 +105,9 @@ expect_failure 2 "config error:" telegate run bad-field.yaml
 expect_failure 2 "config error:" telegate run no-such-config.yaml
 printf 'targets: {F_H: 0.93}\ngrid:\n  overlap: [0.9, 1.0, 1000]\n  pair_mixedness: [0.0, 0.1, 1000]\n  input_mixedness: [0.0, 0.1, 2]\n' > big-grid.yaml
 expect_failure 2 "config error:" telegate calibrate big-grid.yaml
+# an empty output path is a config error, not a run that writes nothing
+expect_failure 2 "config error:" telegate run smoke.yaml --out ""
+expect_failure 2 "config error:" telegate calibrate calibrate.yaml --out ""
 # one count per setting leaves a CHSH setting without counts
 printf 'protocol: swap\ncounts_per_setting: 1\nseed: 1\n' > starved.yaml
 expect_failure 3 "numerical failure:" telegate run starved.yaml

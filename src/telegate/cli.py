@@ -17,14 +17,13 @@ import numpy as np
 from .experiment import (
     ConfigError,
     _check_out_path,
-    _is_int,
-    _is_real,
     _read_yaml,
     calibrate,
     load_config,
     run_experiment,
 )
 from .gate import ZeroSuccessError, gate_channel
+from .states import _number
 from .tomography import FitError
 
 EXIT_OK = 0
@@ -89,32 +88,32 @@ def _load_calibration_config(path: str):
     grid_spec = data.get("grid", {})
     if not isinstance(grid_spec, dict):
         raise ConfigError("grid: expected a mapping of parameter -> [start, stop, points]")
-    grids = {}
-    for name, default in DEFAULT_CAL_GRID.items():
-        raw = grid_spec.get(name, default)
-        # every axis (overlap, pair and input mixedness) lies in [0, 1]
-        if (not isinstance(raw, (list, tuple)) or len(raw) != 3
-                or not all(_is_real(x) and 0.0 <= x <= 1.0 for x in raw[:2])
-                or not _is_int(raw[2]) or not 1 <= raw[2] <= MAX_GRID_POINTS):
-            raise ConfigError(f"grid.{name}: expected [start, stop, points] with start and stop "
-                              f"in [0, 1] and 1 to {MAX_GRID_POINTS} points, got {raw!r}")
-        grids[name] = np.linspace(float(raw[0]), float(raw[1]), raw[2])
     unknown = set(grid_spec) - set(DEFAULT_CAL_GRID)
     if unknown:
         raise ConfigError(f"grid: unknown parameters {sorted(unknown, key=str)}")
+    axes = {name: grid_spec.get(name, default) for name, default in DEFAULT_CAL_GRID.items()}
+    for name, raw in axes.items():
+        if not isinstance(raw, (list, tuple)) or len(raw) != 3:
+            raise ConfigError(f"grid.{name}: expected [start, stop, points], got {raw!r}")
+    try:
+        # every axis (overlap, pair and input mixedness) lies in [0, 1]
+        grids = {name: np.linspace(
+            _number(f"grid.{name}", start, 0, 1), _number(f"grid.{name}", stop, 0, 1),
+            _number(f"grid.{name} points", points, 1, MAX_GRID_POINTS, integer=True))
+            for name, (start, stop, points) in axes.items()}
+        # every calibratable figure is a fidelity in [0, 1] or an |S| in [0, 4]
+        targets = {str(k): float(_number(f"targets.{k}", v, 0, 4)) for k, v in targets.items()}
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     total = math.prod(len(axis) for axis in grids.values())
     if total > MAX_GRID_TOTAL:
         raise ConfigError(f"grid: {total} points in all, at most {MAX_GRID_TOTAL}")
-    for key, value in targets.items():
-        # every calibratable figure is a fidelity in [0, 1] or an |S| in [0, 4]
-        if not _is_real(value) or not 0.0 <= value <= 4.0:
-            raise ConfigError(f"targets.{key}: must be a number in [0, 4], got {value!r}")
-    return {str(k): float(v) for k, v in targets.items()}, grids
+    return targets, grids
 
 
 def _cmd_calibrate(args) -> int:
     targets, grids = _load_calibration_config(args.config)
-    if args.out:
+    if args.out is not None:
         _check_out_path(args.out)
     try:
         result = calibrate(targets, grids["overlap"], grids["pair_mixedness"],
@@ -140,7 +139,7 @@ def _cmd_calibrate(args) -> int:
         for key in sorted(result.predictions):
             lines.append(f"prediction.{key},{result.predictions[key]!r}")
         text = "\n".join(lines)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w") as fh:
             fh.write(text)
             fh.write("\n")

@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import math
-import numbers
 import os
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
@@ -60,7 +59,7 @@ from .sources import (
     make_input,  # unused here, but a name the benchmark's tracer patches in this module
     make_pair,  # unused here, but a name the benchmark's tracer patches in this module
 )
-from .states import _born, _check_labels, _hermitian
+from .states import _born, _check_labels, _hermitian, _number
 from .tomography import _KETS, _OUTCOMES, _SETTING_IDS, FitError, ProcessMatrix, mle_fit, process_tomo
 
 PROTOCOLS = ("teleport", "swap", "gate-only")
@@ -81,6 +80,13 @@ MAX_BOOTSTRAP_RESAMPLES = 10**5
 
 #: File suffixes of a saved report: the JSON report and its count tables.
 REPORT_SUFFIXES = (".json", ".counts.csv")
+
+#: Each numeric config field's bounds, and whether it is an integer.
+_NUMBER_FIELDS = {
+    "overlap": (0, 1, False), "pair_mixedness": (0, 1, False), "input_mixedness": (0, 1, False),
+    "counts_per_setting": (1, MAX_COUNTS_PER_SETTING, True), "seed": (0, math.inf, True),
+    "bootstrap_resamples": (100, MAX_BOOTSTRAP_RESAMPLES, True),
+}
 
 #: Fields each protocol never reads; a config that sets one is rejected.
 _UNREAD_FIELDS = {
@@ -143,12 +149,12 @@ def _efficiency(modes: Sequence[str], outcomes: Sequence[str],
     character "0" (no click, as in the gate-only remainder "00") names no detector."""
     keys = [[f"{mode}{ch}" for mode, ch in zip(modes, outcome) if ch != "0"] for outcome in outcomes]
     detectors = {key for row in keys for key in row}
+    checked = {}
     for key, val in efficiencies.items():
         if key not in detectors:
             raise ValueError(f"efficiency {key}: no detector of this table; options: {sorted(detectors)}")
-        if isinstance(val, bool) or not isinstance(val, numbers.Real) or not 0.0 < val <= 1.0:
-            raise ValueError(f"efficiency {key}: must lie in (0, 1], got {val!r}")
-    return np.array([math.prod(efficiencies.get(key, 1.0) for key in row) for row in keys], dtype=float)
+        checked[key] = _number(f"efficiency {key}", val, 0, 1, open_lo=True)
+    return np.array([math.prod(checked.get(key, 1.0) for key in row) for row in keys], dtype=float)
 
 
 def simulate_counts(probabilities: Mapping[str, Mapping[str, float]], n_per_setting: int,
@@ -161,10 +167,7 @@ def simulate_counts(probabilities: Mapping[str, Mapping[str, float]], n_per_sett
     outcome). Raw counts are Poisson(N p eta): detection eats efficiency
     *before* counting, the corrected column restores it.
     """
-    if (isinstance(n_per_setting, bool) or not isinstance(n_per_setting, numbers.Integral)
-            or not 0 < n_per_setting <= MAX_COUNTS_PER_SETTING):
-        raise ValueError(f"n_per_setting: must be an integer from 1 to "
-                         f"{MAX_COUNTS_PER_SETTING}, got {n_per_setting!r}")
+    n_per_setting = _number("n_per_setting", n_per_setting, 1, MAX_COUNTS_PER_SETTING, integer=True)
     settings = tuple(probabilities)
     outcomes = tuple(next(iter(probabilities.values()), ()))
     for setting_id, dist in probabilities.items():
@@ -203,36 +206,28 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"protocol: must be one of {PROTOCOLS}, got {self.protocol!r}")
-        for name in ("overlap", "pair_mixedness", "input_mixedness"):
-            val = getattr(self, name)
-            if not _is_real(val) or not 0.0 <= val <= 1.0:
-                raise ConfigError(f"{name}: must lie in [0, 1], got {val!r}")
-        if (not _is_int(self.counts_per_setting)
-                or not 0 < self.counts_per_setting <= MAX_COUNTS_PER_SETTING):
-            raise ConfigError(f"counts_per_setting: must be an integer from 1 to "
-                              f"{MAX_COUNTS_PER_SETTING}, got {self.counts_per_setting!r}")
         if not isinstance(self.efficiencies, Mapping):
             raise ConfigError("efficiencies: expected a mapping of detector -> efficiency")
         keys = EFFICIENCY_KEYS[self.protocol]
-        for key, eta in self.efficiencies.items():
+        for key in self.efficiencies:
             if key not in keys:
                 raise ConfigError(f"efficiencies.{key}: unknown detector for {self.protocol}; options: {keys}")
-            if not _is_real(eta) or not 0.0 < eta <= 1.0:
-                raise ConfigError(f"efficiencies.{key}: must lie in (0, 1], got {eta!r}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ConfigError(f"seed: must be a non-negative integer, got {self.seed!r}")
-        if self.out is not None and not isinstance(self.out, str):
-            raise ConfigError(f"out: must be a path, got {self.out!r}")
+        try:
+            for name, (lo, hi, integer) in _NUMBER_FIELDS.items():
+                object.__setattr__(self, name, _number(name, getattr(self, name), lo, hi, integer=integer))
+            object.__setattr__(self, "efficiencies", {
+                key: _number(f"efficiencies.{key}", eta, 0, 1, open_lo=True)
+                for key, eta in self.efficiencies.items()})
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if self.out is not None and (not isinstance(self.out, str) or not self.out):
+            raise ConfigError(f"out: must be a non-empty path, got {self.out!r}")
         if self.pair_target is not None and (
                 not isinstance(self.pair_target, str) or self.pair_target not in BELL_AMPLITUDES):
             raise ConfigError(f"pair_target: must be one of {sorted(BELL_AMPLITUDES)}, got {self.pair_target!r}")
         if (not isinstance(self.gate_input, str) or len(self.gate_input) != 2
                 or any(c not in SINGLE_QUBIT_AMPLITUDES for c in self.gate_input)):
             raise ConfigError(f"gate_input: must be two of {sorted(SINGLE_QUBIT_AMPLITUDES)}, got {self.gate_input!r}")
-        if (not _is_int(self.bootstrap_resamples)
-                or not 100 <= self.bootstrap_resamples <= MAX_BOOTSTRAP_RESAMPLES):
-            raise ConfigError(f"bootstrap_resamples: must be an integer from 100 to "
-                              f"{MAX_BOOTSTRAP_RESAMPLES}, got {self.bootstrap_resamples!r}")
         for name in _UNREAD_FIELDS[self.protocol]:
             if getattr(self, name) != _FIELD_DEFAULTS[name]:
                 raise ConfigError(f"{name}: not read by the {self.protocol} protocol")
@@ -248,14 +243,6 @@ class ExperimentConfig:
         echo.update(efficiencies=dict(sorted(self.efficiencies.items())),
                     pair_target=self.resolved_pair_target())
         return echo
-
-
-def _is_int(val) -> bool:
-    return isinstance(val, int) and not isinstance(val, bool)
-
-
-def _is_real(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
 _FIELD_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
@@ -297,6 +284,8 @@ def _read_yaml(path: str):
 
 def _check_out_path(path: str) -> None:
     """Raise ConfigError unless a file can be created at ``path``."""
+    if not path:
+        raise ConfigError("out: the path is empty")
     directory = os.path.dirname(path) or "."
     if os.path.isdir(path):
         raise ConfigError(f"out: cannot write {path}: it is a directory")
@@ -309,15 +298,6 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 # -- exact (count-free) protocol summaries ------------------------------------
-
-def _unit_interval(name: str, values: Sequence[float]) -> list[float]:
-    """``values`` as floats, each checked to lie in [0, 1] (NaN fails); ``name`` is their axis."""
-    values = [float(x) for x in values]
-    for x in values:
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"{name}: must lie in [0, 1], got {x!r}")
-    return values
-
 
 def _normalized(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Joint probabilities (..., 4) and normalized states of analyzer contractions ``raw``;
@@ -371,9 +351,9 @@ def teleport_summary(gate, pair_mixedness: float = 0.0, input_mixedness: float =
     over the four analyzer outcomes with their joint probabilities; the
     process matrix treats the nominal pure probes as the channel inputs.
     """
-    lp, li = _unit_interval("pair_mixedness", (pair_mixedness,)) + _unit_interval(
-        "input_mixedness", (input_mixedness,))
-    probabilities, states = _teleport_conditionals(_as_channel(gate), TELEPORT_PAIR_TARGET, lp, li)
+    probabilities, states = _teleport_conditionals(
+        _as_channel(gate), TELEPORT_PAIR_TARGET, _number("pair_mixedness", pair_mixedness, 0, 1),
+        _number("input_mixedness", input_mixedness, 0, 1))
     weights = probabilities / probabilities.sum(axis=1, keepdims=True)
     figures, matrix = _teleport_estimate(weights, states)
     probe_fidelities = figures["probe"].tolist()
@@ -428,8 +408,8 @@ def _swap_grid(channel, pair_mixedness, pair_target: str) -> tuple[np.ndarray, .
 
 def swap_summary(gate, pair_mixedness: float = 0.0) -> dict:
     """Exact entanglement-swapping figures for the four analyzer outcomes, from phi+ pairs."""
-    (lp,) = _unit_interval("pair_mixedness", (pair_mixedness,))
-    probabilities, states, grids = _swap_grid(_as_channel(gate), lp, "phi+")
+    probabilities, states, grids = _swap_grid(
+        _as_channel(gate), _number("pair_mixedness", pair_mixedness, 0, 1), "phi+")
     figures = {k: v.tolist() for k, v in _swap_estimate(states, grids).items()}
     return {
         "outcomes": {
@@ -478,18 +458,18 @@ def calibrate(targets: Mapping[str, float],
     way); adding the swap-average targets resolves it, since swapping uses
     the pair twice and the input photon not at all.
 
-    Grid values lie in [0, 1]. Points are scanned in (overlap, pair, input) order, a later one
-    winning only by a residual lower by more than 1e-15. ``teleport_summary`` runs once per
-    point, the swap side once per overlap on the stack of the whole pair grid.
+    Targets lie in [0, 4] and grid values in [0, 1]. Points are scanned in (overlap, pair,
+    input) order, a later one winning only by a residual lower by more than 1e-15.
+    ``teleport_summary`` runs once per point, the swap side once per overlap on the stack of the
+    whole pair grid.
     """
-    for key, target in targets.items():
+    for key in targets:
         if key not in _TELEPORT_KEYS and key not in _SWAP_KEYS:
             raise ValueError(
                 f"unknown calibration target {key!r}; options: "
                 f"{_TELEPORT_KEYS + tuple(_SWAP_KEYS)}")
-        if not _is_real(target) or not np.isfinite(target):
-            raise ValueError(f"calibration target {key!r} must be a finite number, got {target!r}")
-    overlaps, pairs, inputs = (_unit_interval(name, grid) for name, grid in (
+    targets = {key: _number(f"calibration target {key!r}", t, 0, 4) for key, t in targets.items()}
+    overlaps, pairs, inputs = ([float(_number(name, x, 0, 1)) for x in grid] for name, grid in (
         ("overlap_grid", overlap_grid), ("pair_grid", pair_grid), ("input_grid", input_grid)))
     if not overlaps or not pairs or not inputs:
         raise ValueError("calibration grids must be non-empty")
@@ -588,8 +568,7 @@ def _joint_bootstrap(tables: Mapping[str, CountTable], estimator: Callable,
     skipped; more than 10% of them aborts. Counts the point estimate cannot
     fit raise a RuntimeError (a FitError as it is).
     """
-    if n_resamples < 100:
-        raise ValueError(f"need at least 100 resamples, got {n_resamples}")
+    _number("n_resamples", n_resamples, 100, math.inf, integer=True)
     try:
         values = estimator(tables)
     except ValueError as exc:
@@ -743,11 +722,11 @@ _RUNNERS = {"teleport": _run_teleport, "swap": _run_swap, "gate-only": _run_gate
 
 def run_experiment(config: ExperimentConfig) -> Report:
     """Simulate a full run: sources, protocol, counts, reconstruction, metrics."""
-    if config.out:
+    if config.out is not None:
         for suffix in REPORT_SUFFIXES:
             _check_out_path(config.out + suffix)
     results, tables = _RUNNERS[config.protocol](config, gate_channel(config.overlap))
     report = Report(config.protocol, __version__, config.seed, config.echo(), results, tables)
-    if config.out:
+    if config.out is not None:
         report.save(config.out)
     return report

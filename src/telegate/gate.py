@@ -37,6 +37,7 @@ from itertools import product
 import numpy as np
 
 from .sources import SINGLE_QUBIT_AMPLITUDES
+from .states import _number
 
 # Spatial mode codes. 0 and 1 are the live gate arms; each attenuator
 # reflects into its own terminal sink so norm accounting stays exact.
@@ -63,9 +64,8 @@ class PdbsSpec:
     t_v: float
 
     def __post_init__(self):
-        for name, t in (("t_h", self.t_h), ("t_v", self.t_v)):
-            if not 0.0 <= t <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {t}")
+        for name in ("t_h", "t_v"):
+            object.__setattr__(self, name, _number(name, getattr(self, name), 0, 1))
 
     def transmission(self, pol: str) -> float:
         return self.t_h if pol == "H" else self.t_v
@@ -168,8 +168,7 @@ def fock_input(amplitudes: np.ndarray, v: float) -> FockState:
     The arm-0 photon carries internal label 0; the arm-1 photon carries
     v |0> + sqrt(1 - v^2) |1>, with v the wavepacket overlap.
     """
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"overlap must lie in [0, 1], got {v}")
+    v = _number("overlap", v, 0, 1)
     w = math.sqrt(max(0.0, 1.0 - v * v))
     amplitudes = np.asarray(amplitudes, dtype=complex).reshape(4)
     terms: dict[tuple[Mode, ...], complex] = defaultdict(complex)
@@ -244,7 +243,7 @@ class GateChannel:
         return float(np.real(sum(np.trace(k @ rho @ k.conj().T) for k in self.kraus)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed, so that True is checked, not served the channel of 1
 def gate_channel(v: float) -> GateChannel:
     """Two-qubit coincidence channel at wavepacket overlap ``v``, in closed form.
 
@@ -254,8 +253,7 @@ def gate_channel(v: float) -> GateChannel:
     transmitted, w I / 3, and both reflected, which only |VV> survives,
     w diag(0, 0, 0, -2) / 3. Vanishing operators are dropped (one left at v = 1).
     """
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"overlap must lie in [0, 1], got {v}")
+    v = _number("overlap", v, 0, 1)
     w = math.sqrt(max(0.0, 1.0 - v * v))
     diagonals = ([v, v, v, -v], [w, w, w, w], [0.0, 0.0, 0.0, -2.0 * w])
     kraus = tuple(k for k in (np.diag(d).astype(complex) / 3.0 for d in diagonals)

@@ -82,7 +82,7 @@ class ProtocolResult:
 def _as_channel(gate) -> GateChannel:
     if isinstance(gate, GateChannel):
         return gate
-    return gate_channel(float(gate))
+    return gate_channel(gate)
 
 
 # The analyzer's two stages; the benchmark's per-layer tracer reads both by name.

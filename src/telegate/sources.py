@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityMatrix, PureState, _check_labels, _computed, _freeze
+from .states import DensityMatrix, PureState, _check_labels, _computed, _freeze, _number
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -63,8 +63,7 @@ class PairSpec:
     def __post_init__(self):
         if self.target not in BELL_AMPLITUDES:
             raise ValueError(f"unknown pair target {self.target!r}; options: {sorted(BELL_AMPLITUDES)}")
-        if not 0.0 <= self.mixedness <= 1.0:
-            raise ValueError(f"mixedness must lie in [0, 1], got {self.mixedness}")
+        object.__setattr__(self, "mixedness", _number("mixedness", self.mixedness, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -86,8 +85,7 @@ class InputSpec:
             if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-12:  # NaN fails
                 raise ValueError("input amplitudes must be normalized")
             object.__setattr__(self, "state", (complex(a), complex(b)))
-        if not 0.0 <= self.mixedness <= 1.0:
-            raise ValueError(f"mixedness must lie in [0, 1], got {self.mixedness}")
+        object.__setattr__(self, "mixedness", _number("mixedness", self.mixedness, 0, 1))
 
 
 def bell_state(target: str, labels=("q0", "q1")) -> PureState:

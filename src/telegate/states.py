@@ -10,6 +10,7 @@ function, safe for unrestricted parallel use.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,6 +48,24 @@ def _check_labels(labels: Sequence[str] | None, n: int) -> tuple[str, ...]:
     if len(set(labels)) != n:
         raise ValueError(f"duplicate labels: {labels}")
     return labels
+
+
+def _number(name: str, value, lo, hi, *, integer: bool = False, open_lo: bool = False):
+    """``value`` if it is a number in [lo, hi], or (lo, hi] with ``open_lo``, and an integer
+    with ``integer``.
+
+    Python and numpy ints and floats pass, a numpy one coming back as a Python number; bool,
+    str, None, NaN and anything else raise a ValueError that names the field ``name``.
+    """
+    checked = value
+    if type(value) is not int and (integer or type(value) is not float):  # exact types skip the ABCs
+        checked = None
+        if not isinstance(value, bool) and isinstance(value, numbers.Integral if integer else numbers.Real):
+            checked = int(value) if isinstance(value, numbers.Integral) else float(value)
+    if checked is not None and (lo < checked if open_lo else lo <= checked) and checked <= hi:
+        return checked  # NaN fails the comparisons
+    must = f"be an integer from {lo} to {hi}" if integer else f"lie in {'(' if open_lo else '['}{lo}, {hi}]"
+    raise ValueError(f"{name}: must {must}, got {value!r}")
 
 
 @dataclass(frozen=True)

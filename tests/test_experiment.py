@@ -807,6 +807,24 @@ class TestCli:
             assert str(path) in capsys.readouterr().err, argv
         assert not missing.exists() and not (tmp_path / "o.json").exists()
 
+    def test_empty_out_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        def never(*args):
+            raise AssertionError("computed before the output path was checked")
+
+        monkeypatch.setitem(experiment._RUNNERS, "gate-only", never)
+        monkeypatch.setattr(cli, "calibrate", never)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.yaml").write_text("protocol: gate-only\n")
+        (tmp_path / "empty.yaml").write_text("protocol: gate-only\nout: ''\n")
+        (tmp_path / "cal.yaml").write_text("targets: {F_H: 0.9}\n")
+        for argv in (["run", "empty.yaml"], ["run", "cfg.yaml", "--out", ""],
+                     ["calibrate", "cal.yaml", "--out", ""]):
+            assert cli.main(argv) == 2, argv
+            assert capsys.readouterr().err.startswith("config error: out: "), argv
+        assert sorted(os.listdir(tmp_path)) == ["cal.yaml", "cfg.yaml", "empty.yaml"]
+        with pytest.raises(ConfigError, match="out: "):
+            ExperimentConfig(protocol="gate-only", out="")
+
     def test_invalid_field_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
         for line in ("pair_target: nope", "pair_target: 3", "seed: -1", "seed: true",
