@@ -40,6 +40,23 @@ python -c "import json; json.load(open('swap.json'))"
 telegate run swap.yaml --format csv > swap.csv
 python -c "lines = open('swap.csv').read().splitlines(); assert len(lines) == 209, len(lines)"
 
+# 101 resamples: the bootstrap's last group of 4 holds 1, and every error bar still comes out
+printf 'protocol: swap\ncounts_per_setting: 100\nseed: 1\nbootstrap_resamples: 101\n' > swap-101.yaml
+telegate run swap-101.yaml > swap-101.json
+python -c "
+import json
+def errors(node, path=''):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key.endswith('_err'):
+                yield path + key, value
+            else:
+                yield from errors(value, path + key + '/')
+found = list(errors(json.load(open('swap-101.json'))['results']))
+assert len(found) == 14, found
+assert all(isinstance(err, float) and err > 0.0 for _, err in found), found
+"
+
 # a swap run on psi- pairs with a lossy detector: the exact swap grid at a target other than phi+
 printf 'protocol: swap\npair_target: psi-\nefficiencies: {a+: 0.9}\ncounts_per_setting: 100\nseed: 1\n' > swap-psi.yaml
 telegate run swap-psi.yaml > swap-psi.json

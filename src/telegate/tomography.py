@@ -17,6 +17,9 @@ respectively 4 counts per setting. Two reconstructions are provided:
   every local maximum of the factored problem is global (Journee, Bach,
   Absil & Sepulchre, SIAM J. Optim. 20, 2327, 2010). With 2 d^2 = 32 real
   parameters the 32 x 32 inverse-Hessian update is a few array products.
+  The BFGS runs over a stack of tables of one layout, each with its own
+  steps and stop rules, so that a bootstrap fits many resamples per call;
+  a table's iterates are bit for bit those of a stack of one.
 
 Process tomography expands a single-qubit channel in the Pauli operator
 basis, E(rho) = sum_mn M[m, n] sigma_m rho sigma_n. Its outputs on the four
@@ -33,7 +36,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -189,8 +192,8 @@ def mle_fit(counts: "CountTable", dim: int | None = None,
     corrected counts. A one-qubit table is fitted exactly
     (:func:`_exact_fit_1q`) and never raises :class:`FitError`; a two-qubit
     table is fitted by a dense BFGS over a complex factor
-    (:func:`_factor_fit`), which raises it, carrying the best iterate, when
-    it does not converge.
+    (:func:`_factor_fit`, as a stack of one), and raises it, carrying the
+    best iterate, when that does not converge.
     ``trace_nll``, if given, collects the per-count negative log likelihood
     at the maximally mixed state and then at every accepted iterate; the
     exact fit has one iterate, its solution.
@@ -198,7 +201,22 @@ def mle_fit(counts: "CountTable", dim: int | None = None,
     kets, weights = _fit_inputs(counts, dim)
     if len(counts.modes) == 1:
         return _exact_fit_1q(counts, kets, weights, trace_nll)
-    return _factor_fit(counts.modes, kets, weights, trace_nll)
+    (fit,) = _factor_fit(counts.modes, kets, weights[None], None if trace_nll is None else [trace_nll])
+    if isinstance(fit, FitError):
+        raise fit
+    return fit
+
+
+def _fit_stack(tables: Sequence["CountTable"]) -> list:
+    """:func:`mle_fit` of two-qubit tables of one layout, fitted as one stack: per table its state,
+    or the FitError or ValueError that fitting it alone raises."""
+    first = tables[0]
+    kets = _ket_stack(2, tuple(first.settings), tuple(first.outcomes))
+    weights = np.array([table.corrected.ravel() for table in tables])
+    totals = weights.sum(axis=1)
+    full = totals > 0
+    fits = iter(_factor_fit(first.modes, kets, weights[full] / totals[full, None]))
+    return [next(fits) if ok else ValueError("count table is empty") for ok in full.tolist()]
 
 
 def _exact_fit_1q(counts: "CountTable", kets: np.ndarray, weights: np.ndarray,
@@ -298,91 +316,125 @@ def _decreasing_root(f, lo: float, hi: float, x: float, ftol: float) -> float:
     return x
 
 
-def _factor_nll(a: np.ndarray, kets: np.ndarray, weights: np.ndarray) -> tuple[float, np.ndarray]:
-    """Per-count negative log likelihood of rho = A A^dag / Tr[A A^dag], and twice its A* derivative.
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row of two stacks of vectors (T, n), a . b as a matmul: the dot a 1-D ``a @ b`` takes."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _factor_nll(a: np.ndarray, kets: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per factor A of a stack (T, d, d), with weights (T, cells), the per-count negative log
+    likelihood of rho = A A^dag / Tr[A A^dag] and twice its A* derivative.
 
     With u = K^dag A, row o being <k_o| A, p_o = |u_o|^2 / Tr[A A^dag]. The
     derivative in A* is (A - K diag(w / p) u) / Tr[A A^dag] (the weights sum
     to one); twice it holds the gradient in the real and imaginary parts of A.
     """
     u = kets.conj() @ a
-    z = float(np.vdot(a, a).real)
-    p = np.maximum((u.real**2 + u.imag**2).sum(axis=1) / z, _TINY)
-    g = 2.0 * (a - kets.T @ ((weights / p)[:, None] * u)) / z
-    return -float(weights @ np.log(p)), g
+    flat = a.reshape(-1, a.shape[-1] ** 2)
+    z = _rowdot(flat.conj(), flat).real
+    p = np.maximum((u.real**2 + u.imag**2).sum(axis=-1) / z[:, None], _TINY)
+    g = 2.0 * (a - kets.T @ ((weights / p)[..., None] * u)) / z[:, None, None]
+    return -_rowdot(weights, np.log(p)), g
+
+
+def _bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray, sy: np.ndarray) -> None:
+    """H += (s v^T + v s^T) / s.y, v = (1 + y.Hy / s.y) s / 2 - Hy, in place per table: the BFGS update."""
+    hy = (h @ y[:, :, None])[:, :, 0]
+    sv = s[:, :, None] * ((0.5 + 0.5 * _rowdot(y, hy) / sy)[:, None] * s - hy)[:, None, :]
+    tmp = sv + sv.transpose(0, 2, 1)
+    tmp /= sy[:, None, None]
+    h += tmp
 
 
 def _factor_fit(modes: tuple[str, ...], kets: np.ndarray, weights: np.ndarray,
-                trace_nll: list | None) -> DensityMatrix:
-    """Dense BFGS maximum likelihood over rho = A A^dag / Tr[A A^dag], from A = I / sqrt(d).
+                traces: list | None = None) -> list:
+    """Dense BFGS maximum likelihood over rho = A A^dag / Tr[A A^dag], from A = I / sqrt(d), per
+    table of a stack of weights (T, cells) over one ket stack.
 
     Works in the 2 d^2 real coordinates of A: the first direction is the
     normalized steepest descent, later ones -H g, with Armijo backtracking
     from the full step and H reset to the identity when -H g is not a
     descent direction. The first curvature pair seeds H with the scale
-    s.y / y.y; a pair with s.y <= 1e-12 |s| |y| leaves H as it is. The fit
-    stops when max|g| <= 1e-10, when a full step gains at most
-    1e-14 max(|f|, 1), or when the line search finds no decrease.
-    Convergence is declared when the last accepted step improves the log
-    likelihood by less than 1e-9 or the gradient norm drops below 1e-7,
-    with an iteration cap of 10^4; anything else raises :class:`FitError`
-    carrying the best iterate.
+    s.y / y.y; a pair with s.y <= 1e-12 |s| |y| leaves H as it is. A table
+    stops, and leaves the stack, when max|g| <= 1e-10, when a full step
+    gains at most 1e-14 max(|f|, 1), or when the line search finds no
+    decrease. Convergence is declared when the last accepted step improves
+    the log likelihood by less than 1e-9 or the gradient norm drops below
+    1e-7, with an iteration cap of 10^4; per table, returns the state or a
+    :class:`FitError` carrying the best iterate. ``traces``, a list per
+    table, collects the per-count negative log likelihood at the start and
+    at every accepted iterate. Every reduction is a matmul, so a table's
+    iterates do not depend on the stack it is in.
     """
-    d = kets.shape[-1]
-    a = np.eye(d, dtype=complex) / np.sqrt(d)
+    n_tables, d = len(weights), kets.shape[-1]
+    a = np.repeat(np.eye(d, dtype=complex)[None] / np.sqrt(d), n_tables, axis=0)
     f, g = _factor_nll(a, kets, weights)
-    history = [f]
-    # interleaved real and imaginary parts: views, not copies
-    x, gx = a.view(float).ravel(), g.view(float).ravel()
-    h = None
-    for _ in range(_MAX_ITERS):
-        if np.abs(gx).max() <= 1e-10:
-            break
-        step = -gx / np.linalg.norm(gx) if h is None else -(h @ gx)
-        slope = gx @ step
-        if not slope < 0.0:
-            h = np.eye(x.size)
-            step, slope = -gx, -(gx @ gx)
-        t = 1.0
-        for _ in range(_LINE_STEPS):
-            x_new = x + t * step
-            f_new, g_new = _factor_nll(x_new.view(complex).reshape(d, d), kets, weights)
-            if f_new <= f + 1e-4 * t * slope:
-                break
-            t *= 0.5
-        else:
-            break
-        gx_new = g_new.view(float).ravel()
-        s, y = x_new - x, gx_new - gx
-        sy, yy = s @ y, y @ y
-        if sy > 1e-12 * math.sqrt((s @ s) * yy):
-            if h is None:
-                h = (sy / yy) * np.eye(x.size)
-            # H + (s v^T + v s^T) / s.y, v = (1 + y.Hy / s.y) s / 2 - Hy, is the BFGS update
-            hy = h @ y
-            v = (0.5 + 0.5 * (y @ hy) / sy) * s - hy
-            sv = s[:, None] * v
-            h += (sv + sv.T) / sy
-        full_step_stalled = t == 1.0 and f - f_new <= 1e-14 * max(abs(f), 1.0)
-        x, f, gx = x_new, f_new, gx_new
-        history.append(f)
-        if full_step_stalled:
-            break
-    a = x.view(complex).reshape(d, d)
-    aa = a @ a.conj().T
-    state = _computed(aa / np.real(np.trace(aa)), modes)
+    histories = [[value] for value in f.tolist()]
+    # interleaved real and imaginary parts of each A, a row per table
+    x, gx = a.view(float).reshape(n_tables, 2 * d * d), g.view(float).reshape(n_tables, 2 * d * d)
+    x_end, g_end, eye = np.empty_like(x), np.empty_like(gx), np.eye(x.shape[1])
+    live, h, fresh = np.arange(n_tables), np.zeros((n_tables,) + eye.shape), np.ones(n_tables, bool)
 
-    if trace_nll is not None:
-        trace_nll.extend(history)
-    grad_norm = float(np.linalg.norm(gx))
-    last_improvement = abs(history[-2] - history[-1]) if len(history) >= 2 else 0.0
-    if grad_norm > 1e-7 and not last_improvement < 1e-9:
-        raise FitError(
-            f"no convergence after {len(history) - 1} iterations "
-            f"(grad {grad_norm:.2e}, last step {last_improvement:.2e})",
-            best_state=state,
-        )
-    return state
+    def leave(stop):
+        nonlocal live, x, f, gx, h, fresh
+        if stop.any():
+            x_end[live[stop]], g_end[live[stop]] = x[stop], gx[stop]
+            live, x, f, gx, h, fresh = (v[~stop] for v in (live, x, f, gx, h, fresh))
+
+    for _ in range(_MAX_ITERS):
+        leave(np.abs(gx).max(axis=1) <= 1e-10)
+        if not live.size:
+            break
+        step = np.where(fresh[:, None], -gx / np.sqrt(_rowdot(gx, gx))[:, None], -(h @ gx[:, :, None])[:, :, 0])
+        slope = _rowdot(gx, step)
+        reset = ~(slope < 0.0)
+        if reset.any():
+            h[reset], fresh[reset], step[reset] = eye, False, -gx[reset]
+            slope[reset] = -_rowdot(gx[reset], gx[reset])
+        # backtracking per table; one that finds no decrease keeps its iterate, so s = y = 0
+        t, todo, failed = np.ones(live.size), np.arange(live.size), np.zeros(live.size, bool)
+        x_new, f_new, g_new = x.copy(), f.copy(), gx.copy()
+        for _ in range(_LINE_STEPS):
+            trial = x[todo] + t[todo, None] * step[todo]
+            f_try, g_try = _factor_nll(trial.view(complex).reshape(-1, d, d), kets, weights[live[todo]])
+            ok = f_try <= f[todo] + 1e-4 * t[todo] * slope[todo]
+            x_new[todo[ok]], f_new[todo[ok]] = trial[ok], f_try[ok]
+            g_new[todo[ok]] = g_try.view(float).reshape(len(todo), -1)[ok]
+            todo = todo[~ok]
+            if not todo.size:
+                break
+            t[todo] *= 0.5
+        failed[todo] = True
+        s, y = x_new - x, g_new - gx
+        sy, yy = _rowdot(s, y), _rowdot(y, y)
+        update = sy > 1e-12 * np.sqrt(_rowdot(s, s) * yy)
+        seed = update & fresh
+        if seed.any():
+            h[seed], fresh[seed] = (sy[seed] / yy[seed])[:, None, None] * eye, False
+        if update.all():
+            _bfgs_update(h, s, y, sy)
+        elif update.any():  # H is indexed by a mask only here
+            part = h[update]
+            _bfgs_update(part, s[update], y[update], sy[update])
+            h[update] = part
+        stalled = (t == 1.0) & (f - f_new <= 1e-14 * np.maximum(np.abs(f), 1.0))
+        for k, value in zip(live[~failed].tolist(), f_new[~failed].tolist()):
+            histories[k].append(value)
+        x, f, gx = x_new, f_new, g_new
+        leave(failed | stalled)
+    leave(np.ones(live.size, bool))
+
+    a = x_end.view(complex).reshape(n_tables, d, d)
+    aa = a @ a.conj().transpose(0, 2, 1)
+    fits = [_computed(rho, modes) for rho in aa / np.trace(aa, axis1=1, axis2=2).real[:, None, None]]
+    for k, (history, grad_norm) in enumerate(zip(histories, np.sqrt(_rowdot(g_end, g_end)).tolist())):
+        if traces is not None:
+            traces[k].extend(history)
+        last_improvement = abs(history[-2] - history[-1]) if len(history) >= 2 else 0.0
+        if grad_norm > 1e-7 and not last_improvement < 1e-9:
+            fits[k] = FitError(f"no convergence after {len(history) - 1} iterations "
+                               f"(grad {grad_norm:.2e}, last step {last_improvement:.2e})", best_state=fits[k])
+    return fits
 
 
 @dataclass(frozen=True)

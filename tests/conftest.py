@@ -13,6 +13,7 @@ from telegate.sources import (BELL_AMPLITUDES, SINGLE_QUBIT_AMPLITUDES, TOMOGRAP
                               InputSpec, PairSpec, make_input, make_pair)
 from telegate.states import (ATOL, DensityMatrix, I2, PAULI, PureState, SIGMA_X, SIGMA_Y, SIGMA_Z,
                             _check_labels, _computed, _hermitian, analyzer_eigenvectors)
+from telegate import tomography
 from telegate.tomography import (BASIS_VECTORS, FitError, ProcessMatrix, _TINY, _fit_inputs, _outer,
                                  process_tomo, settings_2q)
 
@@ -411,3 +412,69 @@ def factor_lbfgs_reference(table) -> DensityMatrix:
     """scipy's L-BFGS-B over the complex factor on any table."""
     kets, weights = _fit_inputs(table, None)
     return _factor_lbfgs_fit(table.modes, _outer(kets), weights, None)
+
+
+def factor_bfgs_reference(table, trace_nll: list | None = None) -> DensityMatrix:
+    """The package's two-qubit BFGS, one table at a time, as it stood before the fit took stacks.
+
+    Same start, steps, stop rules and convergence rule as ``tomography._factor_fit``; its dot
+    products are 1-D ``@`` and its norms ``np.linalg.norm``, the forms the stacked fit's matmuls
+    must match bit for bit. Raises FitError, carrying the best iterate, where that fit does.
+    """
+    kets, weights = _fit_inputs(table, None)
+    d = kets.shape[-1]
+
+    def nll(a):
+        u = kets.conj() @ a
+        z = float(np.vdot(a, a).real)
+        p = np.maximum((u.real**2 + u.imag**2).sum(axis=1) / z, _TINY)
+        return -float(weights @ np.log(p)), 2.0 * (a - kets.T @ ((weights / p)[:, None] * u)) / z
+
+    a = np.eye(d, dtype=complex) / np.sqrt(d)
+    f, g = nll(a)
+    history = [f]
+    x, gx = a.view(float).ravel(), g.view(float).ravel()
+    h = None
+    for _ in range(tomography._MAX_ITERS):
+        if np.abs(gx).max() <= 1e-10:
+            break
+        step = -gx / np.linalg.norm(gx) if h is None else -(h @ gx)
+        slope = gx @ step
+        if not slope < 0.0:
+            h = np.eye(x.size)
+            step, slope = -gx, -(gx @ gx)
+        t = 1.0
+        for _ in range(tomography._LINE_STEPS):
+            x_new = x + t * step
+            f_new, g_new = nll(x_new.view(complex).reshape(d, d))
+            if f_new <= f + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        else:
+            break
+        gx_new = g_new.view(float).ravel()
+        s, y = x_new - x, gx_new - gx
+        sy, yy = s @ y, y @ y
+        if sy > 1e-12 * math.sqrt((s @ s) * yy):
+            if h is None:
+                h = (sy / yy) * np.eye(x.size)
+            hy = h @ y
+            v = (0.5 + 0.5 * (y @ hy) / sy) * s - hy
+            sv = s[:, None] * v
+            h += (sv + sv.T) / sy
+        full_step_stalled = t == 1.0 and f - f_new <= 1e-14 * max(abs(f), 1.0)
+        x, f, gx = x_new, f_new, gx_new
+        history.append(f)
+        if full_step_stalled:
+            break
+    a = x.view(complex).reshape(d, d)
+    aa = a @ a.conj().T
+    state = _computed(aa / np.real(np.trace(aa)), table.modes)
+    if trace_nll is not None:
+        trace_nll.extend(history)
+    grad_norm = float(np.linalg.norm(gx))
+    last_improvement = abs(history[-2] - history[-1]) if len(history) >= 2 else 0.0
+    if grad_norm > 1e-7 and not last_improvement < 1e-9:
+        raise FitError(f"no convergence after {len(history) - 1} iterations "
+                       f"(grad {grad_norm:.2e}, last step {last_improvement:.2e})", best_state=state)
+    return state

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -44,9 +45,12 @@ PHI_PLUS_BLIND_CHANNEL = GateChannel(kraus=(
     (np.eye(4) - np.outer(_PLUS_PLUS, _PLUS_PLUS.conj())) @ gate_channel(1.0).kraus[0],))
 
 
-def point_estimate_only(tables, estimator, n_resamples, seed_seq):
-    """A stand-in for the joint bootstrap: the estimator's values, each entry with error zero."""
-    values = estimator(tables)
+def point_estimate_only(tables, estimate, n_resamples, seed_seq):
+    """A stand-in for the bootstrap core: the batch estimator's values on the tables alone, each
+    entry with error zero; an entry that failed is raised."""
+    (values,) = estimate([tables])
+    if isinstance(values, Exception):
+        raise values
     return values, {k: np.zeros_like(v).tolist() for k, v in values.items()}
 
 
@@ -62,7 +66,7 @@ def measured(monkeypatch):
         return measure(config, distributions, estimate)
 
     monkeypatch.setattr(experiment, "_measure", recording_measure)
-    monkeypatch.setattr(experiment, "_joint_bootstrap", point_estimate_only)
+    monkeypatch.setattr(experiment, "_bootstrap", point_estimate_only)
     return seen
 
 
@@ -227,6 +231,17 @@ class TestConfig:
         assert cfg.resolved_pair_target() == "phi+"
         assert cfg.counts_per_setting == 1000
 
+    def test_efficiencies_are_read_only(self):
+        given = {"cV": 0.5}
+        cfg = ExperimentConfig(protocol="gate-only", efficiencies=given)
+        with pytest.raises(TypeError):
+            cfg.efficiencies["cV"] = 5.0
+        given["cV"] = 5.0  # the config holds its own copy
+        assert cfg.echo()["efficiencies"] == {"cV": 0.5}
+        assert dataclasses.replace(cfg, seed=4).efficiencies == {"cV": 0.5}
+        report = run_experiment(dataclasses.replace(cfg, counts_per_setting=100))
+        assert report.count_tables["gate/coinc"].efficiencies == {"cV": 0.5}
+
     def test_teleport_pair_default_is_aligned(self):
         cfg = config_from_mapping({"protocol": "teleport"})
         assert cfg.resolved_pair_target() == "phi+~"
@@ -378,11 +393,11 @@ class TestRunExperiment:
     def test_each_run_bootstraps_once(self, protocol, monkeypatch):
         calls = []
 
-        def recording_bootstrap(tables, estimator, n_resamples, seed_seq):
+        def recording_bootstrap(tables, estimate, n_resamples, seed_seq):
             calls.append(sorted(tables))
-            return point_estimate_only(tables, estimator, n_resamples, seed_seq)
+            return point_estimate_only(tables, estimate, n_resamples, seed_seq)
 
-        monkeypatch.setattr(experiment, "_joint_bootstrap", recording_bootstrap)
+        monkeypatch.setattr(experiment, "_bootstrap", recording_bootstrap)
         rep = run_experiment(ExperimentConfig(protocol=protocol, counts_per_setting=500, seed=3))
         assert calls == [sorted(rep.count_tables)]
 

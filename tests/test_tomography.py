@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,8 +16,10 @@ from telegate.tomography import (
     MeasurementSetting,
     _DESIGN,
     _DESIGN_INV,
+    _factor_fit,
     _factor_nll,
     _fit_inputs,
+    _fit_stack,
     _ket_stack,
     linear_inversion,
     mle_fit,
@@ -28,6 +32,7 @@ from conftest import (
     same_bits,
     _unpack_cholesky,
     cholesky_reference,
+    factor_bfgs_reference,
     factor_lbfgs_reference,
     ginibre_dm,
     identity_process,
@@ -423,8 +428,9 @@ class TestFactorFit:
         _, weights = _fit_inputs(table, None)
         kets = _ket_stack(2, table.settings, table.outcomes)
 
-        def nll(x):
-            return _factor_nll((x[:16] + 1j * x[16:]).reshape(4, 4), kets, weights)
+        def nll(x):  # a stack of one
+            f, g = _factor_nll((x[:16] + 1j * x[16:]).reshape(1, 4, 4), kets, weights[None])
+            return f[0], g[0]
 
         x = np.random.default_rng(seed).normal(size=32)
         g = nll(x)[1]
@@ -470,6 +476,71 @@ class TestFactorFit:
         assert len(trace) == 3 and trace[-1] == min(trace) < trace[0]
         assert -loglikelihood(table, best) / table.corrected.sum() == pytest.approx(
             trace[-1], abs=1e-12)
+
+
+@st.composite
+def table_stacks(draw):
+    """2 to 6 sampled 2-qubit tables of one layout, which may repeat settings, each of a random
+    state of rank 1 to 4 at 50 to 1e5 counts per setting, with the stack's efficiencies."""
+    ids = [s.id for s in settings_2q()]
+    order = tuple(draw(st.permutations(ids + draw(st.lists(st.sampled_from(ids), max_size=4)))))
+    eff = draw(st.dictionaries(st.sampled_from(["a+", "a-", "d+", "d-"]), st.floats(0.1, 1.0)))
+    outcomes = tuple(MeasurementSetting(("Z", "Z")).probabilities(np.eye(4) / 4))
+    eta = CountTable(("a", "d"), order, outcomes, np.zeros((len(order), 4)), eff).eta
+    tables = []
+    for seed in draw(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=6)):
+        rng = np.random.default_rng(seed)
+        rank, shots = rng.integers(1, 5), round(10 ** rng.uniform(np.log10(50), 5.0))
+        g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        state = g @ g.conj().T / np.trace(g @ g.conj().T)
+        probs = [list(MeasurementSetting(tuple(sid)).probabilities(state).values()) for sid in order]
+        raw = rng.poisson(shots * np.array(probs) * eta)
+        tables.append(CountTable(("a", "d"), order, outcomes, raw, eff))
+    return tables
+
+
+class TestStackedFactorFit:
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(table_stacks())
+    def test_each_table_fits_as_it_does_alone(self, tables):
+        # bit for bit, alone, in the stack and by the per-table reference: the states, and every
+        # iterate's likelihood on the way there
+        kets = _ket_stack(2, tables[0].settings, tables[0].outcomes)
+        traces = [[] for _ in tables]
+        stacked = _factor_fit(("a", "d"), kets, np.array([_fit_inputs(t, None)[1] for t in tables]),
+                              traces)
+        for table, fit, via_stack, trace in zip(tables, stacked, _fit_stack(tables), traces):
+            alone, reference = [], []
+            rho = mle_fit(table, trace_nll=alone)  # a FitError fails the test
+            want = factor_bfgs_reference(table, reference)
+            for got in (rho, fit, via_stack):
+                assert same_bits(got.entries, want.entries)
+            assert trace == alone == reference
+
+    def test_a_table_at_the_cap_fails_alone(self, monkeypatch):
+        monkeypatch.setattr(tomography, "_MAX_ITERS", 2)
+        slow = sampled_table(ginibre_dm(2, np.random.default_rng(3)), ("a", "d"), 2000, seed=6)
+        # the gradient vanishes at the maximally mixed start: this table stops at once
+        uniform = CountTable(("a", "d"), slow.settings, slow.outcomes, np.ones((9, 4)))
+        failed, fitted = _fit_stack([slow, uniform])
+        with pytest.raises(FitError, match="after 2 iterations") as info:
+            mle_fit(slow)
+        assert isinstance(failed, FitError) and str(failed) == str(info.value)
+        assert same_bits(failed.best_state.entries, info.value.best_state.entries)
+        assert same_bits(fitted.entries, mle_fit(uniform).entries)
+
+    def test_an_empty_table_fails_alone(self):
+        tables = [sampled_table(ginibre_dm(2, np.random.default_rng(k)), ("a", "d"), 500, seed=k)
+                  for k in range(2)]
+        empty = CountTable(("a", "d"), tables[0].settings, tables[0].outcomes, np.zeros((9, 4)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no 0/0 on the empty table's weights
+            fits = _fit_stack([tables[0], empty, tables[1]])
+            (alone,) = _fit_stack([empty])
+        for got in (fits[1], alone):
+            assert type(got) is ValueError and str(got) == "count table is empty"
+        for table, fit in zip(tables, fits[::2]):
+            assert same_bits(fit.entries, mle_fit(table).entries)
 
 
 @st.composite
