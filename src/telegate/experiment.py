@@ -61,7 +61,8 @@ from .sources import (
     make_pair,  # unused here, but a name the benchmark's tracer patches in this module
 )
 from .states import _born, _check_labels, _hermitian, _number
-from .tomography import _KETS, _OUTCOMES, _SETTING_IDS, FitError, ProcessMatrix, _fit_stack, mle_fit, process_tomo
+from .tomography import _KETS, _OUTCOMES, _SETTING_IDS, FitError, ProcessMatrix, _fit_stack, process_tomo
+from .tomography import mle_fit  # unused here, but a name the benchmark's tracer patches in this module
 
 PROTOCOLS = ("teleport", "swap", "gate-only")
 
@@ -460,8 +461,8 @@ def calibrate(targets: Mapping[str, float],
     way); adding the swap-average targets resolves it, since swapping uses
     the pair twice and the input photon not at all.
 
-    Targets lie in [0, 4] and grid values in [0, 1]. Points are scanned in (overlap, pair,
-    input) order, a later one winning only by a residual lower by more than 1e-15.
+    Targets, one or more, lie in [0, 4] and grid values in [0, 1]. Points are scanned in (overlap,
+    pair, input) order, a later one winning only by a residual lower by more than 1e-15.
     ``teleport_summary`` runs once per point, the swap side once per overlap on the stack of the
     whole pair grid.
     """
@@ -471,6 +472,8 @@ def calibrate(targets: Mapping[str, float],
                 f"unknown calibration target {key!r}; options: "
                 f"{_TELEPORT_KEYS + tuple(_SWAP_KEYS)}")
     targets = {key: _number(f"calibration target {key!r}", t, 0, 4) for key, t in targets.items()}
+    if not targets:
+        raise ValueError("calibration targets must be non-empty")
     overlaps, pairs, inputs = ([float(_number(name, x, 0, 1)) for x in grid] for name, grid in (
         ("overlap_grid", overlap_grid), ("pair_grid", pair_grid), ("input_grid", input_grid)))
     if not overlaps or not pairs or not inputs:
@@ -545,89 +548,87 @@ def _matrix_payload(entries: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(entries)]
 
 
-class Estimate(dict):
-    """An estimator's figures (name -> float or array) and what it fitted to get them.
-
-    The bootstrap resamples the figures only; ``fitted`` (states, process
-    matrix) comes back from the point estimate, so reports need no refit.
-    """
-
-    def __init__(self, figures: Mapping, fitted):
-        super().__init__(figures)
-        self.fitted = fitted
-
-
-#: Resamples the bootstrap draws and hands its estimator at once. A swap run fits their
-#: two-qubit tables, 4 per resample, as one stack, whose working set grows with its size:
-#: 4 resamples fit as fast as 8, in half the memory.
+#: Resamples the bootstrap draws and fits at once. Their two-qubit tables, 4 per swap resample,
+#: are one stack, whose working set grows with its size: 4 resamples fit as fast as 8, in half the
+#: memory.
 _RESAMPLE_BATCH = 4
 
 
-def _bootstrap(tables: Mapping[str, CountTable], estimate: Callable,
+def _bootstrap(tables: Mapping[str, CountTable], fit_keys: Sequence[str], figures: Callable,
                n_resamples: int, seed_seq: np.random.SeedSequence):
-    """Parametric Poisson bootstrap of a batch estimator of named figures over count tables.
+    """Parametric Poisson bootstrap of named figures of fitted count tables.
 
-    ``estimate`` maps a list of table dicts to a list of their figure dicts, an entry holding
-    instead the FitError or ValueError that failed it. Returns the figures of ``tables`` and,
-    per figure entry, the standard deviation over ``n_resamples`` joint resamples: each raw
-    count c is redrawn as Poisson(c) and the efficiency correction re-applied, every resample
-    from its own child of ``seed_seq``, in child order, ``_RESAMPLE_BATCH`` per estimator call.
+    The ``fit_keys`` tables of a table dict are fitted, and ``figures(states, tables)`` maps their
+    states (len(fit_keys), d, d), in key order, and the tables to named figures. A dict fails on
+    its first failing fit in key order, then on a FitError or ValueError of ``figures``. Returns
+    the states and figures of ``tables`` and, per figure entry, the standard deviation over
+    ``n_resamples`` joint resamples: each raw count c is redrawn as Poisson(c) and the efficiency
+    correction re-applied, every resample from its own child of ``seed_seq``, in child order,
+    ``_RESAMPLE_BATCH`` at a time, whose tables are fitted in one ``_fit_stack`` call.
     A figure is a float or an array, and its error a float or a nested list of the same shape.
-    Resamples the estimator cannot fit are skipped; more than 10% of them aborts. Counts the
-    point estimate cannot fit raise a RuntimeError (a FitError as it is).
+    Resamples that fail are skipped; more than 10% of them aborts. Counts the point estimate
+    cannot fit raise a RuntimeError (a FitError as it is).
     """
     _number("n_resamples", n_resamples, 100, math.inf, integer=True)
-    (values,) = estimate([tables])
-    if isinstance(values, ValueError):
-        raise RuntimeError(f"the counts cannot be fitted: {values}") from values
-    if isinstance(values, FitError):
-        raise values
+
+    def estimate(batch: list) -> list:
+        """Per table dict, its states and figures, or the FitError or ValueError that failed it."""
+        fits = iter(_fit_stack([tabs[key] for tabs in batch for key in fit_keys]))
+        out = []
+        for tabs in batch:
+            fitted = [next(fits) for _ in fit_keys]
+            try:
+                for fit in fitted:
+                    if isinstance(fit, Exception):
+                        raise fit
+                states = np.array([fit.entries for fit in fitted])
+                out.append((states, figures(states, tabs)))
+            except (FitError, ValueError) as exc:
+                out.append(exc)
+        return out
+
+    (point,) = estimate([tables])
+    if isinstance(point, ValueError):
+        raise RuntimeError(f"the counts cannot be fitted: {point}") from point
+    if isinstance(point, FitError):
+        raise point
+    states, values = point
     samples = defaultdict(list)
     failures = 0
     children = seed_seq.spawn(n_resamples)
     for start in range(0, n_resamples, _RESAMPLE_BATCH):
         rngs = map(np.random.default_rng, children[start:start + _RESAMPLE_BATCH])
         for out in estimate([{k: t.resample(rng) for k, t in tables.items()} for rng in rngs]):
-            if isinstance(out, (FitError, ValueError)):
+            if isinstance(out, Exception):
                 failures += 1
                 continue
-            for k, v in out.items():
+            for k, v in out[1].items():
                 samples[k].append(v)
     if failures > 0.1 * n_resamples:
         raise RuntimeError(f"{failures}/{n_resamples} bootstrap resamples failed")
     # the samples on a contiguous last axis, so each entry reduces as a float list of its own would
     errors = {k: np.std(np.stack(vs, axis=-1), axis=-1, ddof=1).tolist() for k, vs in samples.items()}
-    return values, errors
-
-
-def _per_resample(estimator: Callable) -> Callable:
-    """The batch estimator that calls ``estimator`` on one table dict at a time."""
-    def estimate(batch: list) -> list:
-        out = []
-        for tabs in batch:
-            try:
-                out.append(estimator(tabs))
-            except (FitError, ValueError) as exc:
-                out.append(exc)
-        return out
-    return estimate
+    return states, values, errors
 
 
 def _joint_bootstrap(tables: Mapping[str, CountTable], estimator: Callable,
                      n_resamples: int, seed_seq: np.random.SeedSequence):
-    """:func:`_bootstrap` of an estimator that takes one table dict and raises a FitError or
-    ValueError on counts it cannot fit: one call for the point estimate, one per resample."""
-    return _bootstrap(tables, _per_resample(estimator), n_resamples, seed_seq)
+    """:func:`_bootstrap`, fitting nothing, of an estimator that takes one table dict and raises a
+    FitError or ValueError on counts it cannot fit: one call for the point estimate, one per
+    resample."""
+    _, values, errors = _bootstrap(tables, (), lambda _, tabs: estimator(tabs), n_resamples, seed_seq)
+    return values, errors
 
 
-def _measure(config: ExperimentConfig, distributions: Mapping[str, tuple],
-             estimate: Callable) -> tuple[dict[str, CountTable], Mapping, dict]:
-    """Count every table of a run and bootstrap its batch estimator once over all of them.
+def _measure(config: ExperimentConfig, distributions: Mapping[str, tuple], fit_keys: Sequence[str],
+             figures: Callable) -> tuple[dict[str, CountTable], np.ndarray, dict, dict]:
+    """Count every table of a run and bootstrap its figures once over all of them.
 
     ``distributions`` maps table key to (modes, setting id -> outcome
     distribution). The run seed splits into a counts stream, whose child k
     draws table k, and a bootstrap stream for the one joint bootstrap.
-    Returns the tables and the estimator's values and errors.
+    Returns the tables, the fitted states of the ``fit_keys`` tables, and
+    the figures' values and errors.
     """
     counts_seed, boot_seed = np.random.SeedSequence(config.seed).spawn(2)
     tables = {
@@ -636,8 +637,7 @@ def _measure(config: ExperimentConfig, distributions: Mapping[str, tuple],
         for (key, (modes, dists)), seed in zip(distributions.items(),
                                                counts_seed.spawn(len(distributions)))
     }
-    values, errors = _bootstrap(tables, estimate, config.bootstrap_resamples, boot_seed)
-    return tables, values, errors
+    return (tables, *_bootstrap(tables, fit_keys, figures, config.bootstrap_resamples, boot_seed))
 
 
 def _distributions(settings, outcomes, grids: np.ndarray) -> list[dict[str, dict[str, float]]]:
@@ -652,13 +652,12 @@ def _run_teleport(config: ExperimentConfig, channel) -> tuple[dict, dict]:
     distributions = {cell: (("a",), dists) for cell, dists in zip(TELEPORT_CELLS, tomo)}
     weights = probabilities / probabilities.sum(axis=1, keepdims=True)
 
-    def estimate(tabs: Mapping[str, CountTable]) -> Estimate:
-        rho = np.array([mle_fit(tabs[cell]).entries for cell in TELEPORT_CELLS]).reshape(states.shape)
-        figures, matrix = _teleport_estimate(weights, rho)
-        return Estimate(figures, (rho, matrix))
+    def figures(rho: np.ndarray, _) -> dict:
+        return _teleport_estimate(weights, rho.reshape(states.shape))[0]
 
-    tables, values, errors = _measure(config, distributions, _per_resample(estimate))
-    rho, matrix = values.fitted
+    tables, rho, values, errors = _measure(config, distributions, TELEPORT_CELLS, figures)
+    rho = rho.reshape(states.shape)
+    matrix = _teleport_estimate(weights, rho)[1]
     cell, probe, rows = values["cell"].tolist(), values["probe"].tolist(), weights.tolist()
     results = {
         "inputs": {
@@ -693,36 +692,26 @@ def _run_swap(config: ExperimentConfig, channel) -> tuple[dict, dict]:
     distributions = {f"{bell}/{kind}": (("a", "d"), dists[kind][o])
                      for o, bell in enumerate(TILDE_LABELS) for kind in ("tomo", "chsh")}
 
-    def estimate(batch: list[Mapping[str, CountTable]]) -> list:
-        # the batch's tomography tables in one stacked fit; a resample fails on its first failing table
-        fits = iter(_fit_stack([tabs[f"{bell}/tomo"] for tabs in batch for bell in TILDE_LABELS]))
+    def figures(rho: np.ndarray, tabs: Mapping[str, CountTable]) -> dict:
+        return _swap_estimate(rho, np.array([tabs[f"{bell}/chsh"].corrected for bell in TILDE_LABELS]))
 
-        def figures(tabs: Mapping[str, CountTable]) -> Estimate:
-            fitted = [next(fits) for _ in TILDE_LABELS]
-            for fit in fitted:
-                if isinstance(fit, Exception):
-                    raise fit
-            grids = np.array([tabs[f"{bell}/chsh"].corrected for bell in TILDE_LABELS])
-            return Estimate(_swap_estimate(np.array([fit.entries for fit in fitted]), grids), fitted)
-
-        return _per_resample(figures)(batch)
-
-    tables, values, errors = _measure(config, distributions, estimate)
-    figures = {k: v.tolist() for k, v in values.items()}
+    tables, rho, values, errors = _measure(config, distributions,
+                                           [f"{bell}/tomo" for bell in TILDE_LABELS], figures)
+    listed = {k: v.tolist() for k, v in values.items()}
     results: dict = {"outcomes": {}}
     for o, label in enumerate(TILDE_LABELS):
         row = results["outcomes"][label] = {
             "product_result": PRODUCT_FOR_BELL[label],
             "probability": float(probabilities[o]),
             "chsh_variant": CHSH_VARIANT_FOR_BELL[label],
-            "chsh_abs": figures["chsh_abs"][o],
-            "state": _matrix_payload(values.fitted[o].entries),
+            "chsh_abs": listed["chsh_abs"][o],
+            "state": _matrix_payload(rho[o]),
         }
         for key in ("fidelity", "log_negativity", "chsh"):
-            row[key], row[f"{key}_err"] = figures[key][o], errors[key][o]
+            row[key], row[f"{key}_err"] = listed[key][o], errors[key][o]
     for key in ("average_fidelity", "average_chsh_abs"):
-        results[key], results[f"{key}_err"] = figures[key], errors[key]
-    results["average_log_negativity"] = figures["average_log_negativity"]
+        results[key], results[f"{key}_err"] = listed[key], errors[key]
+    results["average_log_negativity"] = listed["average_log_negativity"]
     return results, tables
 
 
@@ -736,13 +725,13 @@ def _run_gate_only(config: ExperimentConfig, channel) -> tuple[dict, dict]:
     dist["00"] = 1.0 - p_success  # no-coincidence remainder
     n = config.counts_per_setting
 
-    def estimate(tabs: Mapping[str, CountTable]) -> dict[str, float]:
+    def figures(_, tabs: Mapping[str, CountTable]) -> dict[str, float]:
         table = tabs["gate/coinc"]
         coincidences = sum(table.corrected[0, [o != "00" for o in table.outcomes]])
         return {"success_probability": float(coincidences) / n}
 
-    tables, values, errors = _measure(config, {"gate/coinc": (("b", "c"), {"coinc": dist})},
-                                      _per_resample(estimate))
+    tables, _, values, errors = _measure(config, {"gate/coinc": (("b", "c"), {"coinc": dist})}, (),
+                                         figures)
     coinc = tables["gate/coinc"]
     results = {
         "input": config.gate_input,

@@ -17,9 +17,11 @@ respectively 4 counts per setting. Two reconstructions are provided:
   every local maximum of the factored problem is global (Journee, Bach,
   Absil & Sepulchre, SIAM J. Optim. 20, 2327, 2010). With 2 d^2 = 32 real
   parameters the 32 x 32 inverse-Hessian update is a few array products.
-  The BFGS runs over a stack of tables of one layout, each with its own
-  steps and stop rules, so that a bootstrap fits many resamples per call;
-  a table's iterates are bit for bit those of a stack of one.
+  Every fit goes through :func:`_fit_stack`, over a stack of tables of one
+  layout: a run's bootstrap fits many resamples per call, and ``mle_fit``
+  a stack of one. The BFGS gives each two-qubit table its own steps and
+  stop rules, so a table's iterates are bit for bit those of a stack of
+  one; one-qubit tables are fitted one at a time.
 
 Process tomography expands a single-qubit channel in the Pauli operator
 basis, E(rho) = sum_mn M[m, n] sigma_m rho sigma_n. Its outputs on the four
@@ -35,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product, repeat
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -167,55 +169,52 @@ def linear_inversion(counts: "CountTable") -> DensityMatrix:
     return _computed(rho.reshape(2**n, 2**n), counts.modes)
 
 
-def _fit_inputs(counts: "CountTable", dim: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """The table's ket stack, and its corrected counts as weights summing to one.
-
-    Per-count weights make the likelihood, and the convergence thresholds
-    on it, mean the same thing at any count scale.
-    """
-    n = len(counts.modes)
-    if dim is not None and dim != 2**n:
-        raise ValueError(f"dim {dim} inconsistent with {n} analyzed modes")
-    kets = _ket_stack(n, tuple(counts.settings), tuple(counts.outcomes))
-    weights = counts.corrected.ravel()
-    total = weights.sum()
-    if total <= 0:
-        raise ValueError("count table is empty")
-    return kets, weights / total
-
-
 def mle_fit(counts: "CountTable", dim: int | None = None,
             trace_nll: list | None = None) -> DensityMatrix:
-    """Maximum-likelihood state estimate from a count table.
+    """Maximum-likelihood state estimate from a count table: :func:`_fit_stack` of a stack of one.
 
     Maximizes the multinomial log likelihood sum_o c_o log p_o of the
     corrected counts. A one-qubit table is fitted exactly
     (:func:`_exact_fit_1q`) and never raises :class:`FitError`; a two-qubit
     table is fitted by a dense BFGS over a complex factor
-    (:func:`_factor_fit`, as a stack of one), and raises it, carrying the
-    best iterate, when that does not converge.
+    (:func:`_factor_fit`), and raises it, carrying the best iterate, when
+    that does not converge.
     ``trace_nll``, if given, collects the per-count negative log likelihood
     at the maximally mixed state and then at every accepted iterate; the
     exact fit has one iterate, its solution.
     """
-    kets, weights = _fit_inputs(counts, dim)
-    if len(counts.modes) == 1:
-        return _exact_fit_1q(counts, kets, weights, trace_nll)
-    (fit,) = _factor_fit(counts.modes, kets, weights[None], None if trace_nll is None else [trace_nll])
-    if isinstance(fit, FitError):
+    n = len(counts.modes)
+    if dim is not None and dim != 2**n:
+        raise ValueError(f"dim {dim} inconsistent with {n} analyzed modes")
+    (fit,) = _fit_stack([counts], None if trace_nll is None else [trace_nll])
+    if isinstance(fit, Exception):
         raise fit
     return fit
 
 
-def _fit_stack(tables: Sequence["CountTable"]) -> list:
-    """:func:`mle_fit` of two-qubit tables of one layout, fitted as one stack: per table its state,
-    or the FitError or ValueError that fitting it alone raises."""
+def _fit_stack(tables: Sequence["CountTable"], traces: list | None = None) -> list:
+    """Maximum likelihood of count tables of one layout, of 1 or 2 modes: per table its state, or
+    the FitError or ValueError that fails it.
+
+    Each table's corrected counts become weights summing to one, so that the likelihood, and the
+    convergence thresholds on it, mean the same thing at any count scale; a table without counts
+    fails alone. One-qubit tables are fitted one at a time by :func:`_exact_fit_1q`, two-qubit
+    tables as one stack by :func:`_factor_fit`. ``traces``, a list per table, collects each
+    fit's per-count negative log likelihoods, as ``mle_fit``'s ``trace_nll`` does.
+    """
+    if not tables:
+        return []
     first = tables[0]
-    kets = _ket_stack(2, tuple(first.settings), tuple(first.outcomes))
+    kets = _ket_stack(len(first.modes), tuple(first.settings), tuple(first.outcomes))
     weights = np.array([table.corrected.ravel() for table in tables])
     totals = weights.sum(axis=1)
     full = totals > 0
-    fits = iter(_factor_fit(first.modes, kets, weights[full] / totals[full, None]))
+    weights = weights[full] / totals[full, None]
+    kept = None if traces is None else list(compress(traces, full))
+    if len(first.modes) == 1:
+        fits = map(_exact_fit_1q, compress(tables, full), repeat(kets), weights, kept or repeat(None))
+    else:
+        fits = iter(_factor_fit(first.modes, kets, weights, kept))
     return [next(fits) if ok else ValueError("count table is empty") for ok in full.tolist()]
 
 

@@ -14,7 +14,7 @@ from telegate.sources import (BELL_AMPLITUDES, SINGLE_QUBIT_AMPLITUDES, TOMOGRAP
 from telegate.states import (ATOL, DensityMatrix, I2, PAULI, PureState, SIGMA_X, SIGMA_Y, SIGMA_Z,
                             _check_labels, _computed, _hermitian, analyzer_eigenvectors)
 from telegate import tomography
-from telegate.tomography import (BASIS_VECTORS, FitError, ProcessMatrix, _TINY, _fit_inputs, _outer,
+from telegate.tomography import (BASIS_VECTORS, FitError, ProcessMatrix, _TINY, _ket_stack, _outer,
                                  process_tomo, settings_2q)
 
 
@@ -402,15 +402,26 @@ def _factor_lbfgs_fit(modes: tuple[str, ...], projs: np.ndarray, weights: np.nda
     return _lbfgs_fit(modes, negloglik, x0, lambda x: unpack(x).conj().T, trace_nll)
 
 
+def fit_inputs(table) -> tuple[np.ndarray, np.ndarray]:
+    """A table's ket stack, and its corrected counts as weights summing to one, one table at a
+    time: what the package's fits read, as they read it before they took stacks."""
+    weights = table.corrected.ravel()
+    total = weights.sum()
+    if total <= 0:
+        raise ValueError("count table is empty")
+    kets = _ket_stack(len(table.modes), tuple(table.settings), tuple(table.outcomes))
+    return kets, weights / total
+
+
 def cholesky_reference(table) -> DensityMatrix:
     """The Cholesky-parameterized L-BFGS fit on any table."""
-    kets, weights = _fit_inputs(table, None)
+    kets, weights = fit_inputs(table)
     return _cholesky_fit(table.modes, _outer(kets), weights, None)
 
 
 def factor_lbfgs_reference(table) -> DensityMatrix:
     """scipy's L-BFGS-B over the complex factor on any table."""
-    kets, weights = _fit_inputs(table, None)
+    kets, weights = fit_inputs(table)
     return _factor_lbfgs_fit(table.modes, _outer(kets), weights, None)
 
 
@@ -421,7 +432,7 @@ def factor_bfgs_reference(table, trace_nll: list | None = None) -> DensityMatrix
     products are 1-D ``@`` and its norms ``np.linalg.norm``, the forms the stacked fit's matmuls
     must match bit for bit. Raises FitError, carrying the best iterate, where that fit does.
     """
-    kets, weights = _fit_inputs(table, None)
+    kets, weights = fit_inputs(table)
     d = kets.shape[-1]
 
     def nll(a):

@@ -11,7 +11,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from telegate import cli, experiment
+from telegate import cli, experiment, tomography
 from telegate.experiment import (
     ConfigError,
     CountTable,
@@ -28,11 +28,15 @@ from telegate.experiment import (
 )
 from telegate.gate import GateChannel, ZeroSuccessError, gate_channel
 from telegate.metrics import CHSH_OUTCOMES, CHSH_SETTINGS
+from telegate.protocols import TILDE_LABELS
 from telegate.sources import BELL_AMPLITUDES, SINGLE_QUBIT_AMPLITUDES, InputSpec, make_input
 from telegate.tomography import mle_fit, settings_1q
 from conftest import (reference_swap_run, reference_swap_summary, reference_teleport_conditionals,
                       reference_teleport_summary, same_bits)
 
+#: Each run's fitted tables, in the order its bootstrap fits them.
+FIT_KEYS = {"teleport": experiment.TELEPORT_CELLS,
+            "swap": tuple(f"{bell}/tomo" for bell in TILDE_LABELS), "gate-only": ()}
 #: Exact-path sample points: 0 and 1 on every axis, the calibrated point in between.
 EXACT_AXIS = (0.0, 0.01, 0.14, 0.3, 0.5, 0.77, 0.93, 1.0)
 #: A channel that heralds nothing, and one that passes only |HH> (no V probe is heralded).
@@ -45,13 +49,12 @@ PHI_PLUS_BLIND_CHANNEL = GateChannel(kraus=(
     (np.eye(4) - np.outer(_PLUS_PLUS, _PLUS_PLUS.conj())) @ gate_channel(1.0).kraus[0],))
 
 
-def point_estimate_only(tables, estimate, n_resamples, seed_seq):
-    """A stand-in for the bootstrap core: the batch estimator's values on the tables alone, each
-    entry with error zero; an entry that failed is raised."""
-    (values,) = estimate([tables])
-    if isinstance(values, Exception):
-        raise values
-    return values, {k: np.zeros_like(v).tolist() for k, v in values.items()}
+def point_estimate_only(tables, fit_keys, figures, n_resamples, seed_seq):
+    """A stand-in for the bootstrap core: the ``fit_keys`` tables fitted alone and the figures of
+    their states, each entry with error zero; a failing fit or figure raises."""
+    states = np.array([mle_fit(tables[key]).entries for key in fit_keys])
+    values = figures(states, tables)
+    return states, values, {k: np.zeros_like(v).tolist() for k, v in values.items()}
 
 
 @pytest.fixture
@@ -61,9 +64,9 @@ def measured(monkeypatch):
     seen = []
     measure = experiment._measure
 
-    def recording_measure(config, distributions, estimate):
+    def recording_measure(config, distributions, fit_keys, figures):
         seen.append(distributions)
-        return measure(config, distributions, estimate)
+        return measure(config, distributions, fit_keys, figures)
 
     monkeypatch.setattr(experiment, "_measure", recording_measure)
     monkeypatch.setattr(experiment, "_bootstrap", point_estimate_only)
@@ -393,13 +396,38 @@ class TestRunExperiment:
     def test_each_run_bootstraps_once(self, protocol, monkeypatch):
         calls = []
 
-        def recording_bootstrap(tables, estimate, n_resamples, seed_seq):
-            calls.append(sorted(tables))
-            return point_estimate_only(tables, estimate, n_resamples, seed_seq)
+        def recording_bootstrap(tables, fit_keys, figures, n_resamples, seed_seq):
+            calls.append((sorted(tables), tuple(fit_keys)))
+            return point_estimate_only(tables, fit_keys, figures, n_resamples, seed_seq)
 
         monkeypatch.setattr(experiment, "_bootstrap", recording_bootstrap)
         rep = run_experiment(ExperimentConfig(protocol=protocol, counts_per_setting=500, seed=3))
-        assert calls == [sorted(rep.count_tables)]
+        assert calls == [(sorted(rep.count_tables), FIT_KEYS[protocol])]
+
+    @pytest.mark.parametrize("n_resamples, calls", [(100, 26), (101, 27)])
+    @pytest.mark.parametrize("protocol", ["teleport", "swap"])
+    def test_each_group_of_resamples_fits_in_one_call(self, protocol, n_resamples, calls,
+                                                      monkeypatch):
+        # one _fit_stack call for the point estimate, then one per group of 4 resamples, whose
+        # last may hold fewer; mle_fit is off the run path
+        sizes = []
+        fit_stack = experiment._fit_stack
+
+        def counting_fit_stack(tables, *args):
+            sizes.append(len(tables))
+            return fit_stack(tables, *args)
+
+        def never(*args, **kwargs):
+            raise AssertionError("a run fits through _fit_stack")
+
+        monkeypatch.setattr(experiment, "_fit_stack", counting_fit_stack)
+        for module in (experiment, tomography):
+            monkeypatch.setattr(module, "mle_fit", never)
+        run_experiment(ExperimentConfig(protocol=protocol, counts_per_setting=500, seed=3,
+                                        bootstrap_resamples=n_resamples))
+        groups = [1] + [4] * (n_resamples // 4) + [n_resamples % 4] * (n_resamples % 4 > 0)
+        assert len(sizes) == len(groups) == calls
+        assert sizes == [len(FIT_KEYS[protocol]) * k for k in groups]
 
     @pytest.mark.parametrize("protocol, efficiencies", [
         ("teleport", {"a-": 0.8}), ("swap", {"d+": 0.7}), ("gate-only", {"cV": 0.5})],
@@ -575,6 +603,11 @@ class TestCalibrate:
     def test_empty_grid(self):
         with pytest.raises(ValueError, match="non-empty"):
             calibrate({"F_H": 1.0}, overlap_grid=())
+
+    def test_no_targets(self):
+        # no target would make every grid point's residual the int 0, and the first point win
+        with pytest.raises(ValueError, match="^calibration targets must be non-empty$"):
+            calibrate({}, overlap_grid=(0.9, 1.0))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "0.9", None,
                                      True, 0.9 + 0j])

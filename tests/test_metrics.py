@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from telegate.experiment import CountTable, Estimate, _joint_bootstrap
+from telegate import tomography
+from telegate.experiment import CountTable, _bootstrap, _joint_bootstrap, simulate_counts
 from telegate.metrics import (
     CHSH_ANGLES,
     CHSH_OUTCOMES,
@@ -23,7 +24,7 @@ from telegate.metrics import (
 from telegate.protocols import TILDE_LABELS, tilde_bell
 from telegate.sources import PairSpec, bell_state, make_pair, single_qubit_state
 from telegate.states import DensityMatrix
-from telegate.tomography import FitError, _ket_stack, settings_1q, settings_2q
+from telegate.tomography import FitError, _ket_stack, mle_fit, settings_1q, settings_2q
 from conftest import (
     analyzer_observable,
     ginibre_dm,
@@ -31,6 +32,7 @@ from conftest import (
     reference_chsh_correlators,
     reference_chsh_distributions,
     reference_projectors,
+    same_bits,
 )
 
 
@@ -306,18 +308,45 @@ class TestBootstrap:
         with pytest.raises(TypeError, match="estimator bug"):
             bootstrap(flat_table(10), estimator, n_resamples=100, seed=0)
 
-    def test_point_estimate_carries_its_fit(self):
-        table = flat_table(100)
+    def test_point_estimate_returns_its_fitted_states(self):
+        # the states of the fitted tables come back with the point figures, which see the
+        # tables first, then one table dict per resample
+        table = CountTable(("a",), ("Z", "X", "Y"), ("+", "-"),
+                           np.array([[70, 30], [55, 45], [40, 60]]))
         calls = []
 
-        def estimator(tabs):
+        def figures(states, tabs):
             calls.append(tabs["t"])
-            return Estimate({"x": 1.0}, fitted=len(calls))
+            return {"x": float(states[0, 0, 0].real)}
 
-        values, errors = _joint_bootstrap({"t": table}, estimator, 100, np.random.SeedSequence(3))
+        states, values, errors = _bootstrap({"t": table}, ("t",), figures, 100,
+                                            np.random.SeedSequence(3))
         assert calls[0] is table and len(calls) == 101
-        assert values.fitted == 1 and values == {"x": 1.0}
-        assert errors == {"x": 0.0}
+        assert same_bits(states, np.array([mle_fit(table).entries]))
+        assert values == {"x": float(states[0, 0, 0].real)} and errors["x"] > 0.0
+
+    def test_a_table_dict_fails_on_its_first_failing_fit(self, monkeypatch):
+        # in key order: the capped fit's FitError, or the empty table's ValueError (which the
+        # point estimate raises as a RuntimeError); the figures never see a failed fit
+        monkeypatch.setattr(tomography, "_MAX_ITERS", 2)
+        state = ginibre_dm(2, np.random.default_rng(3))
+        probs = {s.id: s.probabilities(state) for s in settings_2q()}
+        slow = simulate_counts(probs, 2000, {}, 6, ("a", "d"))
+        empty = CountTable(("a", "d"), slow.settings, slow.outcomes, np.zeros((9, 4)))
+
+        def figures(states, tabs):
+            raise AssertionError("figures of a failed fit")
+
+        def point(fit_keys):
+            _bootstrap({"slow": slow, "empty": empty}, fit_keys, figures, 100,
+                       np.random.SeedSequence(0))
+
+        with pytest.raises(FitError, match="after 2 iterations"):
+            point(("slow", "empty"))
+        with pytest.raises(RuntimeError) as info:
+            point(("empty", "slow"))
+        assert type(info.value) is RuntimeError
+        assert str(info.value) == "the counts cannot be fitted: count table is empty"
 
     @pytest.mark.parametrize("modes, outcomes, efficiencies, eta", [
         (("m",), ("+",), {"m+": 0.5}, [0.5]),

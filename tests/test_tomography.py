@@ -16,9 +16,9 @@ from telegate.tomography import (
     MeasurementSetting,
     _DESIGN,
     _DESIGN_INV,
+    _exact_fit_1q,
     _factor_fit,
     _factor_nll,
-    _fit_inputs,
     _fit_stack,
     _ket_stack,
     linear_inversion,
@@ -34,6 +34,7 @@ from conftest import (
     cholesky_reference,
     factor_bfgs_reference,
     factor_lbfgs_reference,
+    fit_inputs,
     ginibre_dm,
     identity_process,
     process_fidelity,
@@ -425,7 +426,7 @@ class TestFactorFit:
     @given(two_qubit_tables(), st.integers(0, 2**32 - 1))
     def test_gradient_matches_finite_differences(self, table, seed):
         # the objective's gradient in the real and imaginary parts of A
-        _, weights = _fit_inputs(table, None)
+        _, weights = fit_inputs(table)
         kets = _ket_stack(2, table.settings, table.outcomes)
 
         def nll(x):  # a stack of one
@@ -479,40 +480,51 @@ class TestFactorFit:
 
 
 @st.composite
-def table_stacks(draw):
-    """2 to 6 sampled 2-qubit tables of one layout, which may repeat settings, each of a random
-    state of rank 1 to 4 at 50 to 1e5 counts per setting, with the stack's efficiencies."""
-    ids = [s.id for s in settings_2q()]
+def table_stacks(draw, n_qubits: int):
+    """2 to 6 sampled tables of ``n_qubits`` qubits and one layout, which may repeat settings,
+    each of a random state of any rank at 50 to 1e5 counts per setting, with the stack's
+    efficiencies."""
+    modes, d = ("a", "d")[:n_qubits], 2**n_qubits
+    ids = [s.id for s in (settings_1q() if n_qubits == 1 else settings_2q())]
     order = tuple(draw(st.permutations(ids + draw(st.lists(st.sampled_from(ids), max_size=4)))))
-    eff = draw(st.dictionaries(st.sampled_from(["a+", "a-", "d+", "d-"]), st.floats(0.1, 1.0)))
-    outcomes = tuple(MeasurementSetting(("Z", "Z")).probabilities(np.eye(4) / 4))
-    eta = CountTable(("a", "d"), order, outcomes, np.zeros((len(order), 4)), eff).eta
+    eff = draw(st.dictionaries(st.sampled_from([m + c for m in modes for c in "+-"]),
+                               st.floats(0.1, 1.0)))
+    outcomes = tuple(MeasurementSetting(("Z",) * n_qubits).probabilities(np.eye(d) / d))
+    eta = CountTable(modes, order, outcomes, np.zeros((len(order), d)), eff).eta
     tables = []
     for seed in draw(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=6)):
         rng = np.random.default_rng(seed)
-        rank, shots = rng.integers(1, 5), round(10 ** rng.uniform(np.log10(50), 5.0))
-        g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        rank, shots = rng.integers(1, d + 1), round(10 ** rng.uniform(np.log10(50), 5.0))
+        g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
         state = g @ g.conj().T / np.trace(g @ g.conj().T)
         probs = [list(MeasurementSetting(tuple(sid)).probabilities(state).values()) for sid in order]
         raw = rng.poisson(shots * np.array(probs) * eta)
-        tables.append(CountTable(("a", "d"), order, outcomes, raw, eff))
+        tables.append(CountTable(modes, order, outcomes, raw, eff))
     return tables
 
 
 class TestStackedFactorFit:
-    @settings(max_examples=25, derandomize=True, deadline=None)
-    @given(table_stacks())
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(st.sampled_from((1, 2)).flatmap(table_stacks))
     def test_each_table_fits_as_it_does_alone(self, tables):
-        # bit for bit, alone, in the stack and by the per-table reference: the states, and every
-        # iterate's likelihood on the way there
-        kets = _ket_stack(2, tables[0].settings, tables[0].outcomes)
+        # bit for bit, alone, in the stack and by the per-table fit (the exact fit of one qubit,
+        # the reference BFGS of two): the states, and every iterate's likelihood on the way there
         traces = [[] for _ in tables]
-        stacked = _factor_fit(("a", "d"), kets, np.array([_fit_inputs(t, None)[1] for t in tables]),
-                              traces)
-        for table, fit, via_stack, trace in zip(tables, stacked, _fit_stack(tables), traces):
+        fits = _fit_stack(tables, traces)
+        if len(tables[0].modes) == 2:  # the factor fit's own stack reads the same
+            kets = _ket_stack(2, tables[0].settings, tables[0].outcomes)
+            stacked_traces = [[] for _ in tables]
+            stacked = _factor_fit(("a", "d"), kets, np.array([fit_inputs(t)[1] for t in tables]),
+                                  stacked_traces)
+            assert stacked_traces == traces
+            assert all(same_bits(a.entries, b.entries) for a, b in zip(stacked, fits))
+        for table, fit, via_stack, trace in zip(tables, fits, _fit_stack(tables), traces):
             alone, reference = [], []
             rho = mle_fit(table, trace_nll=alone)  # a FitError fails the test
-            want = factor_bfgs_reference(table, reference)
+            if len(table.modes) == 1:
+                want = _exact_fit_1q(table, *fit_inputs(table), reference)
+            else:
+                want = factor_bfgs_reference(table, reference)
             for got in (rho, fit, via_stack):
                 assert same_bits(got.entries, want.entries)
             assert trace == alone == reference
@@ -530,17 +542,20 @@ class TestStackedFactorFit:
         assert same_bits(fitted.entries, mle_fit(uniform).entries)
 
     def test_an_empty_table_fails_alone(self):
-        tables = [sampled_table(ginibre_dm(2, np.random.default_rng(k)), ("a", "d"), 500, seed=k)
-                  for k in range(2)]
-        empty = CountTable(("a", "d"), tables[0].settings, tables[0].outcomes, np.zeros((9, 4)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no 0/0 on the empty table's weights
-            fits = _fit_stack([tables[0], empty, tables[1]])
-            (alone,) = _fit_stack([empty])
-        for got in (fits[1], alone):
-            assert type(got) is ValueError and str(got) == "count table is empty"
-        for table, fit in zip(tables, fits[::2]):
-            assert same_bits(fit.entries, mle_fit(table).entries)
+        assert _fit_stack([]) == []
+        for modes in (("a",), ("a", "d")):
+            tables = [sampled_table(ginibre_dm(len(modes), np.random.default_rng(k)), modes, 500,
+                                    seed=k) for k in range(2)]
+            empty = CountTable(modes, tables[0].settings, tables[0].outcomes,
+                               np.zeros(tables[0].raw.shape))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no 0/0 on the empty table's weights
+                fits = _fit_stack([tables[0], empty, tables[1]])
+                (alone,) = _fit_stack([empty])
+            for got in (fits[1], alone):
+                assert type(got) is ValueError and str(got) == "count table is empty"
+            for table, fit in zip(tables, fits[::2]):
+                assert same_bits(fit.entries, mle_fit(table).entries)
 
 
 @st.composite
