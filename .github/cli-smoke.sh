@@ -40,12 +40,12 @@ python -c "import json; json.load(open('swap.json'))"
 telegate run swap.yaml --format csv > swap.csv
 python -c "lines = open('swap.csv').read().splitlines(); assert len(lines) == 209, len(lines)"
 
-# 101 resamples: the bootstrap fits its last group of 4, which holds 1, and every error bar still
+# 105 resamples: the bootstrap fits 13 groups of 8 and a last group of 1, and every error bar still
 # comes out, for the two-qubit fits of swap and the one-qubit fits of teleport
 for protocol_errors in swap:14 teleport:21; do
   protocol=${protocol_errors%:*}
-  printf 'protocol: %s\ncounts_per_setting: 100\nseed: 1\nbootstrap_resamples: 101\n' "$protocol" > "$protocol-101.yaml"
-  telegate run "$protocol-101.yaml" > "$protocol-101.json"
+  printf 'protocol: %s\ncounts_per_setting: 100\nseed: 1\nbootstrap_resamples: 105\n' "$protocol" > "$protocol-105.yaml"
+  telegate run "$protocol-105.yaml" > "$protocol-105.json"
   python -c "
 import json, sys
 def errors(node, path=''):
@@ -58,7 +58,7 @@ def errors(node, path=''):
 found = list(errors(json.load(open(sys.argv[1]))['results']))
 assert len(found) == int(sys.argv[2]), found
 assert all(isinstance(err, float) and err > 0.0 for _, err in found), found
-" "$protocol-101.json" "${protocol_errors#*:}"
+" "$protocol-105.json" "${protocol_errors#*:}"
 done
 
 # a swap run on psi- pairs with a lossy detector: the exact swap grid at a target other than phi+

@@ -549,9 +549,10 @@ def _matrix_payload(entries: np.ndarray) -> list:
 
 
 #: Resamples the bootstrap draws and fits at once. Their two-qubit tables, 4 per swap resample,
-#: are one stack, whose working set grows with its size: 4 resamples fit as fast as 8, in half the
-#: memory.
-_RESAMPLE_BATCH = 4
+#: are one stack; its fit allocates its H stack and work buffers once, as any array as large as
+#: H fresh per iteration, past 16 tables, fell beyond the allocator's mmap threshold and faulted
+#: its pages in again on every iteration.
+_RESAMPLE_BATCH = 8
 
 
 def _bootstrap(tables: Mapping[str, CountTable], fit_keys: Sequence[str], figures: Callable,

@@ -336,13 +336,32 @@ def _factor_nll(a: np.ndarray, kets: np.ndarray, weights: np.ndarray) -> tuple[n
     return -_rowdot(weights, np.log(p)), g
 
 
-def _bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray, sy: np.ndarray) -> None:
-    """H += (s v^T + v s^T) / s.y, v = (1 + y.Hy / s.y) s / 2 - Hy, in place per table: the BFGS update."""
+def _bfgs_update(h: np.ndarray, s: np.ndarray, y: np.ndarray, sy: np.ndarray, work: Sequence[np.ndarray],
+                 rows: np.ndarray | None = None) -> None:
+    """H += (s v^T + v s^T) / s.y, v = (1 + y.Hy / s.y) s / 2 - Hy, in place per table: the BFGS update,
+    of every table or of the ``rows`` given (indices); the other rows keep their bytes.
+
+    ``work`` holds two buffers of at least H's shape. s v^T is written to the first and v s^T,
+    bit for bit its transpose, copied to the second, so the update allocates no array of H's
+    size and adds no strided operand. ``einsum`` writes +0.0 where the product is -0.0. That
+    sign never reaches an H that holds no -0.0, as the fit's never does: its zeros come from
+    zeros and positive multiples of the identity, and a sum is -0.0 only when both terms are.
+    """
     hy = (h @ y[:, :, None])[:, :, 0]
-    sv = s[:, :, None] * ((0.5 + 0.5 * _rowdot(y, hy) / sy)[:, None] * s - hy)[:, None, :]
-    tmp = sv + sv.transpose(0, 2, 1)
-    tmp /= sy[:, None, None]
-    h += tmp
+    if rows is not None:
+        s, y, sy, hy = s[rows], y[rows], sy[rows], hy[rows]
+    v = (0.5 + 0.5 * _rowdot(y, hy) / sy)[:, None] * s - hy
+    sv, vs = (buffer[:len(s)] for buffer in work)
+    np.einsum("ti,tj->tij", s, v, out=sv)
+    vs[...] = sv.transpose(0, 2, 1)
+    sv += vs
+    sv /= sy[:, None, None]
+    if rows is None:
+        h += sv
+    else:  # gathered into the free buffer, updated there and scattered back
+        part = np.take(h, rows, axis=0, out=vs, mode="clip")
+        part += sv
+        h[rows] = part
 
 
 def _factor_fit(modes: tuple[str, ...], kets: np.ndarray, weights: np.ndarray,
@@ -363,7 +382,11 @@ def _factor_fit(modes: tuple[str, ...], kets: np.ndarray, weights: np.ndarray,
     :class:`FitError` carrying the best iterate. ``traces``, a list per
     table, collects the per-count negative log likelihood at the start and
     at every accepted iterate. Every reduction is a matmul, so a table's
-    iterates do not depend on the stack it is in.
+    iterates do not depend on the stack it is in. The H stack and the two
+    work buffers of :func:`_bfgs_update` are allocated once per call, as
+    one (3, T, 2 d^2, 2 d^2) array: a table that stops leaves H by a
+    compaction into the first work buffer, which takes H's place, so no
+    iteration allocates an array of H's size.
     """
     n_tables, d = len(weights), kets.shape[-1]
     a = np.repeat(np.eye(d, dtype=complex)[None] / np.sqrt(d), n_tables, axis=0)
@@ -372,13 +395,20 @@ def _factor_fit(modes: tuple[str, ...], kets: np.ndarray, weights: np.ndarray,
     # interleaved real and imaginary parts of each A, a row per table
     x, gx = a.view(float).reshape(n_tables, 2 * d * d), g.view(float).reshape(n_tables, 2 * d * d)
     x_end, g_end, eye = np.empty_like(x), np.empty_like(gx), np.eye(x.shape[1])
-    live, h, fresh = np.arange(n_tables), np.zeros((n_tables,) + eye.shape), np.ones(n_tables, bool)
+    live, fresh = np.arange(n_tables), np.ones(n_tables, bool)
+    # H's rows of the live tables, then two work buffers; H leaves its buffer only to be compacted
+    buffers = list(np.zeros((3, n_tables) + eye.shape))
+    h = buffers[0]
 
     def leave(stop):
         nonlocal live, x, f, gx, h, fresh
         if stop.any():
+            keep = np.flatnonzero(~stop)
             x_end[live[stop]], g_end[live[stop]] = x[stop], gx[stop]
-            live, x, f, gx, h, fresh = (v[~stop] for v in (live, x, f, gx, h, fresh))
+            live, x, f, gx, fresh = (v[keep] for v in (live, x, f, gx, fresh))
+            # mode "clip": the default mode would copy the result through a fresh buffer
+            h = np.take(h, keep, axis=0, out=buffers[1][:keep.size], mode="clip")
+            buffers[0], buffers[1] = buffers[1], buffers[0]
 
     for _ in range(_MAX_ITERS):
         leave(np.abs(gx).max(axis=1) <= 1e-10)
@@ -390,19 +420,24 @@ def _factor_fit(modes: tuple[str, ...], kets: np.ndarray, weights: np.ndarray,
         if reset.any():
             h[reset], fresh[reset], step[reset] = eye, False, -gx[reset]
             slope[reset] = -_rowdot(gx[reset], gx[reset])
-        # backtracking per table; one that finds no decrease keeps its iterate, so s = y = 0
-        t, todo, failed = np.ones(live.size), np.arange(live.size), np.zeros(live.size, bool)
-        x_new, f_new, g_new = x.copy(), f.copy(), gx.copy()
-        for _ in range(_LINE_STEPS):
+        # the full step on every table at once (t = 1 multiplies exactly), then backtracking on
+        # the tables it fails; one that finds no decrease keeps its iterate, so s = y = 0
+        x_new = x + step
+        f_new, g_new = _factor_nll(x_new.view(complex).reshape(-1, d, d), kets, weights[live])
+        g_new = g_new.view(float).reshape(live.size, -1)
+        todo, t = np.flatnonzero(~(f_new <= f + 1e-4 * slope)), np.ones(live.size)
+        x_new[todo], f_new[todo], g_new[todo] = x[todo], f[todo], gx[todo]
+        for _ in range(_LINE_STEPS - 1):
+            if not todo.size:
+                break
+            t[todo] *= 0.5
             trial = x[todo] + t[todo, None] * step[todo]
             f_try, g_try = _factor_nll(trial.view(complex).reshape(-1, d, d), kets, weights[live[todo]])
             ok = f_try <= f[todo] + 1e-4 * t[todo] * slope[todo]
             x_new[todo[ok]], f_new[todo[ok]] = trial[ok], f_try[ok]
             g_new[todo[ok]] = g_try.view(float).reshape(len(todo), -1)[ok]
             todo = todo[~ok]
-            if not todo.size:
-                break
-            t[todo] *= 0.5
+        failed = np.zeros(live.size, bool)
         failed[todo] = True
         s, y = x_new - x, g_new - gx
         sy, yy = _rowdot(s, y), _rowdot(y, y)
@@ -410,12 +445,8 @@ def _factor_fit(modes: tuple[str, ...], kets: np.ndarray, weights: np.ndarray,
         seed = update & fresh
         if seed.any():
             h[seed], fresh[seed] = (sy[seed] / yy[seed])[:, None, None] * eye, False
-        if update.all():
-            _bfgs_update(h, s, y, sy)
-        elif update.any():  # H is indexed by a mask only here
-            part = h[update]
-            _bfgs_update(part, s[update], y[update], sy[update])
-            h[update] = part
+        if update.any():
+            _bfgs_update(h, s, y, sy, buffers[1:], None if update.all() else np.flatnonzero(update))
         stalled = (t == 1.0) & (f - f_new <= 1e-14 * np.maximum(np.abs(f), 1.0))
         for k, value in zip(live[~failed].tolist(), f_new[~failed].tolist()):
             histories[k].append(value)

@@ -404,12 +404,13 @@ class TestRunExperiment:
         rep = run_experiment(ExperimentConfig(protocol=protocol, counts_per_setting=500, seed=3))
         assert calls == [(sorted(rep.count_tables), FIT_KEYS[protocol])]
 
-    @pytest.mark.parametrize("n_resamples, calls", [(100, 26), (101, 27)])
+    @pytest.mark.parametrize("last_group", [0, 1])
     @pytest.mark.parametrize("protocol", ["teleport", "swap"])
-    def test_each_group_of_resamples_fits_in_one_call(self, protocol, n_resamples, calls,
-                                                      monkeypatch):
-        # one _fit_stack call for the point estimate, then one per group of 4 resamples, whose
-        # last may hold fewer; mle_fit is off the run path
+    def test_each_group_of_resamples_fits_in_one_call(self, protocol, last_group, monkeypatch):
+        # one _fit_stack call for the point estimate, then one per group of _RESAMPLE_BATCH
+        # resamples, whose last may hold fewer; mle_fit is off the run path
+        batch = experiment._RESAMPLE_BATCH
+        n_resamples = 13 * batch + last_group
         sizes = []
         fit_stack = experiment._fit_stack
 
@@ -425,8 +426,8 @@ class TestRunExperiment:
             monkeypatch.setattr(module, "mle_fit", never)
         run_experiment(ExperimentConfig(protocol=protocol, counts_per_setting=500, seed=3,
                                         bootstrap_resamples=n_resamples))
-        groups = [1] + [4] * (n_resamples // 4) + [n_resamples % 4] * (n_resamples % 4 > 0)
-        assert len(sizes) == len(groups) == calls
+        groups = [1] + [batch] * 13 + [1] * last_group
+        assert len(sizes) == 1 + -(-n_resamples // batch)  # the point estimate, then the groups
         assert sizes == [len(FIT_KEYS[protocol]) * k for k in groups]
 
     @pytest.mark.parametrize("protocol, efficiencies", [

@@ -16,6 +16,7 @@ from telegate.tomography import (
     MeasurementSetting,
     _DESIGN,
     _DESIGN_INV,
+    _bfgs_update,
     _exact_fit_1q,
     _factor_fit,
     _factor_nll,
@@ -503,6 +504,22 @@ def table_stacks(draw, n_qubits: int):
     return tables
 
 
+def large_two_qubit_stack(seed: int) -> list[CountTable]:
+    """41 two-qubit tables of one layout: interior (rank 4) and boundary (rank 1) states at 200 to
+    1e5 counts per setting, every third with efficiencies, then a uniform table."""
+    rng = np.random.default_rng(seed)
+    settings_ = {s.id: s for s in settings_2q()}
+    tables = []
+    for k, (rank, shots) in enumerate([(4, 200), (4, 10**4), (4, 10**5), (1, 300), (1, 10**5)] * 8):
+        g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        state = g @ g.conj().T / np.trace(g @ g.conj().T)
+        probs = {sid: s.probabilities(state) for sid, s in settings_.items()}
+        eff = {"a+": 0.8, "d-": 0.6} if k % 3 == 0 else {}
+        tables.append(simulate_counts(probs, shots, eff, seed * 100 + k, ("a", "d")))
+    first = tables[0]
+    return tables + [CountTable(first.modes, first.settings, first.outcomes, np.ones((9, 4)))]
+
+
 class TestStackedFactorFit:
     @settings(max_examples=50, derandomize=True, deadline=None)
     @given(st.sampled_from((1, 2)).flatmap(table_stacks))
@@ -528,6 +545,48 @@ class TestStackedFactorFit:
             for got in (rho, fit, via_stack):
                 assert same_bits(got.entries, want.entries)
             assert trace == alone == reference
+
+    @pytest.mark.parametrize("caps, seed", [({}, 1), ({"_MAX_ITERS": 2}, 2), ({"_LINE_STEPS": 1}, 3)],
+                             ids=["uncapped", "iteration-cap", "line-search-cap"])
+    def test_a_large_stack_fits_each_table_as_the_reference(self, caps, seed, monkeypatch):
+        # at the bootstrap's stack size and beyond: every table's state, or FitError, and trace
+        # bit for bit the reference's, through backtracking, compaction and the masked update
+        for name, value in caps.items():
+            monkeypatch.setattr(tomography, name, value)
+        tables = large_two_qubit_stack(seed)
+        nll_sizes, updates = [], []
+        nll, update = tomography._factor_nll, tomography._bfgs_update
+
+        def recording_nll(a, *args):
+            nll_sizes.append(len(a))
+            return nll(a, *args)
+
+        def recording_update(h, s, y, sy, work, rows=None):
+            assert not np.signbit(h[h == 0.0]).any()  # which the update's einsum relies on
+            updates.append((len(h), rows is not None))
+            return update(h, s, y, sy, work, rows)
+
+        monkeypatch.setattr(tomography, "_factor_nll", recording_nll)
+        monkeypatch.setattr(tomography, "_bfgs_update", recording_update)
+        traces = [[] for _ in tables]
+        fits = _fit_stack(tables, traces)
+        for table, fit, trace in zip(tables, fits, traces):
+            reference = []
+            try:
+                want = factor_bfgs_reference(table, reference)
+            except FitError as error:
+                assert isinstance(fit, FitError) and str(fit) == str(error)
+                fit, want = fit.best_state, error.best_state
+            assert same_bits(fit.entries, want.entries)
+            assert trace == reference
+        assert updates[0][0] == 40  # the uniform table stops at once
+        if not caps:  # more objective calls than iterates: some full steps were rejected
+            assert len(nll_sizes) > max(map(len, traces))
+            assert min(size for size, _ in updates) < 40  # H was compacted
+        elif "_MAX_ITERS" in caps:
+            assert [isinstance(fit, FitError) for fit in fits] == [True] * 40 + [False]
+        else:  # a rejected full step fails its table, which leaves the update to the others
+            assert (40, True) in updates
 
     def test_a_table_at_the_cap_fails_alone(self, monkeypatch):
         monkeypatch.setattr(tomography, "_MAX_ITERS", 2)
@@ -556,6 +615,35 @@ class TestStackedFactorFit:
                 assert type(got) is ValueError and str(got) == "count table is empty"
             for table, fit in zip(tables, fits[::2]):
                 assert same_bits(fit.entries, mle_fit(table).entries)
+
+
+class TestBfgsUpdate:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_work_buffers_give_the_per_table_update(self, seed):
+        # bit for bit the per-table form h += (sv + sv.T) / sy, of every row or of the masked
+        # rows only, the others keeping their bytes; H holds +0.0 where s v^T holds -0.0
+        rng = np.random.default_rng(seed)
+        size, n = int(rng.integers(2, 40)), 32
+        s, y = rng.normal(size=(2, size, n))
+        sy = rng.uniform(0.1, 2.0, size)
+        h = rng.normal(size=(size, n, n))
+        zero = rng.choice(n, 6, replace=False)
+        s[:, zero] = 0.0  # s v^T holds signed zeros there, added to H's zeros as in a fit
+        h[np.ix_(range(size), zero, zero)] = 0.0
+        want = h.copy()
+        for k in range(size):
+            hy = want[k] @ y[k]
+            v = (0.5 + 0.5 * (y[k] @ hy) / sy[k]) * s[k] - hy
+            sv = s[k][:, None] * v
+            want[k] += (sv + sv.T) / sy[k]
+        rows = np.flatnonzero(rng.random(size) < 0.5)
+        for update in (None, rows):
+            got, work = h.copy(), np.full((2, size + 3, n, n), np.nan)  # larger than H, and dirty
+            _bfgs_update(got, s, y, sy, work, update)
+            changed = np.arange(size) if update is None else update
+            kept = np.setdiff1d(np.arange(size), changed)
+            assert same_bits(got[changed], want[changed])
+            assert same_bits(got[kept], h[kept])
 
 
 @st.composite
